@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .coloring import EdgeColoring, Tree, TreePartition
+from .coloring import EdgeColoring, Tree, TreePartition, edge_index, matching_trees
 from .errors import RainbowTreeMissingError
 from .formula import f_of_r
 from .rainbow import rainbow_spanning_tree
@@ -66,12 +66,7 @@ def generate_canonical(n: int, r: int, fill_color: int | None = None):
         next_color += 1
         i += 1
 
-    remaining = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if (u, v) not in colors
-    ]
+    remaining = comb(n, 2) - len(colors)
     if next_color == r:
         # exactly one color was never placed; step 3 must use it
         if fill_color is not None:
@@ -85,12 +80,13 @@ def generate_canonical(n: int, r: int, fill_color: int | None = None):
             raise ValueError(f"fill color {fill} out of range 1..{r}")
     else:
         fill = None
-    for e in remaining:
-        colors[e] = fill
+    cols = [fill] * comb(n, 2)
+    for (u, v), col in colors.items():
+        cols[edge_index(n, u, v)] = col
 
     extra = t + 1 if n >= t + 2 else None
     layout = CanonicalLayout(t, core, hub, extra, fill, hub_edges)
-    return EdgeColoring(n, r, colors, complete=True), layout
+    return EdgeColoring(n, r, cols, complete=True), layout
 
 
 def extremal_partition(c: EdgeColoring, layout: CanonicalLayout) -> TreePartition:
@@ -104,11 +100,5 @@ def extremal_partition(c: EdgeColoring, layout: CanonicalLayout) -> TreePartitio
         raise RainbowTreeMissingError(
             f"canonical core block {block} lost its guaranteed rainbow spanning tree"
         ) from exc
-    trees = [Tree.make(block, forest.edges)]
     rest = list(range(max(block) + 1, c.n))
-    for j in range(0, len(rest) - 1, 2):
-        a, b = rest[j], rest[j + 1]
-        trees.append(Tree.make([a, b], [(a, b, c.color_of(a, b))]))
-    if len(rest) % 2 == 1:
-        trees.append(Tree.make([rest[-1]]))
-    return TreePartition(tuple(trees))
+    return TreePartition((Tree.make(block, forest.edges), *matching_trees(c, rest)))

@@ -16,6 +16,7 @@ from .coloring import (
     format_coloring,
     merge_colors,
     read_coloring,
+    require_valid,
     validate,
     write_coloring,
     write_partition,
@@ -98,11 +99,7 @@ def _echo_config(args: argparse.Namespace) -> None:
 
 def _load(path: str):
     c = read_coloring(path)
-    bad = validate(c)
-    if bad:
-        raise FileFormatError(
-            f"{path}: invalid coloring: " + ", ".join(str(v) for v in bad)
-        )
+    require_valid(validate(c), path)
     return c
 
 

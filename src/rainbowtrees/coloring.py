@@ -6,8 +6,9 @@ appear on at least one edge.  Edges are unordered pairs, normally stored as
 flag marks the usual case where the edge set is all C(n, 2) pairs.  The one
 degenerate case is the single-vertex graph, which has r = 0.
 
-Values are treated as immutable after construction and all operations here
-are pure functions, so they are safe to share across concurrent workers.
+Values are immutable and all operations here are pure functions, so they
+are safe to share across concurrent workers.  A coloring of K_n stores its
+edge colors as one tuple in lexicographic edge order.
 
 File formats
 ------------
@@ -28,9 +29,13 @@ accompanying coloring when the file is read back.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from pathlib import Path
+from types import MappingProxyType
 
 from .errors import FileFormatError
 from .unionfind import UnionFind
@@ -49,52 +54,155 @@ class Violation:
         return self.code
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
-    """An edge-colored simple graph.
+def edge_index(n: int, u: int, v: int) -> int:
+    """Position of the edge (u, v), 0 <= u < v < n, in the lexicographic
+    edge order of K_n."""
+    return u * (2 * n - u - 3) // 2 + v - 1
 
-    `colors` maps unordered vertex pairs to colors.  The constructor stores
-    the mapping as given; use validate() to check the invariants (vertex
-    ranges, color surjectivity, completeness).
+
+class EdgeColoring:
+    """An immutable edge-colored simple graph.
+
+    `colors` is either a mapping from vertex pairs to colors or, for K_n, a
+    sequence of the C(n, 2) edge colors in lexicographic edge order.  A
+    coloring whose pairs are exactly those of K_n stores one color tuple in
+    that order; any other pair set is kept as a sorted tuple of the pairs
+    as given, so validate() can still report malformed ones.  The input is
+    copied, and `colors` is a read-only mapping view of the stored data.
+    The constructor does not check the invariants (vertex ranges, color
+    surjectivity, completeness); use validate() for that.
     """
 
-    n: int
-    r: int
-    colors: dict
-    complete: bool | None = None
+    __slots__ = ("n", "r", "complete", "_pairs", "_cols", "_classes")
 
-    def __post_init__(self):
-        object.__setattr__(self, "colors", dict(self.colors))
-        if self.complete is None:
-            object.__setattr__(self, "complete", len(self.colors) == comb(self.n, 2))
+    def __init__(self, n: int, r: int, colors, complete: bool | None = None):
+        m = comb(n, 2)
+        if not isinstance(colors, Mapping):
+            cols = tuple(colors)
+            if len(cols) != m:
+                raise ValueError(f"a color sequence for K_{n} needs {m} colors, got {len(cols)}")
+            pairs = None
+        elif len(colors) == m and all(
+            isinstance(u, int) and isinstance(v, int) and 0 <= u < v < n for u, v in colors
+        ):
+            placed = [None] * m
+            for (u, v), col in colors.items():
+                placed[edge_index(n, u, v)] = col
+            cols, pairs = tuple(placed), None
+        else:
+            items = sorted(colors.items())
+            pairs = tuple(e for e, _ in items)
+            cols = tuple(col for _, col in items)
+        if complete is None:
+            complete = len(cols) == m
+        for name, value in zip(self.__slots__, (n, r, complete, pairs, cols, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"EdgeColoring is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"EdgeColoring is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return EdgeColoring, (self.n, self.r, dict(self.colors), self.complete)
+
+    def __eq__(self, other):
+        if not isinstance(other, EdgeColoring):
+            return NotImplemented
+        return (self.n, self.r, self.complete, self._pairs, self._cols) == (
+            other.n, other.r, other.complete, other._pairs, other._cols)
 
     __hash__ = None
 
+    def __repr__(self) -> str:
+        return (f"EdgeColoring(n={self.n}, r={self.r}, colors={dict(self.colors)!r}, "
+                f"complete={self.complete})")
+
+    @property
+    def colors(self) -> Mapping:
+        """Read-only mapping (u, v) -> color over the stored pairs."""
+        return _ColorView(self)
+
     @property
     def num_edges(self) -> int:
-        return len(self.colors)
+        return len(self._cols)
+
+    def _pairs_in_order(self):
+        if self._pairs is not None:
+            return self._pairs
+        return combinations(range(self.n), 2)
+
+    def _position(self, u, v) -> int:
+        """Storage index of the pair (u, v) exactly as stored, or -1."""
+        if self._pairs is None:
+            return edge_index(self.n, u, v) if 0 <= u < v < self.n else -1
+        i = bisect_left(self._pairs, (u, v))
+        return i if i < len(self._pairs) and self._pairs[i] == (u, v) else -1
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.colors or (v, u) in self.colors
+        return self._position(u, v) >= 0 or self._position(v, u) >= 0
 
     def color_of(self, u: int, v: int) -> int:
-        try:
-            return self.colors[(u, v)]
-        except KeyError:
-            return self.colors[(v, u)]
+        i = self._position(u, v)
+        if i < 0:
+            i = self._position(v, u)
+            if i < 0:
+                raise KeyError((u, v))
+        return self._cols[i]
 
     def edges(self) -> list[tuple[int, int, int]]:
         """All edges as (u, v, color) with u < v, in lexicographic order."""
-        out = [(min(u, v), max(u, v), c) for (u, v), c in self.colors.items()]
-        out.sort()
+        if self._pairs is None:
+            n, cols = self.n, iter(self._cols)
+            return [(u, v, next(cols)) for u in range(n) for v in range(u + 1, n)]
+        out = [(min(u, v), max(u, v), c) for (u, v), c in zip(self._pairs, self._cols)]
+        out.sort()  # only pairs stored as (v, u) can be out of order
         return out
 
-    def color_classes(self) -> dict[int, list[tuple[int, int]]]:
-        """Map each color to its lexicographically sorted edge list."""
-        classes: dict[int, list[tuple[int, int]]] = {}
-        for u, v, c in self.edges():
-            classes.setdefault(c, []).append((u, v))
-        return classes
+    def color_classes(self) -> Mapping[int, tuple[tuple[int, int], ...]]:
+        """Map each color to its lexicographically sorted edges (read-only,
+        computed once per coloring)."""
+        if self._classes is None:
+            if self._pairs is None:
+                pairs, cols = self._pairs_in_order(), self._cols
+            else:
+                edges = self.edges()
+                pairs, cols = [(u, v) for u, v, _ in edges], [c for _, _, c in edges]
+            classes = {c: [] for c in dict.fromkeys(cols)}
+            for e, c in zip(pairs, cols):
+                classes[c].append(e)
+            frozen = MappingProxyType({c: tuple(es) for c, es in classes.items()})
+            object.__setattr__(self, "_classes", frozen)
+        return self._classes
+
+
+class _ColorView(Mapping):
+    """The `colors` mapping of an EdgeColoring, backed by its storage."""
+
+    __slots__ = ("_c",)
+
+    def __init__(self, c: EdgeColoring):
+        self._c = c
+
+    def __getitem__(self, key):
+        try:
+            u, v = key
+            i = self._c._position(u, v)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if i < 0:
+            raise KeyError(key)
+        return self._c._cols[i]
+
+    def __iter__(self):
+        return iter(self._c._pairs_in_order())
+
+    def __len__(self) -> int:
+        return len(self._c._cols)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 @dataclass(frozen=True)
@@ -128,19 +236,13 @@ class TreePartition:
 
 def rainbow_complete(n: int) -> EdgeColoring:
     """K_n with every edge its own color, in lexicographic edge order."""
-    colors = {}
-    c = 1
-    for u in range(n):
-        for v in range(u + 1, n):
-            colors[(u, v)] = c
-            c += 1
-    return EdgeColoring(n, comb(n, 2), colors, complete=True)
+    m = comb(n, 2)
+    return EdgeColoring(n, m, range(1, m + 1), complete=True)
 
 
 def monochromatic_complete(n: int) -> EdgeColoring:
     """K_n with every edge colored 1 (r = 0 for the single-vertex graph)."""
-    colors = {(u, v): 1 for u in range(n) for v in range(u + 1, n)}
-    return EdgeColoring(n, 1 if n >= 2 else 0, colors, complete=True)
+    return EdgeColoring(n, 1 if n >= 2 else 0, (1,) * comb(n, 2), complete=True)
 
 
 def validate(c: EdgeColoring) -> list[Violation]:
@@ -156,27 +258,46 @@ def validate(c: EdgeColoring) -> list[Violation]:
     elif r < 1:
         out.append(Violation("BadColorCount", (r,)))
 
-    seen: set = set()
-    used_colors: set = set()
-    for (u, v), col in sorted(c.colors.items()):
-        ints = isinstance(u, int) and isinstance(v, int)
-        if not (ints and 0 <= u < v < n):
-            out.append(Violation("BadVertex", (u, v)))
-        if ints:
-            norm = (u, v) if u <= v else (v, u)
-            if norm in seen:
-                out.append(Violation("DuplicateEdge", norm))
-            seen.add(norm)
-        if not (isinstance(col, int) and 1 <= col <= r):
-            out.append(Violation("BadColor", (u, v, col)))
-        else:
-            used_colors.add(col)
+    used_colors = set(c._cols)
+    if c._pairs is not None or not (
+        all(isinstance(col, int) for col in used_colors)
+        and (not used_colors or (min(used_colors) >= 1 and max(used_colors) <= r))
+    ):
+        # pairs given as a mapping, or a bad color: check edge by edge
+        seen: set = set()
+        used_colors = set()
+        for (u, v), col in zip(c._pairs_in_order(), c._cols):
+            ints = isinstance(u, int) and isinstance(v, int)
+            if not (ints and 0 <= u < v < n):
+                out.append(Violation("BadVertex", (u, v)))
+            if ints:
+                norm = (u, v) if u <= v else (v, u)
+                if norm in seen:
+                    out.append(Violation("DuplicateEdge", norm))
+                seen.add(norm)
+            if not (isinstance(col, int) and 1 <= col <= r):
+                out.append(Violation("BadColor", (u, v, col)))
+            else:
+                used_colors.add(col)
     for col in range(1, r + 1):
         if col not in used_colors:
             out.append(Violation("MissingColor", (col,)))
-    if c.complete and len(c.colors) != comb(n, 2):
-        out.append(Violation("IncompleteGraph", (len(c.colors), comb(n, 2))))
+    if c.complete and c.num_edges != comb(n, 2):
+        out.append(Violation("IncompleteGraph", (c.num_edges, comb(n, 2))))
     return out
+
+
+def require_valid(violations: list[Violation], path=None) -> None:
+    """Raise unless `violations`, the result of validate(), is empty.
+
+    The error is a FileFormatError naming `path` when the coloring was read
+    from that file, else a ValueError.
+    """
+    if violations:
+        message = "invalid coloring: " + ", ".join(str(v) for v in violations)
+        if path is None:
+            raise ValueError(message)
+        raise FileFormatError(f"{path}: {message}")
 
 
 def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | None]:
@@ -232,14 +353,14 @@ def merge_colors(c: EdgeColoring, src: int, dst: int) -> EdgeColoring:
     for col in (src, dst):
         if not 1 <= col <= c.r:
             raise ValueError(f"color {col} out of range 1..{c.r}")
-    merged = {}
-    for (u, v), col in c.colors.items():
+    merged = []
+    for col in c._cols:
         if col == src:
             col = dst
         if col > src:
             col -= 1
-        merged[(u, v)] = col
-    return EdgeColoring(c.n, c.r - 1, merged, complete=c.complete)
+        merged.append(col)
+    return EdgeColoring(c.n, c.r - 1, dict(zip(c.colors, merged)), complete=c.complete)
 
 
 @dataclass(frozen=True)
@@ -268,19 +389,40 @@ def restrict(c: EdgeColoring, keep) -> tuple[EdgeColoring, RestrictionMaps]:
     if kept[0] < 0 or kept[-1] >= c.n:
         raise ValueError("restrict vertex set out of range")
     vmap = {old: new for new, old in enumerate(kept)}
-    keep_set = set(kept)
-    induced = {}
-    for (u, v), col in c.colors.items():
-        if u in keep_set and v in keep_set:
-            a, b = vmap[u], vmap[v]
-            if a > b:
-                a, b = b, a
-            induced[(a, b)] = col
-    surviving = sorted(set(induced.values()))
+    if c._pairs is None:
+        # K_n stays complete: pick the kept rows of the triangular color tuple
+        n, cols = c.n, c._cols
+        pairs = None
+        induced = []
+        for i, u in enumerate(kept):
+            row = edge_index(n, u, u + 1) - u - 1  # (u, v) sits at row + v
+            induced.extend([cols[row + v] for v in kept[i + 1:]])
+    else:
+        keep_set = set(kept)
+        pairs, induced = [], []
+        for (u, v), col in zip(c._pairs, c._cols):
+            if u in keep_set and v in keep_set:
+                a, b = vmap[u], vmap[v]
+                pairs.append((a, b) if a < b else (b, a))
+                induced.append(col)
+    surviving = sorted(set(induced))
     cmap = {old: new for new, old in enumerate(surviving, start=1)}
-    recolored = {e: cmap[col] for e, col in induced.items()}
-    sub = EdgeColoring(len(kept), len(surviving), recolored)
+    recolored = [cmap[col] for col in induced]
+    colors = recolored if pairs is None else dict(zip(pairs, recolored))
+    sub = EdgeColoring(len(kept), len(surviving), colors)
     return sub, RestrictionMaps(vmap, cmap)
+
+
+def matching_trees(c: EdgeColoring, vertices) -> list[Tree]:
+    """Consecutive vertices paired into one-edge trees, plus a single-vertex
+    tree for the last vertex when their number is odd."""
+    trees = []
+    for i in range(0, len(vertices) - 1, 2):
+        a, b = vertices[i], vertices[i + 1]
+        trees.append(Tree.make([a, b], [(a, b, c.color_of(a, b))]))
+    if len(vertices) % 2 == 1:
+        trees.append(Tree.make([vertices[-1]]))
+    return trees
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from .coloring import (
     TreePartition,
     format_coloring,
     is_partition_valid,
+    matching_trees,
+    require_valid,
     restrict,
     validate,
 )
@@ -85,36 +87,32 @@ def initial_representatives(c: EdgeColoring) -> RepresentativeSubgraph:
 
 def find_swap(s: RepresentativeSubgraph, c: EdgeColoring) -> SwapMove | None:
     """First single-representative reassignment that strictly increases the
-    largest component, or None when the subgraph is locally maximal."""
+    largest component, or None when the subgraph is locally maximal.
+
+    Dropping one representative only splits a component, so every component
+    left has order at most n1 = s.largest_size: a replacement edge grows the
+    largest component exactly when it joins two components of total order
+    above n1, and that total is then the new largest order.  The dropped
+    edge itself never qualifies, as it at most rejoins its old component.
+    """
     n1 = s.largest_size
     classes = c.color_classes()
+    touched = {x for e in s.rep_edges.values() for x in e}
     for color in sorted(s.rep_edges):
         h = s.rep_edges[color]
-        # component structure of the representatives minus h
+        # component label and order of each vertex, representatives minus h
         uf = UnionFind(c.n)
         for col2, (u, v) in s.rep_edges.items():
             if col2 != color:
                 uf.union(u, v)
-        sizes = sorted(
-            ((uf.size[root], root) for root in range(c.n) if uf.find(root) == root),
-            reverse=True,
-        )
-        top = sizes[:3]
+        label = list(range(c.n))
+        for x in touched:
+            label[x] = uf.find(x)
+        size = uf.size
         for g in classes[color]:
-            if g == h:
-                continue
-            ra, rb = uf.find(g[0]), uf.find(g[1])
-            if ra == rb:
-                continue
-            joined = uf.size[ra] + uf.size[rb]
-            others = 0
-            for size, root in top:
-                if root != ra and root != rb:
-                    others = size
-                    break
-            new_n1 = max(joined, others)
-            if new_n1 > n1:
-                return SwapMove(color, h, g, new_n1)
+            a, b = label[g[0]], label[g[1]]
+            if a != b and size[a] + size[b] > n1:
+                return SwapMove(color, h, g, size[a] + size[b])
     return None
 
 
@@ -122,16 +120,6 @@ def apply_swap(s: RepresentativeSubgraph, move: SwapMove) -> RepresentativeSubgr
     reps = dict(s.rep_edges)
     reps[move.color] = move.new_edge
     return _from_reps(reps)
-
-
-def _matching_trees(c: EdgeColoring, vertices: list[int]) -> list[Tree]:
-    trees = []
-    for i in range(0, len(vertices) - 1, 2):
-        a, b = vertices[i], vertices[i + 1]
-        trees.append(Tree.make([a, b], [(a, b, c.color_of(a, b))]))
-    if len(vertices) % 2 == 1:
-        trees.append(Tree.make([vertices[-1]]))
-    return trees
 
 
 def _spanning_tree_of_component(c: EdgeColoring, s: RepresentativeSubgraph) -> Tree:
@@ -161,7 +149,7 @@ def _construct(c: EdgeColoring, root: EdgeColoring, trace: list | None) -> list[
     if r == 1:
         if trace is not None:
             trace.append({"n": n, "r": r, "moves": 0, "largest": 2, "components": 0})
-        return _matching_trees(c, list(range(n)))
+        return matching_trees(c, range(n))
 
     s = initial_representatives(c)
     moves = 0
@@ -209,9 +197,7 @@ def partition_complete(c: EdgeColoring, trace: list | None = None) -> TreePartit
     pass a list as `trace` to collect one record per recursion level
     (n, r, accepted swap moves, largest component, component count).
     """
-    bad = validate(c)
-    if bad:
-        raise ValueError("invalid coloring: " + ", ".join(str(v) for v in bad))
+    require_valid(validate(c))
     if not c.complete:
         raise ValueError("partition_complete requires a complete graph")
     result = TreePartition(tuple(_construct(c, c, trace)))

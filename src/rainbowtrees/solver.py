@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import EdgeColoring, Tree, TreePartition, validate
+from .coloring import EdgeColoring, Tree, TreePartition, require_valid, validate
 from .errors import SizeGuardError
 from .rainbow import _max_common_set, max_rainbow_forest, max_rainbow_forest_bruteforce
 
@@ -29,15 +29,9 @@ class SolveResult:
     stats: dict
 
 
-def _require_valid(c: EdgeColoring) -> None:
-    bad = validate(c)
-    if bad:
-        raise ValueError("invalid coloring: " + ", ".join(str(v) for v in bad))
-
-
 def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
     """Exact minimum rainbow tree partition with one optimal witness."""
-    _require_valid(c)
+    require_valid(validate(c))
     n, r = c.n, c.r
     if n > max_n:
         raise SizeGuardError(f"n={n} exceeds solver guard {max_n}")
@@ -126,12 +120,14 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
             if sub == rest:
                 break
             sub = (sub - rest) & rest
-        assert picked is not None, "dp table is inconsistent"
+        if picked is None:
+            raise RuntimeError(f"dp table is inconsistent at mask {mask:#x}")
         blocks.append(picked)
         mask ^= picked
 
     partition = TreePartition(tuple(block_tree(b) for b in blocks))
-    assert partition.count == count
+    if partition.count != count:
+        raise RuntimeError(f"witness has {partition.count} trees, dp count is {count}")
     return SolveResult(count, partition, stats)
 
 
@@ -152,7 +148,7 @@ def solve_bruteforce(c: EdgeColoring, max_n: int = 7) -> int:
 
     The edge guard is raised to 21 so whole blocks of K_7 are accepted.
     """
-    _require_valid(c)
+    require_valid(validate(c))
     n = c.n
     if n > max_n:
         raise SizeGuardError(f"n={n} exceeds brute-force guard {max_n}")

@@ -116,8 +116,7 @@ def random_surjective_coloring(n: int, r: int, rng: random.Random) -> EdgeColori
     """Uniform color assignment with rejection, then repair if rejection stalls."""
     if n < 2:
         raise ValueError("need n >= 2")
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    m = len(pairs)
+    m = comb(n, 2)
     if not 1 <= r <= m:
         raise ValueError(f"need 1 <= r <= {m}, got {r}")
     assignment = None
@@ -141,15 +140,14 @@ def random_surjective_coloring(n: int, r: int, rng: random.Random) -> EdgeColori
             for col in range(1, r + 1):
                 cand[order[col - 1]] = col
         assignment = cand
-    return EdgeColoring(n, r, dict(zip(pairs, assignment)), complete=True)
+    return EdgeColoring(n, r, assignment, complete=True)
 
 
 def iter_surjective_colorings(n: int, r: int):
     """All r-edge-colorings of K_n (every color used); exhaustive, desk scale."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for assignment in product(range(1, r + 1), repeat=len(pairs)):
+    for assignment in product(range(1, r + 1), repeat=comb(n, 2)):
         if len(set(assignment)) == r:
-            yield EdgeColoring(n, r, dict(zip(pairs, assignment)), complete=True)
+            yield EdgeColoring(n, r, assignment, complete=True)
 
 
 def iter_two_colorings_up_to_swap(n: int):
@@ -158,11 +156,9 @@ def iter_two_colorings_up_to_swap(n: int):
     Pinning the lexicographically first edge picks one representative from
     each {swap the two colors} orbit.
     """
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    for tail in product((1, 2), repeat=len(pairs) - 1):
-        assignment = (1,) + tail
+    for tail in product((1, 2), repeat=comb(n, 2) - 1):
         if 2 in tail:
-            yield EdgeColoring(n, 2, dict(zip(pairs, assignment)), complete=True)
+            yield EdgeColoring(n, 2, (1,) + tail, complete=True)
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,7 @@ def test_invalid_coloring_rejected(tmp_path, capsys):
     cfile.write_text("3 2\n0 1 1\n0 2 1\n1 2 1\n")  # color 2 never used
     code, _, err = run_cli(capsys, "solve", cfile)
     assert code == 1
-    assert "MissingColor" in err
+    assert f"{cfile}: invalid coloring: MissingColor" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -275,3 +277,95 @@ def test_parse_partition_rejects_unknown_edge():
     c = EdgeColoring(3, 1, {(0, 1): 1})
     with pytest.raises(FileFormatError):
         parse_partition("tree 0 2 ; edges (0,2)\n", c)
+
+
+# ------------------------------------------------------------------ storage
+
+
+def sorted_edges(colors):
+    """Reference edge list: every pair normalized, then sorted."""
+    return sorted((min(u, v), max(u, v), col) for (u, v), col in colors.items())
+
+
+def sorted_classes(colors):
+    classes = {}
+    for u, v, col in sorted_edges(colors):
+        classes.setdefault(col, []).append((u, v))
+    return classes
+
+
+def dict_restrict(colors, keep):
+    """Reference restrict: induced dict, surviving colors renumbered in order."""
+    kept = sorted(set(keep))
+    vmap = {old: new for new, old in enumerate(kept)}
+    induced = {
+        (min(vmap[u], vmap[v]), max(vmap[u], vmap[v])): col
+        for (u, v), col in colors.items()
+        if u in vmap and v in vmap
+    }
+    cmap = {old: new for new, old in enumerate(sorted(set(induced.values())), start=1)}
+    return {e: cmap[col] for e, col in induced.items()}, vmap, cmap
+
+
+@st.composite
+def colorings(draw):
+    """(n, colors dict, complete?) with colors 1..4 on all pairs or a subset."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    complete = draw(st.booleans())
+    if not complete:
+        pairs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    cols = draw(st.lists(st.integers(1, 4), min_size=len(pairs), max_size=len(pairs)))
+    return n, dict(zip(pairs, cols)), complete
+
+
+@settings(max_examples=200, derandomize=True)
+@given(colorings(), st.data())
+def test_storage_matches_sort_based_reference(case, data):
+    n, colors, complete = case
+    r = max(colors.values(), default=0)
+    c = EdgeColoring(n, r, colors)
+    if complete:
+        assert c == EdgeColoring(n, r, [colors[e] for e in sorted(colors)])
+    assert c.colors == colors and len(c.colors) == len(colors)
+    assert c.edges() == sorted_edges(colors)
+    classes = c.color_classes()
+    assert list(classes) == list(sorted_classes(colors))
+    assert {col: list(es) for col, es in classes.items()} == sorted_classes(colors)
+    for u in range(n):
+        for v in range(n):
+            known = (u, v) in colors or (v, u) in colors
+            assert c.has_edge(u, v) == known
+            if known:
+                assert c.color_of(u, v) == colors.get((u, v), colors.get((v, u)))
+    keep = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    sub, maps = restrict(c, keep)
+    ref_colors, vmap, cmap = dict_restrict(colors, keep)
+    assert (sub.n, sub.r) == (len(keep), len(cmap))
+    assert sub.colors == ref_colors
+    assert (maps.vertex_map, maps.color_map) == (vmap, cmap)
+
+
+def test_coloring_is_immutable_and_copies_its_input():
+    given_colors = {(0, 1): 1, (0, 2): 2, (1, 2): 3}
+    c = EdgeColoring(3, 3, given_colors)
+    with pytest.raises(TypeError):
+        c.colors[(0, 1)] = 2
+    with pytest.raises(TypeError):
+        c.color_classes()[1] = ()
+    with pytest.raises(AttributeError):
+        c.colors = {}
+    with pytest.raises(AttributeError):
+        c.n = 4
+    with pytest.raises(AttributeError):
+        del c.r
+    given_colors[(0, 1)] = 3
+    del given_colors[(1, 2)]
+    assert c.colors == {(0, 1): 1, (0, 2): 2, (1, 2): 3}
+    assert c == rainbow_k3() and validate(c) == []
+    assert pickle.loads(pickle.dumps(c)) == c
+
+
+def test_color_sequence_must_cover_every_pair():
+    with pytest.raises(ValueError):
+        EdgeColoring(3, 2, [1, 2])

@@ -6,6 +6,7 @@ from math import comb
 from rainbowtrees import (
     EdgeColoring,
     RepresentativeSubgraph,
+    SwapMove,
     apply_swap,
     f_of_r,
     find_swap,
@@ -20,6 +21,7 @@ from rainbowtrees import (
     random_surjective_coloring,
     solve,
 )
+from rainbowtrees.unionfind import UnionFind
 
 
 def test_initial_representatives_canonical_5_3():
@@ -218,3 +220,60 @@ def test_constructive_matches_formula_on_canonical_instances():
 def test_partition_is_deterministic():
     c, _ = generate_canonical(7, 6)
     assert partition_complete(c) == partition_complete(c)
+
+
+def top3_find_swap(s, c):
+    """The earlier find_swap, which also tracks the three largest remaining
+    components; kept as the oracle for the label-array version."""
+    n1 = s.largest_size
+    classes = c.color_classes()
+    for color in sorted(s.rep_edges):
+        h = s.rep_edges[color]
+        uf = UnionFind(c.n)
+        for col2, (u, v) in s.rep_edges.items():
+            if col2 != color:
+                uf.union(u, v)
+        sizes = sorted(
+            ((uf.size[root], root) for root in range(c.n) if uf.find(root) == root),
+            reverse=True,
+        )
+        top = sizes[:3]
+        for g in classes[color]:
+            if g == h:
+                continue
+            ra, rb = uf.find(g[0]), uf.find(g[1])
+            if ra == rb:
+                continue
+            joined = uf.size[ra] + uf.size[rb]
+            others = 0
+            for size, root in top:
+                if root != ra and root != rb:
+                    others = size
+                    break
+            new_n1 = max(joined, others)
+            if new_n1 > n1:
+                return SwapMove(color, h, g, new_n1)
+    return None
+
+
+def test_find_swap_agrees_with_the_top3_oracle():
+    # hill-climbs from the initial and from random representatives
+    rng = random.Random(8128)
+    moves = 0
+    for i in range(500):
+        n = rng.randint(3, 12)
+        r = rng.randint(2, min(comb(n, 2), 25))
+        c = random_surjective_coloring(n, r, rng)
+        if i % 2:
+            s = initial_representatives(c)
+        else:
+            reps = {col: rng.choice(es) for col, es in c.color_classes().items()}
+            s = RepresentativeSubgraph.from_edges(reps)
+        while True:
+            move = find_swap(s, c)
+            assert move == top3_find_swap(s, c)
+            if move is None:
+                break
+            s = apply_swap(s, move)
+            moves += 1
+    assert moves > 100

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -11,6 +12,8 @@ from rainbowtrees import (
     campaign_cutedge,
     campaign_monotonicity,
     campaign_worstcase,
+    format_coloring,
+    generate_canonical,
     iter_surjective_colorings,
     iter_two_colorings_up_to_swap,
     random_surjective_coloring,
@@ -39,6 +42,25 @@ def test_random_surjective_extreme_r_uses_the_repair_path():
         c = random_surjective_coloring(n, m, rng)  # needs a permutation
         assert validate(c) == []
         assert sorted(c.colors.values()) == list(range(1, m + 1))
+
+
+def test_seeded_instances_are_byte_identical_to_the_golden_files():
+    # digests of the files written by this package before colorings were
+    # stored as color tuples; a changed rng draw or edge order breaks them
+    rng = random.Random(20240601)
+    digest = hashlib.sha256()
+    for n, r in [(2, 1), (5, 3), (7, 2), (8, 28), (12, 5), (20, 40), (40, 12)]:
+        digest.update(format_coloring(random_surjective_coloring(n, r, rng)).encode())
+    assert digest.hexdigest() == (
+        "1e8a6fb2ac9ea01bd33eb4488a910ded7384828cc06fec91e752fea6fb8c5bb8"
+    )
+    digest = hashlib.sha256()
+    for n, r, fill in [(3, 2, None), (4, 3, None), (5, 4, None), (8, 5, None),
+                       (8, 5, 3), (12, 7, None), (30, 12, 2), (60, 20, None)]:
+        digest.update(format_coloring(generate_canonical(n, r, fill_color=fill)[0]).encode())
+    assert digest.hexdigest() == (
+        "1c47698f9e7b68bad99b91c697642e29a1771fdaaf3a3bfbcc943cf16c2ebc9f"
+    )
 
 
 def test_random_surjective_rejects_bad_parameters():
