@@ -45,7 +45,17 @@ class RepresentativeSubgraph:
 
     @classmethod
     def from_edges(cls, rep_edges: dict) -> "RepresentativeSubgraph":
-        return _from_reps(rep_edges)
+        """The components spanned by the given color -> edge choice."""
+        verts = sorted({x for e in rep_edges.values() for x in e})
+        index = {v: i for i, v in enumerate(verts)}
+        uf = UnionFind(len(verts))
+        for u, v in rep_edges.values():
+            uf.union(index[u], index[v])
+        groups: dict[int, set] = {}
+        for v in verts:
+            groups.setdefault(uf.find(index[v]), set()).add(v)
+        comps = sorted(groups.values(), key=lambda g: (-len(g), min(g)))
+        return cls(dict(rep_edges), tuple(frozenset(g) for g in comps))
 
     @property
     def largest_size(self) -> int:
@@ -66,23 +76,10 @@ class SwapMove:
     new_largest_size: int
 
 
-def _from_reps(rep_edges: dict) -> RepresentativeSubgraph:
-    verts = sorted({x for e in rep_edges.values() for x in e})
-    index = {v: i for i, v in enumerate(verts)}
-    uf = UnionFind(len(verts))
-    for u, v in rep_edges.values():
-        uf.union(index[u], index[v])
-    groups: dict[int, set] = {}
-    for v in verts:
-        groups.setdefault(uf.find(index[v]), set()).add(v)
-    comps = sorted(groups.values(), key=lambda g: (-len(g), min(g)))
-    return RepresentativeSubgraph(dict(rep_edges), tuple(frozenset(g) for g in comps))
-
-
 def initial_representatives(c: EdgeColoring) -> RepresentativeSubgraph:
     """The lexicographically smallest edge of each color."""
     classes = c.color_classes()
-    return _from_reps({col: edges[0] for col, edges in classes.items()})
+    return RepresentativeSubgraph.from_edges({col: edges[0] for col, edges in classes.items()})
 
 
 def find_swap(s: RepresentativeSubgraph, c: EdgeColoring) -> SwapMove | None:
@@ -119,7 +116,7 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring) -> SwapMove | None:
 def apply_swap(s: RepresentativeSubgraph, move: SwapMove) -> RepresentativeSubgraph:
     reps = dict(s.rep_edges)
     reps[move.color] = move.new_edge
-    return _from_reps(reps)
+    return RepresentativeSubgraph.from_edges(reps)
 
 
 def _spanning_tree_of_component(c: EdgeColoring, s: RepresentativeSubgraph) -> Tree:

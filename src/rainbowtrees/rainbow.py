@@ -2,11 +2,14 @@
 
 A rainbow forest is an edge set that is independent in two matroids at once:
 the graphic matroid (acyclic) and the partition matroid induced by colors
-(at most one edge per color).  Maximum common independent sets are computed
-with the exchange-graph augmenting-path algorithm, seeded by a greedy pass.
+(at most one edge per color).  One matroid intersection, the exchange-graph
+augmenting-path algorithm seeded by a greedy pass over the edges in
+lexicographic order, finds a maximum common independent set, and every query
+here reads its result: a maximum rainbow forest, deterministic for a given
+input.
 
 Spanning-tree existence reduces to the maximum size: an acyclic edge set of
-size |W| - 1 on the vertex set W has exactly one component, so any maximum
+size |W| - 1 on the vertex set W has exactly one component, so a maximum
 rainbow forest of that size is itself a rainbow spanning tree.
 """
 
@@ -158,66 +161,31 @@ def _max_common_set(items) -> list[int]:
 
 def max_rainbow_forest_size(c: EdgeColoring, within) -> int:
     """Size of a maximum rainbow forest inside the induced subgraph."""
-    _, items = _induced_items(c, within)
-    return len(_max_common_set(items))
+    return max_rainbow_forest(c, within).size
 
 
 def max_rainbow_forest(c: EdgeColoring, within) -> RainbowForest:
-    """The lexicographically smallest maximum rainbow forest.
-
-    Greedy over edges in lexicographic order: keep an edge exactly when some
-    maximum common independent set extends the kept prefix through it, tested
-    by re-running the intersection on the contracted remainder.
-    """
-    verts, items = _induced_items(c, within)
-    target = len(_max_common_set(items))
-    vid = {x: i for i, x in enumerate(verts)}
-    uf = UnionFind(len(verts))
-    used: set = set()
-    chosen: list[tuple[int, int, int]] = []
-    for pos, (u, v, col) in enumerate(items):
-        if len(chosen) == target:
-            break
-        a, b = uf.find(vid[u]), uf.find(vid[v])
-        if a == b or col in used:
-            continue
-        trial = uf.copy()
-        trial.union(a, b)
-        trial_used = used | {col}
-        rest = []
-        for x, y, col2 in items[pos + 1:]:
-            if col2 in trial_used:
-                continue
-            rx, ry = trial.find(vid[x]), trial.find(vid[y])
-            if rx != ry:
-                rest.append((rx, ry, col2))
-        if len(chosen) + 1 + len(_max_common_set(rest)) == target:
-            uf = trial
-            used = trial_used
-            chosen.append((u, v, col))
-    return RainbowForest(tuple(chosen))
+    """A maximum rainbow forest of the induced subgraph, deterministic for a
+    given input."""
+    _, items = _induced_items(c, within)
+    return RainbowForest(tuple(items[i] for i in _max_common_set(items)))
 
 
 def has_rainbow_spanning_tree(c: EdgeColoring, within) -> bool:
     """True iff the induced subgraph has a spanning tree with distinct colors."""
-    verts, items = _induced_items(c, within)
-    need = len(verts) - 1
-    if need <= 0:
-        return True
-    if len(items) < need:
-        return False
-    if len({col for _, _, col in items}) < need:
-        return False
-    return len(_max_common_set(items)) == need
+    within = set(within)
+    return max_rainbow_forest(c, within).size == len(within) - 1
 
 
 def rainbow_spanning_tree(c: EdgeColoring, within) -> RainbowForest:
     """A rainbow spanning tree of the induced subgraph, or a loud failure."""
-    if not has_rainbow_spanning_tree(c, within):
+    within = set(within)
+    forest = max_rainbow_forest(c, within)
+    if forest.size != len(within) - 1:
         raise RainbowTreeMissingError(
-            f"no rainbow spanning tree on vertex set {sorted(set(within))}"
+            f"no rainbow spanning tree on vertex set {sorted(within)}"
         )
-    return max_rainbow_forest(c, within)
+    return forest
 
 
 def max_rainbow_forest_bruteforce(c: EdgeColoring, within, max_edges: int = 20) -> int:

@@ -17,7 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import EdgeColoring, Tree, TreePartition, require_valid, validate
+from .coloring import (
+    EdgeColoring,
+    Tree,
+    TreePartition,
+    is_partition_valid,
+    require_valid,
+    validate,
+)
 from .errors import SizeGuardError
 from .rainbow import _max_common_set, max_rainbow_forest, max_rainbow_forest_bruteforce
 
@@ -30,7 +37,11 @@ class SolveResult:
 
 
 def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
-    """Exact minimum rainbow tree partition with one optimal witness."""
+    """Exact minimum rainbow tree partition with one optimal witness.
+
+    The witness is checked with is_partition_valid before it is returned; a
+    failed check raises RuntimeError.
+    """
     require_valid(validate(c))
     n, r = c.n, c.r
     if n > max_n:
@@ -76,8 +87,17 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
         forest = max_rainbow_forest(c, vs)
         return Tree.make(vs, forest.edges)
 
+    def checked(count: int, blocks) -> SolveResult:
+        partition = TreePartition(tuple(block_tree(b) for b in blocks))
+        if partition.count != count:
+            raise RuntimeError(f"witness has {partition.count} trees, dp count is {count}")
+        ok, why = is_partition_valid(c, partition)
+        if not ok:
+            raise RuntimeError(f"witness is not a rainbow tree partition: {why}")
+        return SolveResult(count, partition, stats)
+
     if feasible(full):
-        return SolveResult(1, TreePartition((block_tree(full),)), stats)
+        return checked(1, [full])
 
     inf = n + 1
     dp = [inf] * (full + 1)
@@ -100,7 +120,6 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
             sub = (sub - 1) & rest
         dp[mask] = best
 
-    count = dp[full]
     blocks = []
     mask = full
     while mask:
@@ -125,10 +144,7 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
         blocks.append(picked)
         mask ^= picked
 
-    partition = TreePartition(tuple(block_tree(b) for b in blocks))
-    if partition.count != count:
-        raise RuntimeError(f"witness has {partition.count} trees, dp count is {count}")
-    return SolveResult(count, partition, stats)
+    return checked(dp[full], blocks)
 
 
 def _set_partitions(elems: tuple):

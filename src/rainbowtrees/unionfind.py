@@ -30,9 +30,3 @@ class UnionFind:
 
     def component_size(self, x: int) -> int:
         return self.size[self.find(x)]
-
-    def copy(self) -> "UnionFind":
-        other = UnionFind(0)
-        other.parent = self.parent[:]
-        other.size = self.size[:]
-        return other

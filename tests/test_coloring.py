@@ -279,6 +279,50 @@ def test_parse_partition_rejects_unknown_edge():
         parse_partition("tree 0 2 ; edges (0,2)\n", c)
 
 
+# Fuzzed file text: free text, and lines shaped like both file grammars
+# (integer lines, tree lines, loose tokens) so that generated input also
+# reaches the checks behind the line-shape checks.
+_ints = st.integers(-2, 7).map(str)
+_edge_tokens = st.one_of(
+    st.tuples(st.integers(-1, 4), st.integers(-1, 4)).map("({0[0]},{0[1]})".format),
+    st.sampled_from(["(0,1,2)", "(x,1)", "()", "(1,", "0,1"]),
+)
+_lines = st.one_of(
+    st.lists(_ints, min_size=2, max_size=3).map(" ".join),
+    st.builds(
+        "tree {} ; edges {}".format,
+        st.lists(_ints, max_size=4).map(" ".join),
+        st.lists(_edge_tokens, max_size=3).map(" ".join),
+    ),
+    st.lists(st.one_of(_ints, st.sampled_from(["#", ";", "tree", "edges"]), st.text(max_size=3)),
+             max_size=5).map(" ".join),
+)
+_file_texts = st.one_of(st.text(max_size=40), st.lists(_lines, max_size=6).map("\n".join))
+
+
+@settings(max_examples=400, derandomize=True)
+@given(_file_texts)
+def test_parse_coloring_fuzz_returns_or_names_a_line(text):
+    try:
+        c = parse_coloring(text)
+    except FileFormatError as exc:
+        assert exc.line is not None or str(exc) == "empty coloring file", exc
+    else:
+        assert parse_coloring(format_coloring(c)) == c
+
+
+@settings(max_examples=400, derandomize=True)
+@given(_file_texts)
+def test_parse_partition_fuzz_returns_or_names_a_line(text):
+    c = EdgeColoring(4, 2, {(0, 1): 1, (1, 2): 2, (0, 3): 2})
+    try:
+        p = parse_partition(text, c)
+    except FileFormatError as exc:
+        assert exc.line is not None, exc
+    else:
+        assert parse_partition(format_partition(p), c) == p
+
+
 # ------------------------------------------------------------------ storage
 
 

@@ -88,6 +88,7 @@ def test_matroid_intersection_agrees_with_bruteforce():
         fast = max_rainbow_forest_size(c, within)
         slow = max_rainbow_forest_bruteforce(c, within)
         assert fast == slow, (c.colors, within)
+        assert max_rainbow_forest(c, within).size == slow, (c.colors, within)
 
 
 def test_forest_invariants_hold():

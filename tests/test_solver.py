@@ -5,6 +5,7 @@ from math import comb
 
 from rainbowtrees import (
     EdgeColoring,
+    RainbowForest,
     SizeGuardError,
     format_coloring,
     generate_canonical,
@@ -17,6 +18,7 @@ from rainbowtrees import (
     solve,
     solve_bruteforce,
 )
+from rainbowtrees import solver
 from rainbowtrees.unionfind import UnionFind
 
 
@@ -157,3 +159,17 @@ def test_stats_are_reported():
     assert stats["feasibility_checks"] > 0
     assert stats["masks"] > 0
     assert "cache_hits" in stats
+
+
+def test_solve_rejects_an_invalid_witness(monkeypatch):
+    real = solver.max_rainbow_forest
+
+    def forest_with_a_wrong_color(c, within):
+        (u, v, col), *rest = real(c, within).edges
+        return RainbowForest(((u, v, col % c.r + 1), *rest))
+
+    monkeypatch.setattr(solver, "max_rainbow_forest", forest_with_a_wrong_color)
+    # one whole-graph block, and a partition found by the subset DP
+    for c in (rainbow_complete(4), generate_canonical(6, 4)[0]):
+        with pytest.raises(RuntimeError, match="not a rainbow tree partition"):
+            solve(c)
