@@ -1,12 +1,17 @@
 """Exact minimum rainbow tree partition for one fixed coloring.
 
 The minimum number of vertex-disjoint rainbow trees covering all vertices is
-computed by dynamic programming over vertex subsets: the block containing the
-lowest uncovered vertex is enumerated, a block being usable exactly when its
-induced subgraph has a rainbow spanning tree.  Feasibility is evaluated
-lazily and cached per subset; forcing the lowest uncovered vertex into the
-current block removes the block-order symmetry.  Desk scale only (n <= 14 by
-default).
+computed over vertex subsets in two phases.  First the whole vertex set is
+tried as one tree; if that fails, the feasibility of every block of at most
+r + 1 vertices (a block of k vertices needs k - 1 distinct colors) is
+tabulated once, a block being feasible exactly when its induced subgraph has
+a rainbow spanning tree.  Then the partitions are counted level by level:
+level k is one 2^n-bit integer whose bit M is set iff the subset M splits
+into at most k feasible blocks, and level k + 1 is level k OR-ed with each
+feasible block B shifted onto the masks of level k disjoint from B.  The
+count is the first level holding the full set.  One optimal witness is
+read back from the levels, taking at each step the smallest block mask that
+contains the lowest uncovered vertex.  Desk scale only (n <= 14 by default).
 
 solve_bruteforce() is the independent oracle: it enumerates all set
 partitions of the vertices and checks each block with the subset-enumeration
@@ -31,9 +36,34 @@ from .rainbow import _max_common_set, max_rainbow_forest, max_rainbow_forest_bru
 
 @dataclass
 class SolveResult:
+    """The minimum tree count, one optimal partition, and work counters.
+
+    stats keys:
+      feasibility_checks - blocks whose feasibility was decided: the full
+        vertex set, then every block of at most r + 1 vertices;
+      masks - block shifts of the level DP, one per (level, feasible block)
+        pair;
+      cache_hits - feasibility table reads of the witness walk.
+    """
+
     count: int
     partition: TreePartition
     stats: dict
+
+
+def _block_feasible(c: EdgeColoring, edges, edge_bits, mask: int) -> bool:
+    """True iff the vertex set `mask` spans a rainbow tree: cheap rejects,
+    then one matroid intersection."""
+    size = mask.bit_count()
+    if size == 1:
+        return True
+    if size == 2:
+        return c.has_edge((mask & -mask).bit_length() - 1, mask.bit_length() - 1)
+    items = [edges[i] for bits, i in edge_bits if bits & mask == bits]
+    need = size - 1
+    if len(items) < need or len({col for _, _, col in items}) < need:
+        return False
+    return len(_max_common_set(items)) == need
 
 
 def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
@@ -55,31 +85,6 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
     full = (1 << n) - 1
     cap = r + 1  # a block of k vertices needs k-1 distinct colors
 
-    feas: dict[int, bool] = {}
-
-    def feasible(mask: int) -> bool:
-        cached = feas.get(mask)
-        if cached is not None:
-            stats["cache_hits"] += 1
-            return cached
-        stats["feasibility_checks"] += 1
-        size = mask.bit_count()
-        if size == 1:
-            ok = True
-        elif size == 2:
-            lo = (mask & -mask).bit_length() - 1
-            hi = mask.bit_length() - 1
-            ok = c.has_edge(lo, hi)
-        else:
-            items = [edges[i] for bits, i in edge_bits if bits & mask == bits]
-            need = size - 1
-            if len(items) < need or len({col for _, _, col in items}) < need:
-                ok = False
-            else:
-                ok = len(_max_common_set(items)) == need
-        feas[mask] = ok
-        return ok
-
     def block_tree(mask: int) -> Tree:
         vs = [i for i in range(n) if mask >> i & 1]
         if len(vs) == 1:
@@ -96,55 +101,70 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
             raise RuntimeError(f"witness is not a rainbow tree partition: {why}")
         return SolveResult(count, partition, stats)
 
-    if feasible(full):
+    stats["feasibility_checks"] = 1
+    if _block_feasible(c, edges, edge_bits, full):
         return checked(1, [full])
 
-    inf = n + 1
-    dp = [inf] * (full + 1)
-    dp[0] = 0
-    for mask in range(1, full + 1):
-        stats["masks"] += 1
-        low = mask & -mask
-        rest = mask ^ low
-        best = inf
-        sub = rest
-        while True:
-            block = sub | low
-            cand = dp[mask ^ block] + 1
-            if cand < best and block.bit_count() <= cap and feasible(block):
-                best = cand
-                if best == 1:
-                    break
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        dp[mask] = best
+    # feas[M] = 1 iff M is a feasible block; blocks over cap and full stay 0
+    feas = bytearray(full + 1)
+    for mask in range(1, full):
+        if mask.bit_count() <= cap:
+            stats["feasibility_checks"] += 1
+            feas[mask] = _block_feasible(c, edges, edge_bits, mask)
+
+    # keep[v] has bit M set iff vertex v is not in M: runs of 2^v ones
+    # repeated with period 2^(v+1)
+    every = (1 << (full + 1)) - 1
+    keep = [every // ((1 << (2 << v)) - 1) * ((1 << (1 << v)) - 1) for v in range(n)]
+
+    def next_level(level: int) -> int:
+        """Level k + 1 from level k.  Blocks are enumerated depth first, so
+        the masks of level k disjoint from a block cost one AND on those
+        disjoint from its parent block."""
+        out = level
+        shifts = 0
+        stack = [(0, level, 0, cap)]
+        while stack:
+            block, part, start, room = stack.pop()
+            for v in range(start, n):
+                sub = part & keep[v]
+                grown = block | 1 << v
+                if feas[grown]:
+                    out |= sub << grown
+                    shifts += 1
+                if room > 1:
+                    stack.append((grown, sub, v + 1, room - 1))
+        stats["masks"] += shifts
+        return out
+
+    # levels[k] marks the masks that split into at most k feasible blocks;
+    # the full set is in level k + 1 iff a feasible block holding vertex 0
+    # leaves a rest in level k
+    levels = [1]
+    while not any(feas[b] and levels[-1] >> (full ^ b) & 1 for b in range(1, full, 2)):
+        levels.append(next_level(levels[-1]))
+    count = len(levels)
 
     blocks = []
     mask = full
-    while mask:
+    reads = 0
+    for rest_level in reversed(levels):
         low = mask & -mask
         rest = mask ^ low
-        picked = None
         sub = 0
         while True:  # ascending submasks: the first fit is the smallest mask
             block = sub | low
-            if (
-                dp[mask ^ block] + 1 == dp[mask]
-                and block.bit_count() <= cap
-                and feasible(block)
-            ):
-                picked = block
+            reads += 1
+            if feas[block] and rest_level >> (mask ^ block) & 1:
                 break
             if sub == rest:
-                break
+                raise RuntimeError(f"dp levels are inconsistent at mask {mask:#x}")
             sub = (sub - rest) & rest
-        if picked is None:
-            raise RuntimeError(f"dp table is inconsistent at mask {mask:#x}")
-        blocks.append(picked)
-        mask ^= picked
+        blocks.append(block)
+        mask ^= block
+    stats["cache_hits"] = reads
 
-    return checked(dp[full], blocks)
+    return checked(count, blocks)
 
 
 def _set_partitions(elems: tuple):

@@ -7,9 +7,13 @@ from rainbowtrees import (
     EdgeColoring,
     RainbowForest,
     SizeGuardError,
+    Tree,
+    TreePartition,
     format_coloring,
+    format_partition,
     generate_canonical,
     is_partition_valid,
+    max_rainbow_forest,
     merge_colors,
     monochromatic_complete,
     partition_number,
@@ -173,3 +177,104 @@ def test_solve_rejects_an_invalid_witness(monkeypatch):
     for c in (rainbow_complete(4), generate_canonical(6, 4)[0]):
         with pytest.raises(RuntimeError, match="not a rainbow tree partition"):
             solve(c)
+
+
+def submask_dp_reference(c):
+    """An O(3^n) submask DP, independent of solve()'s level sets, as oracle:
+    subset feasibility decided lazily and cached, the block holding the
+    lowest uncovered vertex enumerated per mask, and the witness read back
+    by ascending submasks.  Returns the count, the partition and the number
+    of distinct masks whose feasibility was decided.
+    """
+    n = c.n
+    if n == 1:
+        return 1, TreePartition((Tree.make([0]),)), 0
+    full = (1 << n) - 1
+    cap = c.r + 1
+    feas = {}
+
+    def vertices(mask):
+        return [i for i in range(n) if mask >> i & 1]
+
+    def feasible(mask):
+        if mask not in feas:
+            vs = vertices(mask)
+            feas[mask] = max_rainbow_forest(c, vs).size == len(vs) - 1
+        return feas[mask]
+
+    def tree(mask):
+        vs = vertices(mask)
+        return Tree.make(vs, max_rainbow_forest(c, vs).edges if len(vs) > 1 else ())
+
+    if feasible(full):
+        return 1, TreePartition((tree(full),)), len(feas)
+    inf = n + 1
+    dp = [inf] * (full + 1)
+    dp[0] = 0
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        rest = mask ^ low
+        sub = rest
+        while True:
+            block = sub | low
+            cand = dp[mask ^ block] + 1
+            if cand < dp[mask] and block.bit_count() <= cap and feasible(block):
+                dp[mask] = cand
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+    blocks = []
+    mask = full
+    while mask:
+        low = mask & -mask
+        rest = mask ^ low
+        sub = 0
+        while True:
+            block = sub | low
+            if (dp[mask ^ block] + 1 == dp[mask] and block.bit_count() <= cap
+                    and feasible(block)):
+                break
+            if sub == rest:
+                raise AssertionError(f"dp table is inconsistent at mask {mask:#x}")
+            sub = (sub - rest) & rest
+        blocks.append(block)
+        mask ^= block
+    return dp[full], TreePartition(tuple(tree(b) for b in blocks)), len(feas)
+
+
+def random_subgraph_coloring(n, r, keep, rng):
+    """A surjective r-coloring of a random subgraph of K_n keeping about a
+    `keep` share of the edges (at least r of them)."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    kept = pairs[:max(r, round(keep * len(pairs)))]
+    cols = list(range(1, r + 1)) + [rng.randint(1, r) for _ in kept[r:]]
+    return EdgeColoring(n, r, dict(zip(kept, cols)), complete=False)
+
+
+def test_level_dp_matches_the_submask_dp_reference():
+    rng = random.Random(3141)
+    cases = [
+        monochromatic_complete(2),
+        # a non-complete graph: two disjoint edges, and random subgraphs
+        EdgeColoring(4, 2, {(0, 1): 1, (2, 3): 2}, complete=False),
+        random_subgraph_coloring(9, 4, 0.5, rng),
+        random_subgraph_coloring(10, 6, 0.7, rng),
+    ]
+    # n <= r + 1 with no rainbow spanning tree on all n vertices: the DP
+    # runs with every subset under the block-size cap
+    for n, r in ((5, 4), (6, 5)):
+        c = generate_canonical(n, r)[0]
+        assert n <= r + 1 and partition_number(n, r) > 1
+        cases.append(c)
+    for n in range(8, 12):
+        for r in (2, 3, 5):
+            cases.append(generate_canonical(n, r)[0])
+        for r in (1, 2, 4, rng.randint(5, n)):
+            cases.append(random_surjective_coloring(n, r, rng))
+    for c in cases:
+        count, partition, checks = submask_dp_reference(c)
+        res = solve(c)
+        assert res.count == count, format_coloring(c)
+        assert format_partition(res.partition) == format_partition(partition), format_coloring(c)
+        assert res.stats["feasibility_checks"] == checks, format_coloring(c)
