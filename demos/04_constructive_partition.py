@@ -3,7 +3,8 @@
 One representative edge is kept per color.  Hill-climbing reassigns single
 representatives while that strictly grows the largest component; the final
 largest component is heterochromatic, so any spanning tree of it is one
-rainbow tree of the partition, and the algorithm recurses on the rest.
+rainbow tree of the partition.  Its vertices are then marked dead and the
+next level climbs again on the vertices that are left.
 
 Run: python demos/04_constructive_partition.py
 """

@@ -60,6 +60,12 @@ def edge_index(n: int, u: int, v: int) -> int:
     return u * (2 * n - u - 3) // 2 + v - 1
 
 
+def row_offset(n: int, u: int) -> int:
+    """Where row u starts in the lexicographic edge order of K_n:
+    edge_index(n, u, v) == row_offset(n, u) + v for every v > u."""
+    return u * (2 * n - u - 3) // 2 - 1
+
+
 class EdgeColoring:
     """An immutable edge-colored simple graph.
 
@@ -150,6 +156,14 @@ class EdgeColoring:
             if i < 0:
                 raise KeyError((u, v))
         return self._cols[i]
+
+    @property
+    def color_sequence(self) -> tuple[int, ...]:
+        """The C(n, 2) edge colors in lexicographic edge order, as the
+        constructor takes them for K_n; ValueError for any other storage."""
+        if self._pairs is not None:
+            raise ValueError("color_sequence requires a coloring stored as K_n")
+        return self._cols
 
     def edges(self) -> list[tuple[int, int, int]]:
         """All edges as (u, v, color) with u < v, in lexicographic order."""
@@ -391,12 +405,10 @@ def restrict(c: EdgeColoring, keep) -> tuple[EdgeColoring, RestrictionMaps]:
     vmap = {old: new for new, old in enumerate(kept)}
     if c._pairs is None:
         # K_n stays complete: pick the kept rows of the triangular color tuple
-        n, cols = c.n, c._cols
-        pairs = None
-        induced = []
+        seq, pairs, induced = c.color_sequence, None, []
         for i, u in enumerate(kept):
-            row = edge_index(n, u, u + 1) - u - 1  # (u, v) sits at row + v
-            induced.extend([cols[row + v] for v in kept[i + 1:]])
+            row = row_offset(c.n, u)  # (u, v) sits at row + v
+            induced.extend([seq[row + v] for v in kept[i + 1:]])
     else:
         keep_set = set(kept)
         pairs, induced = [], []

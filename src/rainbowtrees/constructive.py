@@ -6,7 +6,13 @@ component of the chosen edges, apply the first such move (colors scanned in
 increasing order, replacement edges in lexicographic order).  At a local
 optimum the largest component is split off as one rainbow tree (its edges
 all carry distinct colors, so any spanning tree of it is rainbow) and the
-algorithm recurses on the complete graph induced by the remaining vertices.
+next level runs on the complete graph induced by the remaining vertices.
+
+All levels work in place on the input coloring: the split-off vertices are
+marked dead, and each color's representative at a new level is its first
+lexicographic edge with no dead end, found by a cursor into the color's
+edge list that only moves forward.  A level's n and r count the live
+vertices and the colors that still have a live edge.
 
 Base cases: a single vertex is one tree; with one color a maximum matching
 plus an optional singleton is optimal.
@@ -28,7 +34,8 @@ from .coloring import (
     is_partition_valid,
     matching_trees,
     require_valid,
-    restrict,
+    restrict,  # not called here; bench/spans.py traces it under this module name
+    row_offset,
     validate,
 )
 from .errors import ConstructionDefect
@@ -82,34 +89,63 @@ def initial_representatives(c: EdgeColoring) -> RepresentativeSubgraph:
     return RepresentativeSubgraph.from_edges({col: edges[0] for col, edges in classes.items()})
 
 
-def find_swap(s: RepresentativeSubgraph, c: EdgeColoring) -> SwapMove | None:
+def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMove | None:
     """First single-representative reassignment that strictly increases the
     largest component, or None when the subgraph is locally maximal.
 
-    Dropping one representative only splits a component, so every component
-    left has order at most n1 = s.largest_size: a replacement edge grows the
-    largest component exactly when it joins two components of total order
-    above n1, and that total is then the new largest order.  The dropped
-    edge itself never qualifies, as it at most rejoins its old component.
+    Only edges with both ends in `alive` (default: every vertex) are
+    candidates; colors are scanned in increasing order, each color's edges
+    in lexicographic order.  Dropping one representative only splits a
+    component, so every component left has order at most n1 =
+    s.largest_size: a replacement edge grows the largest component exactly
+    when it joins two components of total order above n1, and that total
+    is then the new largest order.  The dropped edge itself never
+    qualifies, as it at most rejoins its old component.  A vertex on no
+    representative edge is a singleton and n1 >= 2, so a qualifying edge
+    has an end on some representative edge: only those edges are read, and
+    the union-find of each color spans only the representative endpoints.
+    A call costs O(r·n' + r^2) for n' vertices in `alive`, plus two
+    n-entry arrays built once.
     """
-    n1 = s.largest_size
-    classes = c.color_classes()
-    touched = {x for e in s.rep_edges.values() for x in e}
+    if not c.complete:
+        raise ValueError("find_swap requires a complete graph")
+    seq, n1 = c.color_sequence, s.largest_size
+    verts = range(c.n) if alive is None else sorted(alive)
+    touched = sorted({x for e in s.rep_edges.values() for x in e})
+    slot = {x: i for i, x in enumerate(touched)}
+    live_touched = [x for x in verts if x in slot]
+    # candidate edges of each color, in lexicographic order
+    cands: dict = {color: [] for color in s.rep_edges}
+    j = 0
+    for i, u in enumerate(verts):
+        if u in slot:
+            partners = verts[i + 1:]
+        else:
+            while j < len(live_touched) and live_touched[j] < u:
+                j += 1
+            partners = live_touched[j:]
+        row = row_offset(c.n, u)  # (u, v) sits at seq[row + v]
+        for v in partners:
+            bucket = cands.get(seq[row + v])
+            if bucket is not None:
+                bucket.append((u, v))
+    # component label and order of each vertex, representatives minus one
+    # color; a vertex off the representatives keeps its own label and order 1
+    label = list(range(c.n))
+    size = [1] * c.n
     for color in sorted(s.rep_edges):
-        h = s.rep_edges[color]
-        # component label and order of each vertex, representatives minus h
-        uf = UnionFind(c.n)
+        uf = UnionFind(len(touched))
         for col2, (u, v) in s.rep_edges.items():
             if col2 != color:
-                uf.union(u, v)
-        label = list(range(c.n))
-        for x in touched:
-            label[x] = uf.find(x)
-        size = uf.size
-        for g in classes[color]:
+                uf.union(slot[u], slot[v])
+        for i, x in enumerate(touched):
+            root = uf.find(i)
+            label[x] = touched[root]
+            size[touched[root]] = uf.size[root]
+        for g in cands[color]:
             a, b = label[g[0]], label[g[1]]
             if a != b and size[a] + size[b] > n1:
-                return SwapMove(color, h, g, size[a] + size[b])
+                return SwapMove(color, s.rep_edges[color], g, size[a] + size[b])
     return None
 
 
@@ -137,67 +173,69 @@ def _defect(message: str, c: EdgeColoring) -> ConstructionDefect:
     return ConstructionDefect(message, instance_text=format_coloring(c))
 
 
-def _construct(c: EdgeColoring, root: EdgeColoring, trace: list | None) -> list[Tree]:
-    n, r = c.n, c.r
-    if n == 1:
+def _construct(c: EdgeColoring, trace: list | None) -> list[Tree]:
+    classes = c.color_classes()
+    cursor = dict.fromkeys(sorted(classes), 0)  # first edge of each class not yet dead
+    dead = bytearray(c.n)
+    live = list(range(c.n))
+    out: list[Tree] = []
+    while True:
+        reps = {}
+        for color, i in cursor.items():
+            es = classes[color]
+            while i < len(es) and (dead[es[i][0]] or dead[es[i][1]]):
+                i += 1
+            cursor[color] = i
+            if i < len(es):
+                reps[color] = es[i]
+        n, r = len(live), len(reps)
+        if n == 1:
+            if trace is not None:
+                trace.append({"n": n, "r": r, "moves": 0, "largest": 1, "components": 0})
+            return out + [Tree.make(live)]
+        if r == 1:
+            if trace is not None:
+                trace.append({"n": n, "r": r, "moves": 0, "largest": 2, "components": 0})
+            return out + matching_trees(c, live)
+
+        s = RepresentativeSubgraph.from_edges(reps)
+        moves = 0
+        while (move := find_swap(s, c, live)) is not None:
+            s = apply_swap(s, move)
+            moves += 1
+            if moves > n - 2:
+                raise _defect(f"hill-climb exceeded {n - 2} moves at n={n}, r={r}", c)
+
+        n1 = s.largest_size
+        k = s.component_count
+        t = f_of_r(r)
+        if k == 1 and n1 < t + 2 and n1 != n:
+            raise _defect(
+                f"locally maximal single component has order {n1} < t+2 = {t + 2} (n={n}, r={r})",
+                c,
+            )
         if trace is not None:
-            trace.append({"n": n, "r": r, "moves": 0, "largest": 1, "components": 0})
-        return [Tree.make([0])]
-    if r == 1:
-        if trace is not None:
-            trace.append({"n": n, "r": r, "moves": 0, "largest": 2, "components": 0})
-        return matching_trees(c, range(n))
+            trace.append({"n": n, "r": r, "moves": moves, "largest": n1, "components": k})
 
-    s = initial_representatives(c)
-    moves = 0
-    while (move := find_swap(s, c)) is not None:
-        s = apply_swap(s, move)
-        moves += 1
-        if moves > n - 2:
-            raise _defect(f"hill-climb exceeded {n - 2} moves at n={n}, r={r}", root)
-
-    n1 = s.largest_size
-    k = s.component_count
-    t = f_of_r(r)
-    if k == 1 and n1 < t + 2 and n1 != n:
-        raise _defect(
-            f"locally maximal single component has order {n1} < t+2 = {t + 2} (n={n}, r={r})",
-            root,
-        )
-    if trace is not None:
-        trace.append({"n": n, "r": r, "moves": moves, "largest": n1, "components": k})
-
-    first = _spanning_tree_of_component(c, s)
-    leftover = [v for v in range(n) if v not in s.components[0]]
-    if not leftover:
-        return [first]
-    sub, maps = restrict(c, leftover)
-    vback = maps.vertices_back()
-    cback = maps.colors_back()
-    out = [first]
-    for tree in _construct(sub, root, trace):
-        verts = [vback[v] for v in tree.vertices]
-        edges = []
-        for u, v, col in tree.edges:
-            a, b = vback[u], vback[v]
-            if a > b:
-                a, b = b, a
-            edges.append((a, b, cback[col]))
-        out.append(Tree.make(verts, edges))
-    return out
+        out.append(_spanning_tree_of_component(c, s))
+        for v in s.components[0]:
+            dead[v] = 1
+        live = [v for v in live if not dead[v]]
+        if not live:
+            return out
 
 
 def partition_complete(c: EdgeColoring, trace: list | None = None) -> TreePartition:
     """Partition a complete edge-colored graph into rainbow trees.
 
     The tree count is guaranteed at most ceil((n - t) / 2) by construction;
-    pass a list as `trace` to collect one record per recursion level
+    pass a list as `trace` to collect one record per level
     (n, r, accepted swap moves, largest component, component count).
     """
     require_valid(validate(c))
     if not c.complete:
         raise ValueError("partition_complete requires a complete graph")
-    result = TreePartition(tuple(_construct(c, c, trace)))
+    result = TreePartition(tuple(_construct(c, trace)))
     ok, why = is_partition_valid(c, result)
     if not ok:
         raise _defect(f"constructed partition is invalid: {why}", c)

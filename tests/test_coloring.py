@@ -20,6 +20,7 @@ from rainbowtrees import (
     restrict,
     validate,
 )
+from rainbowtrees.coloring import edge_index, row_offset
 
 
 def rainbow_k3():
@@ -218,6 +219,18 @@ def test_restrict_composes(n, data):
     twice, _ = restrict(first, inner_new)
     direct, _ = restrict(c, inner_old)
     assert twice == direct
+
+
+def test_color_sequence_rows():
+    n = 7
+    c = EdgeColoring(n, 21, range(1, 22))
+    assert c.color_sequence == tuple(range(1, 22))
+    for u in range(n):
+        for v in range(u + 1, n):
+            assert row_offset(n, u) + v == edge_index(n, u, v)
+            assert c.color_sequence[row_offset(n, u) + v] == c.color_of(u, v)
+    with pytest.raises(ValueError):
+        EdgeColoring(3, 2, {(0, 1): 1, (1, 2): 2}).color_sequence
 
 
 # ------------------------------------------------------------------ file I/O

@@ -4,12 +4,17 @@ import pytest
 from math import comb
 
 from rainbowtrees import (
+    ConstructionDefect,
     EdgeColoring,
     RepresentativeSubgraph,
     SwapMove,
+    Tree,
+    TreePartition,
     apply_swap,
     f_of_r,
     find_swap,
+    format_coloring,
+    format_partition,
     generate_canonical,
     initial_representatives,
     is_partition_valid,
@@ -19,8 +24,11 @@ from rainbowtrees import (
     partition_number,
     rainbow_complete,
     random_surjective_coloring,
+    restrict,
     solve,
 )
+from rainbowtrees import constructive
+from rainbowtrees.coloring import matching_trees
 from rainbowtrees.unionfind import UnionFind
 
 
@@ -277,3 +285,134 @@ def test_find_swap_agrees_with_the_top3_oracle():
             s = apply_swap(s, move)
             moves += 1
     assert moves > 100
+
+
+def test_find_swap_on_live_vertices_matches_the_restricted_coloring():
+    # hill-climb on restrict(c, alive) and compare each step, mapped back to
+    # the root's vertices and colors, with find_swap(s, c, alive)
+    rng = random.Random(6174)
+    moves = 0
+    for i in range(300):
+        n = rng.randint(3, 14)
+        c = random_surjective_coloring(n, rng.randint(2, min(comb(n, 2), 25)), rng)
+        alive = set(rng.sample(range(n), rng.randint(2, n)))
+        sub, maps = restrict(c, alive)
+        vback, cback = maps.vertices_back(), maps.colors_back()
+        if i % 2:
+            s = initial_representatives(sub)
+        else:
+            reps = {col: rng.choice(es) for col, es in sub.color_classes().items()}
+            s = RepresentativeSubgraph.from_edges(reps)
+        while True:
+            root_s = RepresentativeSubgraph.from_edges(
+                {cback[col]: (vback[u], vback[v]) for col, (u, v) in s.rep_edges.items()}
+            )
+            move = find_swap(s, sub)
+            expected = None if move is None else SwapMove(
+                cback[move.color],
+                (vback[move.old_edge[0]], vback[move.old_edge[1]]),
+                (vback[move.new_edge[0]], vback[move.new_edge[1]]),
+                move.new_largest_size,
+            )
+            assert find_swap(root_s, c, alive) == expected
+            assert find_swap(root_s, c, sorted(alive, reverse=True)) == expected
+            if move is None:
+                break
+            s = apply_swap(s, move)
+            moves += 1
+    assert moves > 50
+
+
+def test_find_swap_requires_a_complete_graph():
+    c = EdgeColoring(4, 2, {(0, 1): 1, (1, 2): 2, (2, 3): 1})
+    s = RepresentativeSubgraph.from_edges({1: (0, 1), 2: (1, 2)})
+    with pytest.raises(ValueError):
+        find_swap(s, c)
+
+
+def _rep_tree(c, s):
+    comp = s.components[0]
+    inside = sorted((min(e), max(e)) for e in s.rep_edges.values() if e[0] in comp and e[1] in comp)
+    index = {v: i for i, v in enumerate(sorted(comp))}
+    uf = UnionFind(len(comp))
+    picked = [(u, v, c.color_of(u, v)) for u, v in inside if uf.union(index[u], index[v])]
+    return Tree.make(comp, picked)
+
+
+def restrict_construct_reference(c, trace):
+    """The earlier construction, which recurses on restrict(c, leftover) and
+    maps each tree back; kept as the oracle for the in-place loop.  It
+    hill-climbs with top3_find_swap and raises no construction defects."""
+    n, r = c.n, c.r
+    if n == 1:
+        trace.append({"n": n, "r": r, "moves": 0, "largest": 1, "components": 0})
+        return [Tree.make([0])]
+    if r == 1:
+        trace.append({"n": n, "r": r, "moves": 0, "largest": 2, "components": 0})
+        return matching_trees(c, range(n))
+    s = initial_representatives(c)
+    moves = 0
+    while (move := top3_find_swap(s, c)) is not None:
+        s = apply_swap(s, move)
+        moves += 1
+    trace.append({"n": n, "r": r, "moves": moves, "largest": s.largest_size,
+                  "components": s.component_count})
+    out = [_rep_tree(c, s)]
+    leftover = [v for v in range(n) if v not in s.components[0]]
+    if not leftover:
+        return out
+    sub, maps = restrict(c, leftover)
+    vback, cback = maps.vertices_back(), maps.colors_back()
+    for tree in restrict_construct_reference(sub, trace):
+        edges = [(min(vback[u], vback[v]), max(vback[u], vback[v]), cback[col])
+                 for u, v, col in tree.edges]
+        out.append(Tree.make([vback[v] for v in tree.vertices], edges))
+    return out
+
+
+def _assert_matches_reference(c):
+    ref_trace, trace = [], []
+    ref = TreePartition(tuple(restrict_construct_reference(c, ref_trace)))
+    assert format_partition(partition_complete(c, trace)) == format_partition(ref)
+    assert trace == ref_trace
+
+
+def test_construct_matches_the_restrict_reference_on_random_colorings():
+    # r = m stops at n = 24: each find_swap call then costs about m^2
+    # unions in either version, and every rainbow K_n climbs the same way
+    rng = random.Random(1729)
+    for n in range(2, 41):
+        m = comb(n, 2)
+        rs = {1, 2, 3, m // 2} | ({m} if n <= 24 else set())
+        for r in sorted(rs & set(range(1, m + 1))):
+            _assert_matches_reference(random_surjective_coloring(n, r, rng))
+
+
+def test_construct_matches_the_restrict_reference_on_canonical_colorings():
+    for n in range(3, 31):
+        m = comb(n, 2)
+        for r in sorted({2, 3, n, m // 2, m} & set(range(2, m + 1))):
+            _assert_matches_reference(generate_canonical(n, r)[0])
+
+
+def test_defect_below_the_top_level_names_that_level(monkeypatch):
+    c = random_surjective_coloring(16, 5, random.Random(5))
+    trace = []
+    partition_complete(c, trace)
+    level = trace[1]
+    assert level["r"] >= 2 and level["n"] >= 3
+    real = constructive.find_swap
+
+    def loops_below_the_top(s, cc, alive=None):
+        if alive is not None and len(alive) < cc.n:
+            color = min(s.rep_edges)
+            h = s.rep_edges[color]
+            return SwapMove(color, h, h, s.largest_size)
+        return real(s, cc, alive)
+
+    monkeypatch.setattr(constructive, "find_swap", loops_below_the_top)
+    with pytest.raises(ConstructionDefect) as info:
+        partition_complete(c)
+    n, r = level["n"], level["r"]
+    assert str(info.value) == f"hill-climb exceeded {n - 2} moves at n={n}, r={r}"
+    assert info.value.instance_text == format_coloring(c)
