@@ -5,13 +5,22 @@ computed over vertex subsets in two phases.  First the whole vertex set is
 tried as one tree; if that fails, the feasibility of every block of at most
 r + 1 vertices (a block of k vertices needs k - 1 distinct colors) is
 tabulated once, a block being feasible exactly when its induced subgraph has
-a rainbow spanning tree.  Then the partitions are counted level by level:
-level k is one 2^n-bit integer whose bit M is set iff the subset M splits
-into at most k feasible blocks, and level k + 1 is level k OR-ed with each
-feasible block B shifted onto the masks of level k disjoint from B.  The
-count is the first level holding the full set.  One optimal witness is
-read back from the levels, taking at each step the smallest block mask that
-contains the lowest uncovered vertex.  Desk scale only (n <= 14 by default).
+a rainbow spanning tree.  The table runs by increasing block size and keeps
+the color set of one tree per feasible block.  Most blocks are decided from
+the blocks one vertex smaller by leaf certificates, since every tree has a
+leaf: B is infeasible if no B - v is feasible, and feasible if some edge
+from v into a feasible B - v has a color missing from the tree kept for
+B - v.  Only a block with neither certificate goes to the fallback: cheap
+rejects, then one matroid intersection, whose tree gives the block's colors.
+
+Then the partitions are counted level by level: level k is one 2^n-bit
+integer whose bit M is set iff the subset M splits into at most k feasible
+blocks, and level k + 1 is level k OR-ed with each feasible block B shifted
+onto the masks of level k disjoint from B.  The count is the first level
+holding the full set.  One optimal witness is read back from the levels,
+taking at each step the smallest block mask that contains the lowest
+uncovered vertex; each of its trees is read from max_rainbow_forest.  Desk
+scale only (n <= 14 by default).
 
 solve_bruteforce() is the independent oracle: it enumerates all set
 partitions of the vertices and checks each block with the subset-enumeration
@@ -21,6 +30,10 @@ forest oracle, sharing no code with the DP path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
+from math import comb
+from operator import or_
 
 from .coloring import (
     EdgeColoring,
@@ -43,7 +56,10 @@ class SolveResult:
         vertex set, then every block of at most r + 1 vertices;
       masks - block shifts of the level DP, one per (level, feasible block)
         pair;
-      cache_hits - feasibility table reads of the witness walk.
+      cache_hits - feasibility table reads of the witness walk;
+      intersections - blocks that ran a matroid intersection: the full
+        vertex set, and each table block that neither leaf certificate nor
+        a cheap reject decided (at most feasibility_checks).
     """
 
     count: int
@@ -51,19 +67,67 @@ class SolveResult:
     stats: dict
 
 
-def _block_feasible(c: EdgeColoring, edges, edge_bits, mask: int) -> bool:
-    """True iff the vertex set `mask` spans a rainbow tree: cheap rejects,
-    then one matroid intersection."""
-    size = mask.bit_count()
-    if size == 1:
-        return True
-    if size == 2:
-        return c.has_edge((mask & -mask).bit_length() - 1, mask.bit_length() - 1)
-    items = [edges[i] for bits, i in edge_bits if bits & mask == bits]
-    need = size - 1
+def _block_feasible(items, need: int, stats: dict) -> int | None:
+    """Color bits of a rainbow spanning tree of a block with `need` + 1
+    vertices and induced edges `items`, or None if it has none: cheap
+    rejects, then one matroid intersection, counted in
+    stats["intersections"]."""
     if len(items) < need or len({col for _, _, col in items}) < need:
-        return False
-    return len(_max_common_set(items)) == need
+        return None
+    stats["intersections"] += 1
+    tree = _max_common_set(items)
+    if len(tree) < need:
+        return None
+    return sum(1 << items[i][2] for i in tree)
+
+
+def _block_table(c: EdgeColoring, cap: int, stats: dict) -> tuple[bytearray, list[int]]:
+    """Feasibility of every block of at most `cap` vertices short of the
+    full vertex set, by increasing size, each decided from the blocks one
+    vertex smaller.
+
+    feas[M] is 1 iff block M spans a rainbow tree, and colors[M] then holds
+    the color bits of one such tree.  Every tree has a leaf v, so B is
+    infeasible when no B - v is feasible, and feasible when some v has an
+    edge into B - v whose color is not on the stored tree of B - v: that
+    tree plus the edge spans B.  Only a block with neither certificate goes
+    to _block_feasible, and its colors are read from the intersection.
+    Every block counts in stats["feasibility_checks"].
+    """
+    n = c.n
+    full = (1 << n) - 1
+    pair = [[0] * n for _ in range(n)]  # pair[u][v]: color bit of edge uv, 0 if absent
+    for u, v, col in c.edges():
+        pair[u][v] = pair[v][u] = 1 << col
+    feas = bytearray(full + 1)
+    colors = [0] * (full + 1)
+    bit = [1 << v for v in range(n)]
+    for v in range(n):
+        feas[bit[v]] = 1
+    stats["feasibility_checks"] += n
+    for size in range(2, min(cap, n - 1) + 1):
+        stats["feasibility_checks"] += comb(n, size)
+        for vs in combinations(range(n), size):
+            mask = sum(map(bit.__getitem__, vs))
+            leaf = False  # some B - v is feasible
+            for v in vs:
+                rest = mask ^ bit[v]
+                if feas[rest]:
+                    leaf = True
+                    spare = reduce(or_, map(pair[v].__getitem__, vs)) & ~colors[rest]
+                    if spare:
+                        feas[mask] = 1
+                        colors[mask] = colors[rest] | spare & -spare
+                        break
+            else:
+                if leaf:
+                    items = [(u, v, pair[u][v].bit_length() - 1)
+                             for u, v in combinations(vs, 2) if pair[u][v]]
+                    bits = _block_feasible(items, size - 1, stats)
+                    if bits is not None:
+                        feas[mask] = 1
+                        colors[mask] = bits
+    return feas, colors
 
 
 def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
@@ -76,12 +140,10 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
     n, r = c.n, c.r
     if n > max_n:
         raise SizeGuardError(f"n={n} exceeds solver guard {max_n}")
-    stats = {"masks": 0, "feasibility_checks": 0, "cache_hits": 0}
+    stats = {"masks": 0, "feasibility_checks": 0, "cache_hits": 0, "intersections": 0}
     if n == 1:
         return SolveResult(1, TreePartition((Tree.make([0]),)), stats)
 
-    edges = c.edges()
-    edge_bits = [((1 << u) | (1 << v), i) for i, (u, v, _) in enumerate(edges)]
     full = (1 << n) - 1
     cap = r + 1  # a block of k vertices needs k-1 distinct colors
 
@@ -102,15 +164,11 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
         return SolveResult(count, partition, stats)
 
     stats["feasibility_checks"] = 1
-    if _block_feasible(c, edges, edge_bits, full):
+    if _block_feasible(c.edges(), n - 1, stats) is not None:
         return checked(1, [full])
 
     # feas[M] = 1 iff M is a feasible block; blocks over cap and full stay 0
-    feas = bytearray(full + 1)
-    for mask in range(1, full):
-        if mask.bit_count() <= cap:
-            stats["feasibility_checks"] += 1
-            feas[mask] = _block_feasible(c, edges, edge_bits, mask)
+    feas, _ = _block_table(c, cap, stats)
 
     # keep[v] has bit M set iff vertex v is not in M: runs of 2^v ones
     # repeated with period 2^(v+1)

@@ -113,7 +113,19 @@ def _failure(kind: str, c: EdgeColoring | None = None, **fields) -> dict:
 
 
 def random_surjective_coloring(n: int, r: int, rng: random.Random) -> EdgeColoring:
-    """Uniform color assignment with rejection, then repair if rejection stalls."""
+    """A surjective r-coloring of K_n: rejection sampling, then a repair.
+
+    Up to 50 assignments are drawn uniformly from all r^m colorings of the
+    m = C(n, 2) edges, and the first surjective one is returned.  Given that
+    one is accepted, the result is uniform over the surjective colorings.
+    If all 50 miss a color (likely when r is near m), one more uniform draw
+    is repaired by writing each missing color over random edges, and as a
+    last resort by planting every color once at shuffled positions.  That
+    path always returns a surjective coloring, but not a uniform one: it
+    favours colorings in which the repaired colors are rare.  The output is
+    a mixture of the two, so it is exactly uniform only when every draw is
+    surjective (r = 1).
+    """
     if n < 2:
         raise ValueError("need n >= 2")
     m = comb(n, 2)

@@ -23,6 +23,7 @@ from rainbowtrees import (
     solve_bruteforce,
 )
 from rainbowtrees import solver
+from rainbowtrees.rainbow import _max_common_set
 from rainbowtrees.unionfind import UnionFind
 
 
@@ -163,6 +164,7 @@ def test_stats_are_reported():
     assert stats["feasibility_checks"] > 0
     assert stats["masks"] > 0
     assert "cache_hits" in stats
+    assert 0 <= stats["intersections"] <= stats["feasibility_checks"]
 
 
 def test_solve_rejects_an_invalid_witness(monkeypatch):
@@ -278,3 +280,60 @@ def test_level_dp_matches_the_submask_dp_reference():
         assert res.count == count, format_coloring(c)
         assert format_partition(res.partition) == format_partition(partition), format_coloring(c)
         assert res.stats["feasibility_checks"] == checks, format_coloring(c)
+
+
+def assert_block_table_matches_intersections(c):
+    """Every entry of solve()'s block table equals a matroid intersection on
+    the block, and the colors kept for a feasible block carry one of its
+    rainbow spanning trees."""
+    cap = c.r + 1
+    stats = {"feasibility_checks": 0, "intersections": 0}
+    feas, colors = solver._block_table(c, cap, stats)
+    checks = 0
+    for mask in range(1, (1 << c.n) - 1):
+        vs = [i for i in range(c.n) if mask >> i & 1]
+        if len(vs) > cap:
+            assert not feas[mask]
+            continue
+        checks += 1
+        spanning = max_rainbow_forest(c, vs).size == len(vs) - 1
+        assert feas[mask] == spanning, (format_coloring(c), vs)
+        if spanning:
+            kept = colors[mask]
+            items = [(u, v, col) for u, v, col in c.edges()
+                     if u in vs and v in vs and kept >> col & 1]
+            assert kept.bit_count() == len(vs) - 1, (format_coloring(c), vs)
+            assert len(_max_common_set(items)) == len(vs) - 1, (format_coloring(c), vs)
+    assert stats["feasibility_checks"] == checks
+    assert 0 <= stats["intersections"] <= checks
+
+
+def test_block_table_on_random_complete_graphs():
+    rng = random.Random(2718)
+    for n in range(4, 10):
+        for r in range(2, n + 3):
+            assert_block_table_matches_intersections(random_surjective_coloring(n, r, rng))
+
+
+def test_block_table_on_random_subgraphs():
+    rng = random.Random(1618)
+    for n, r, keep in ((5, 2, 0.6), (6, 3, 0.5), (7, 4, 0.6), (8, 5, 0.7), (9, 3, 0.4), (9, 6, 0.8)):
+        assert_block_table_matches_intersections(random_subgraph_coloring(n, r, keep, rng))
+
+
+def test_block_table_falls_back_to_the_intersection(monkeypatch):
+    # a K_6 whose 5-vertex block {0, 1, 2, 3, 5} has a rainbow spanning
+    # tree that no leaf certificate shows: only the intersection finds it
+    c = EdgeColoring(6, 5, (3, 2, 2, 3, 2, 3, 5, 2, 3, 4, 3, 2, 1, 4, 3), complete=True)
+    found = []
+    real = solver._block_feasible
+
+    def spy(items, need, stats):
+        bits = real(items, need, stats)
+        if bits is not None:
+            found.append(need + 1)
+        return bits
+
+    monkeypatch.setattr(solver, "_block_feasible", spy)
+    assert_block_table_matches_intersections(c)
+    assert found == [5], "block {0, 1, 2, 3, 5} was not decided by the fallback"
