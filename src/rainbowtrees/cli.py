@@ -42,6 +42,10 @@ class _UsageError(Exception):
     pass
 
 
+# the size option each campaign ignores, rejected rather than silently dropped
+_VERIFY_UNUSED = {"monotonicity": "max_n", "cutedge": "samples"}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -195,6 +199,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        unused = _VERIFY_UNUSED.get(getattr(args, "campaign", None))
+        if unused and getattr(args, unused) is not None:
+            flag = "--" + unused.replace("_", "-")
+            parser.error(f"campaign {args.campaign} does not take {flag}")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -241,12 +241,6 @@ class TreePartition:
     def count(self) -> int:
         return len(self.trees)
 
-    def covered_vertices(self) -> frozenset:
-        out: set = set()
-        for t in self.trees:
-            out |= t.vertices
-        return frozenset(out)
-
 
 def rainbow_complete(n: int) -> EdgeColoring:
     """K_n with every edge its own color, in lexicographic edge order."""
@@ -522,6 +516,9 @@ def parse_partition(text: str, c: EdgeColoring) -> TreePartition:
             raise FileFormatError("tree vertices must be integers", lineno) from None
         if not verts:
             raise FileFormatError("tree has no vertices", lineno)
+        if len(set(verts)) < len(verts):
+            repeated = next(v for i, v in enumerate(verts) if v in verts[:i])
+            raise FileFormatError(f"vertex {repeated} repeated in tree line", lineno)
         tail_parts = tail.split()
         if not tail_parts or tail_parts[0] != "edges":
             raise FileFormatError("edge list must start with `edges`", lineno)

@@ -6,7 +6,8 @@ the graphic matroid (acyclic) and the partition matroid induced by colors
 augmenting-path algorithm seeded by a greedy pass over the edges in
 lexicographic order, finds a maximum common independent set, and every query
 here reads its result: a maximum rainbow forest, deterministic for a given
-input.
+input.  Each augmenting phase roots the chosen forest once and reads every
+exchange arc from it, by climbing to where the two ends of an edge meet.
 
 Spanning-tree existence reduces to the maximum size: an acyclic edge set of
 size |W| - 1 on the vertex set W has exactly one component, so a maximum
@@ -46,90 +47,77 @@ def _induced_items(c: EdgeColoring, within) -> tuple[list[int], list[tuple[int, 
     return verts, items
 
 
-def _forest_path(adj, a, b):
-    """Edge indices on the unique a..b path of the chosen forest."""
-    prev = {a: None}
-    queue = deque([a])
-    while queue:
-        x = queue.popleft()
-        if x == b:
-            break
-        for y, idx in adj[x]:
-            if y not in prev:
-                prev[y] = (x, idx)
-                queue.append(y)
-    path = []
-    node = b
-    while prev[node] is not None:
-        node, idx = prev[node]
-        path.append(idx)
-    return path
-
-
 def _augment(ends, cols, nv, in_set) -> bool:
-    """One augmenting-path phase; returns True if the set grew by one."""
+    """One augmenting-path phase; returns True if the set grew by one.
+
+    The chosen forest is rooted once: each vertex gets its tree's `root`,
+    its `depth` and `up` = (parent, edge).  A non-chosen edge whose ends have
+    different roots is a source.  Any other closes a cycle, which is walked
+    by climbing the deeper end until the ends meet; each chosen edge passed
+    gets an arc to it.  A non-chosen edge whose color no chosen edge holds is
+    a sink.  Edges are taken in index order, so the BFS is deterministic.
+    """
     m = len(cols)
-    uf = UnionFind(nv)
     adj: list[list] = [[] for _ in range(nv)]
     holder: dict[int, int] = {}
     for i in range(m):
         if in_set[i]:
             a, b = ends[i]
-            uf.union(a, b)
             adj[a].append((b, i))
             adj[b].append((a, i))
             holder[cols[i]] = i
 
+    root = [-1] * nv
+    depth = [0] * nv
+    up: list = [None] * nv
+    for s in range(nv):
+        if root[s] >= 0:
+            continue
+        root[s] = s
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for y, i in adj[x]:
+                if root[y] < 0:
+                    root[y] = s
+                    depth[y] = depth[x] + 1
+                    up[y] = (x, i)
+                    stack.append(y)
+
     sources = []
-    sinks = set()
-    cycle_path: dict[int, list[int]] = {}
+    # arcs from a chosen edge to the non-chosen edges whose cycle contains it
+    fan_out: dict[int, list[int]] = {}
     for i in range(m):
         if in_set[i]:
             continue
         a, b = ends[i]
-        if uf.find(a) != uf.find(b):
+        if root[a] != root[b]:
             sources.append(i)
-        else:
-            cycle_path[i] = _forest_path(adj, a, b)
-        if cols[i] not in holder:
-            sinks.add(i)
+            continue
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            a, y = up[a]
+            fan_out.setdefault(y, []).append(i)
 
-    # arcs from a chosen edge to the non-chosen edges whose cycle contains it
-    fan_out: dict[int, list[int]] = {}
-    for w, path in cycle_path.items():
-        for y in path:
-            fan_out.setdefault(y, []).append(w)
-
-    prev: dict[int, int] = {}
-    visited = set(sources)
+    prev = dict.fromkeys(sources)
     queue = deque(sources)
-    end = None
     while queue:
         x = queue.popleft()
-        if not in_set[x] and x in sinks:
-            end = x
-            break
-        if not in_set[x]:
-            y = holder[cols[x]]
-            if y not in visited:
-                visited.add(y)
-                prev[y] = x
-                queue.append(y)
+        if in_set[x]:
+            nxt = fan_out.get(x, ())
+        elif cols[x] in holder:
+            nxt = (holder[cols[x]],)
         else:
-            for w in fan_out.get(x, ()):
-                if w not in visited:
-                    visited.add(w)
-                    prev[w] = x
-                    queue.append(w)
-    if end is None:
-        return False
-    node = end
-    while True:
-        in_set[node] = not in_set[node]
-        if node not in prev:
-            break
-        node = prev[node]
-    return True
+            while x is not None:
+                in_set[x] = not in_set[x]
+                x = prev[x]
+            return True
+        for w in nxt:
+            if w not in prev:
+                prev[w] = x
+                queue.append(w)
+    return False
 
 
 def _max_common_set(items) -> list[int]:

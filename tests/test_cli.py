@@ -166,6 +166,20 @@ def test_verify_seeded_json_is_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_monotonicity_rejects_max_n(capsys):
+    code, out, err = run_cli(capsys, "verify", "monotonicity", "--max-n", 99)
+    assert code == 1
+    assert out == ""
+    assert "--max-n" in err and "monotonicity" in err
+
+
+def test_verify_cutedge_rejects_samples(capsys):
+    code, out, err = run_cli(capsys, "verify", "cutedge", "--samples", 5)
+    assert code == 1
+    assert out == ""
+    assert "--samples" in err and "cutedge" in err
+
+
 def test_verify_guard_exit(capsys):
     code, _, err = run_cli(capsys, "verify", "cutedge", "--max-n", 9)
     assert code == 3

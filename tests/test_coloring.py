@@ -292,6 +292,12 @@ def test_parse_partition_rejects_unknown_edge():
         parse_partition("tree 0 2 ; edges (0,2)\n", c)
 
 
+def test_parse_partition_rejects_a_repeated_vertex():
+    c = EdgeColoring(3, 1, {(0, 1): 1})
+    with pytest.raises(FileFormatError, match="line 2: vertex 0 repeated in tree line"):
+        parse_partition("tree 2 ; edges\ntree 0 0 1 ; edges (0,1)\n", c)
+
+
 # Fuzzed file text: free text, and lines shaped like both file grammars
 # (integer lines, tree lines, loose tokens) so that generated input also
 # reaches the checks behind the line-shape checks.
