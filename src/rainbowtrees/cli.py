@@ -2,8 +2,10 @@
 
 Exit codes: 0 success or campaign pass, 1 usage or input error, 2 a
 counterexample or construction defect was found, 3 a size guard was hit.
-Every run echoes its effective configuration as a `#`-prefixed line, which
-is a legal comment in the coloring file format.
+Every run echoes the options it was given as a `#`-prefixed line, which is
+a legal comment in the coloring file format.  An option left out is not
+echoed: `verify` then runs with the campaign's own default, and the
+report's `param` lines carry the values used.
 """
 
 from __future__ import annotations
@@ -42,8 +44,16 @@ class _UsageError(Exception):
     pass
 
 
-# the size option each campaign ignores, rejected rather than silently dropped
-_VERIFY_UNUSED = {"monotonicity": "max_n", "cutedge": "samples"}
+# each campaign and the verify options it takes, as {option: parameter};
+# an option given to a campaign that does not take it is a usage error
+_CAMPAIGNS = {
+    "worstcase": (campaign_worstcase,
+                  {"max_n": "max_n", "samples": "samples_per_cell", "seed": "seed"}),
+    "monotonicity": (campaign_monotonicity, {"samples": "trials", "seed": "seed"}),
+    "cutedge": (campaign_cutedge, {"max_n": "max_n"}),
+    "constructive": (campaign_constructive,
+                     {"max_n": "max_n", "samples": "samples", "seed": "seed"}),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,13 +92,10 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output", help="output coloring file (default: stdout)")
 
     p = sub.add_parser("verify", help="run a verification campaign")
-    p.add_argument(
-        "campaign",
-        choices=["worstcase", "monotonicity", "cutedge", "constructive"],
-    )
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("campaign", choices=list(_CAMPAIGNS))
+    p.add_argument("--max-n", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--report", help="write the full report to this file")
     p.add_argument("--format", choices=["text", "json"], default="text")
     return parser
@@ -155,25 +162,9 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seed = args.seed
-    if args.campaign == "worstcase":
-        report = campaign_worstcase(
-            max_n=args.max_n or 6,
-            samples_per_cell=100 if args.samples is None else args.samples,
-            seed=seed,
-        )
-    elif args.campaign == "monotonicity":
-        report = campaign_monotonicity(
-            trials=1000 if args.samples is None else args.samples, seed=seed
-        )
-    elif args.campaign == "cutedge":
-        report = campaign_cutedge(max_n=args.max_n or 6)
-    else:
-        report = campaign_constructive(
-            max_n=args.max_n or 8,
-            samples=100 if args.samples is None else args.samples,
-            seed=seed,
-        )
+    campaign, options = _CAMPAIGNS[args.campaign]
+    report = campaign(**{param: getattr(args, option) for option, param in options.items()
+                         if getattr(args, option) is not None})
     body = report.to_json() if args.format == "json" else report.to_text()
     if args.report:
         with open(args.report, "w") as fh:
@@ -199,10 +190,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        unused = _VERIFY_UNUSED.get(getattr(args, "campaign", None))
-        if unused and getattr(args, unused) is not None:
-            flag = "--" + unused.replace("_", "-")
-            parser.error(f"campaign {args.campaign} does not take {flag}")
+        if args.command == "verify":
+            taken = _CAMPAIGNS[args.campaign][1]
+            for option in ("max_n", "samples", "seed"):
+                if getattr(args, option) is not None and option not in taken:
+                    flag = "--" + option.replace("_", "-")
+                    parser.error(f"campaign {args.campaign} does not take {flag}")
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,10 +1,10 @@
 """Edge-colored graphs and rainbow tree partitions: data model, validation, I/O.
 
 Vertices are integers 0..n-1, colors are integers 1..r, and every color must
-appear on at least one edge.  Edges are unordered pairs, normally stored as
-(u, v) with u < v.  A coloring may describe any simple graph; the `complete`
-flag marks the usual case where the edge set is all C(n, 2) pairs.  The one
-degenerate case is the single-vertex graph, which has r = 0.
+appear on at least one edge.  Edges are unordered pairs, stored as (u, v) with
+u < v.  A coloring may describe any simple graph; the usual case is K_n,
+whose edge set is all C(n, 2) pairs.  The one degenerate case is the
+single-vertex graph, which has r = 0.
 
 Values are immutable and all operations here are pure functions, so they
 are safe to share across concurrent workers.  A coloring of K_n stores its
@@ -70,38 +70,41 @@ class EdgeColoring:
     """An immutable edge-colored simple graph.
 
     `colors` is either a mapping from vertex pairs to colors or, for K_n, a
-    sequence of the C(n, 2) edge colors in lexicographic edge order.  A
-    coloring whose pairs are exactly those of K_n stores one color tuple in
-    that order; any other pair set is kept as a sorted tuple of the pairs
-    as given, so validate() can still report malformed ones.  The input is
-    copied, and `colors` is a read-only mapping view of the stored data.
-    The constructor does not check the invariants (vertex ranges, color
-    surjectivity, completeness); use validate() for that.
+    sequence of the C(n, 2) edge colors in lexicographic edge order.  Every
+    mapping key must be a pair (u, v) of ints with 0 <= u < v < n, and a
+    sequence must have exactly C(n, 2) colors; anything else raises
+    ValueError.  A coloring whose pairs are exactly those of K_n stores one
+    color tuple in that order, and any other pair set is kept as a sorted
+    tuple of pairs.  The input is copied, and `colors` is a read-only
+    mapping view of the stored data.  The constructor does not check n, r
+    or the colors (range and surjectivity); use validate() for that.
     """
 
-    __slots__ = ("n", "r", "complete", "_pairs", "_cols", "_classes")
+    __slots__ = ("n", "r", "_pairs", "_cols", "_classes")
 
-    def __init__(self, n: int, r: int, colors, complete: bool | None = None):
+    def __init__(self, n: int, r: int, colors):
         m = comb(n, 2)
         if not isinstance(colors, Mapping):
             cols = tuple(colors)
             if len(cols) != m:
                 raise ValueError(f"a color sequence for K_{n} needs {m} colors, got {len(cols)}")
             pairs = None
-        elif len(colors) == m and all(
-            isinstance(u, int) and isinstance(v, int) and 0 <= u < v < n for u, v in colors
-        ):
-            placed = [None] * m
-            for (u, v), col in colors.items():
-                placed[edge_index(n, u, v)] = col
-            cols, pairs = tuple(placed), None
         else:
-            items = sorted(colors.items())
-            pairs = tuple(e for e, _ in items)
-            cols = tuple(col for _, col in items)
-        if complete is None:
-            complete = len(cols) == m
-        for name, value in zip(self.__slots__, (n, r, complete, pairs, cols, None)):
+            for key in colors:
+                if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], int)
+                        and isinstance(key[1], int) and 0 <= key[0] < key[1] < n):
+                    raise ValueError(f"edge {key!r} is not a pair (u, v) of ints with "
+                                     f"0 <= u < v < {n}")
+            if len(colors) == m:
+                placed = [None] * m
+                for (u, v), col in colors.items():
+                    placed[edge_index(n, u, v)] = col
+                cols, pairs = tuple(placed), None
+            else:
+                items = sorted(colors.items())
+                pairs = tuple(e for e, _ in items)
+                cols = tuple(col for _, col in items)
+        for name, value in zip(self.__slots__, (n, r, pairs, cols, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -111,19 +114,23 @@ class EdgeColoring:
         raise AttributeError(f"EdgeColoring is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
-        return EdgeColoring, (self.n, self.r, dict(self.colors), self.complete)
+        return EdgeColoring, (self.n, self.r, dict(self.colors))
 
     def __eq__(self, other):
         if not isinstance(other, EdgeColoring):
             return NotImplemented
-        return (self.n, self.r, self.complete, self._pairs, self._cols) == (
-            other.n, other.r, other.complete, other._pairs, other._cols)
+        return (self.n, self.r, self._pairs, self._cols) == (
+            other.n, other.r, other._pairs, other._cols)
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return (f"EdgeColoring(n={self.n}, r={self.r}, colors={dict(self.colors)!r}, "
-                f"complete={self.complete})")
+        return f"EdgeColoring(n={self.n}, r={self.r}, colors={dict(self.colors)!r})"
+
+    @property
+    def complete(self) -> bool:
+        """True iff the edge set is all C(n, 2) pairs of K_n."""
+        return self._pairs is None
 
     @property
     def colors(self) -> Mapping:
@@ -140,21 +147,19 @@ class EdgeColoring:
         return combinations(range(self.n), 2)
 
     def _position(self, u, v) -> int:
-        """Storage index of the pair (u, v) exactly as stored, or -1."""
+        """Storage index of the pair (u, v), u < v, or -1."""
         if self._pairs is None:
             return edge_index(self.n, u, v) if 0 <= u < v < self.n else -1
         i = bisect_left(self._pairs, (u, v))
         return i if i < len(self._pairs) and self._pairs[i] == (u, v) else -1
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self._position(u, v) >= 0 or self._position(v, u) >= 0
+        return (self._position(u, v) if u < v else self._position(v, u)) >= 0
 
     def color_of(self, u: int, v: int) -> int:
-        i = self._position(u, v)
+        i = self._position(u, v) if u < v else self._position(v, u)
         if i < 0:
-            i = self._position(v, u)
-            if i < 0:
-                raise KeyError((u, v))
+            raise KeyError((u, v))
         return self._cols[i]
 
     @property
@@ -167,24 +172,15 @@ class EdgeColoring:
 
     def edges(self) -> list[tuple[int, int, int]]:
         """All edges as (u, v, color) with u < v, in lexicographic order."""
-        if self._pairs is None:
-            n, cols = self.n, iter(self._cols)
-            return [(u, v, next(cols)) for u in range(n) for v in range(u + 1, n)]
-        out = [(min(u, v), max(u, v), c) for (u, v), c in zip(self._pairs, self._cols)]
-        out.sort()  # only pairs stored as (v, u) can be out of order
-        return out
+        return [(u, v, c) for (u, v), c in zip(self._pairs_in_order(), self._cols)]
 
     def color_classes(self) -> Mapping[int, tuple[tuple[int, int], ...]]:
         """Map each color to its lexicographically sorted edges (read-only,
         computed once per coloring)."""
         if self._classes is None:
-            if self._pairs is None:
-                pairs, cols = self._pairs_in_order(), self._cols
-            else:
-                edges = self.edges()
-                pairs, cols = [(u, v) for u, v, _ in edges], [c for _, _, c in edges]
+            cols = self._cols
             classes = {c: [] for c in dict.fromkeys(cols)}
-            for e, c in zip(pairs, cols):
+            for e, c in zip(self._pairs_in_order(), cols):
                 classes[c].append(e)
             frozen = MappingProxyType({c: tuple(es) for c, es in classes.items()})
             object.__setattr__(self, "_classes", frozen)
@@ -245,16 +241,17 @@ class TreePartition:
 def rainbow_complete(n: int) -> EdgeColoring:
     """K_n with every edge its own color, in lexicographic edge order."""
     m = comb(n, 2)
-    return EdgeColoring(n, m, range(1, m + 1), complete=True)
+    return EdgeColoring(n, m, range(1, m + 1))
 
 
 def monochromatic_complete(n: int) -> EdgeColoring:
     """K_n with every edge colored 1 (r = 0 for the single-vertex graph)."""
-    return EdgeColoring(n, 1 if n >= 2 else 0, (1,) * comb(n, 2), complete=True)
+    return EdgeColoring(n, 1 if n >= 2 else 0, (1,) * comb(n, 2))
 
 
 def validate(c: EdgeColoring) -> list[Violation]:
-    """Check every invariant; return all violations (empty list = valid)."""
+    """Check n, r and the colors (the constructor already checked the
+    pairs); return all violations (empty list = valid)."""
     out: list[Violation] = []
     n, r = c.n, c.r
     if n < 1:
@@ -266,32 +263,13 @@ def validate(c: EdgeColoring) -> list[Violation]:
     elif r < 1:
         out.append(Violation("BadColorCount", (r,)))
 
-    used_colors = set(c._cols)
-    if c._pairs is not None or not (
-        all(isinstance(col, int) for col in used_colors)
-        and (not used_colors or (min(used_colors) >= 1 and max(used_colors) <= r))
-    ):
-        # pairs given as a mapping, or a bad color: check edge by edge
-        seen: set = set()
-        used_colors = set()
-        for (u, v), col in zip(c._pairs_in_order(), c._cols):
-            ints = isinstance(u, int) and isinstance(v, int)
-            if not (ints and 0 <= u < v < n):
-                out.append(Violation("BadVertex", (u, v)))
-            if ints:
-                norm = (u, v) if u <= v else (v, u)
-                if norm in seen:
-                    out.append(Violation("DuplicateEdge", norm))
-                seen.add(norm)
-            if not (isinstance(col, int) and 1 <= col <= r):
-                out.append(Violation("BadColor", (u, v, col)))
-            else:
-                used_colors.add(col)
-    for col in range(1, r + 1):
-        if col not in used_colors:
-            out.append(Violation("MissingColor", (col,)))
-    if c.complete and c.num_edges != comb(n, 2):
-        out.append(Violation("IncompleteGraph", (c.num_edges, comb(n, 2))))
+    used = set(c._cols)
+    bad = {col for col in used if not (isinstance(col, int) and 1 <= col <= r)}
+    if bad:
+        out += [Violation("BadColor", (u, v, col))
+                for (u, v), col in zip(c._pairs_in_order(), c._cols) if col in bad]
+        used -= bad
+    out += [Violation("MissingColor", (col,)) for col in range(1, r + 1) if col not in used]
     return out
 
 
@@ -368,7 +346,7 @@ def merge_colors(c: EdgeColoring, src: int, dst: int) -> EdgeColoring:
         if col > src:
             col -= 1
         merged.append(col)
-    return EdgeColoring(c.n, c.r - 1, dict(zip(c.colors, merged)), complete=c.complete)
+    return EdgeColoring(c.n, c.r - 1, dict(zip(c.colors, merged)))
 
 
 @dataclass(frozen=True)
@@ -408,8 +386,7 @@ def restrict(c: EdgeColoring, keep) -> tuple[EdgeColoring, RestrictionMaps]:
         pairs, induced = [], []
         for (u, v), col in zip(c._pairs, c._cols):
             if u in keep_set and v in keep_set:
-                a, b = vmap[u], vmap[v]
-                pairs.append((a, b) if a < b else (b, a))
+                pairs.append((vmap[u], vmap[v]))
                 induced.append(col)
     surviving = sorted(set(induced))
     cmap = {old: new for new, old in enumerate(surviving, start=1)}

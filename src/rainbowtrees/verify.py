@@ -152,14 +152,14 @@ def random_surjective_coloring(n: int, r: int, rng: random.Random) -> EdgeColori
             for col in range(1, r + 1):
                 cand[order[col - 1]] = col
         assignment = cand
-    return EdgeColoring(n, r, assignment, complete=True)
+    return EdgeColoring(n, r, assignment)
 
 
 def iter_surjective_colorings(n: int, r: int):
     """All r-edge-colorings of K_n (every color used); exhaustive, desk scale."""
     for assignment in product(range(1, r + 1), repeat=comb(n, 2)):
         if len(set(assignment)) == r:
-            yield EdgeColoring(n, r, assignment, complete=True)
+            yield EdgeColoring(n, r, assignment)
 
 
 def iter_two_colorings_up_to_swap(n: int):
@@ -170,7 +170,7 @@ def iter_two_colorings_up_to_swap(n: int):
     """
     for tail in product((1, 2), repeat=comb(n, 2) - 1):
         if 2 in tail:
-            yield EdgeColoring(n, 2, (1,) + tail, complete=True)
+            yield EdgeColoring(n, 2, (1,) + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +227,18 @@ def _bridges_bitadj(n: int, adj: list[int]) -> list[tuple[int, int]]:
 # campaigns
 
 
+def _at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def campaign_worstcase(max_n: int = 6, samples_per_cell: int = 100, seed: int = 0) -> VerificationReport:
     """Equality on canonical instances, upper bound on random ones, and the
     exhaustive maximum over all colorings of K_4."""
     if max_n > 10:
         raise SizeGuardError(f"campaign guard: max_n={max_n} > 10")
+    _at_least("max_n", max_n, 3)
+    _at_least("samples_per_cell", samples_per_cell, 0)
     t0 = time.monotonic()
     rng = random.Random(seed)
     report = VerificationReport(
@@ -302,6 +309,7 @@ def campaign_worstcase(max_n: int = 6, samples_per_cell: int = 100, seed: int = 
 
 def campaign_monotonicity(trials: int = 1000, seed: int = 0) -> VerificationReport:
     """Merging two colors never lowers the exact partition number."""
+    _at_least("trials", trials, 1)
     t0 = time.monotonic()
     rng = random.Random(seed)
     report = VerificationReport("monotonicity", {"trials": trials, "seed": seed}, 0)
@@ -340,6 +348,7 @@ def campaign_cutedge(max_n: int = 6) -> VerificationReport:
     """
     if max_n > 7:
         raise SizeGuardError(f"campaign guard: max_n={max_n} > 7")
+    _at_least("max_n", max_n, 3)
     t0 = time.monotonic()
     report = VerificationReport("cutedge", {"max_n": max_n}, 0)
     for n in range(3, max_n + 1):
@@ -410,6 +419,8 @@ def campaign_constructive(max_n: int = 8, samples: int = 100, seed: int = 0) -> 
     within n-2 swap moves per level, and at or above the exact optimum."""
     if max_n > 12:
         raise SizeGuardError(f"campaign guard: max_n={max_n} > 12")
+    _at_least("max_n", max_n, 3)
+    _at_least("samples", samples, 0)
     t0 = time.monotonic()
     rng = random.Random(seed)
     report = VerificationReport(

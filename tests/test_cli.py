@@ -180,6 +180,19 @@ def test_verify_cutedge_rejects_samples(capsys):
     assert "--samples" in err and "cutedge" in err
 
 
+def test_verify_cutedge_rejects_seed(capsys):
+    code, out, err = run_cli(capsys, "verify", "cutedge", "--seed", 5)
+    assert code == 1
+    assert out == ""
+    assert "--seed" in err and "cutedge" in err
+
+
+def test_verify_rejects_a_size_that_runs_nothing(capsys):
+    code, _, err = run_cli(capsys, "verify", "worstcase", "--max-n", 0)
+    assert code == 1
+    assert "max_n must be at least 3, got 0" in err
+
+
 def test_verify_guard_exit(capsys):
     code, _, err = run_cli(capsys, "verify", "cutedge", "--max-n", 9)
     assert code == 3
@@ -190,7 +203,8 @@ def test_campaign_failure_exit_code(capsys, monkeypatch):
     from rainbowtrees import VerificationReport
 
     failing = VerificationReport("monotonicity", {}, 1, failures=[{"kind": "demo"}])
-    monkeypatch.setattr(cli_mod, "campaign_monotonicity", lambda **kw: failing)
+    options = cli_mod._CAMPAIGNS["monotonicity"][1]
+    monkeypatch.setitem(cli_mod._CAMPAIGNS, "monotonicity", (lambda **kw: failing, options))
     code, out, _ = run_cli(capsys, "verify", "monotonicity")
     assert code == 2
     assert "result FAIL" in out

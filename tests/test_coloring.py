@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -41,19 +42,11 @@ def test_validate_missing_color():
     assert validate(c)[0].info == (3,)
 
 
-def test_validate_incomplete_flag():
-    c = EdgeColoring(
-        4, 5, {(0, 1): 1, (0, 2): 2, (0, 3): 3, (1, 2): 4, (1, 3): 5}, complete=True
-    )
-    codes = [v.code for v in validate(c)]
-    assert codes == ["IncompleteGraph"]
-
-
-def test_validate_bad_vertex_and_duplicate():
-    c = EdgeColoring(3, 2, {(1, 0): 1, (0, 1): 2, (0, 2): 1, (1, 2): 2})
-    codes = {v.code for v in validate(c)}
-    assert "BadVertex" in codes      # (1, 0) is not normalized
-    assert "DuplicateEdge" in codes  # (1, 0) and (0, 1) are the same pair
+@pytest.mark.parametrize("key", [(1, 0), (0, 5), (1, 1), ("a", 1), (0, 1, 2)],
+                         ids=["reversed", "out-of-range", "loop", "non-int", "triple"])
+def test_constructor_rejects_malformed_pairs(key):
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        EdgeColoring(3, 1, {key: 1, (0, 2): 1})
 
 
 def test_validate_color_out_of_range():
@@ -69,7 +62,10 @@ def test_validate_degenerate_single_vertex():
 
 def test_completeness_is_inferred():
     assert rainbow_k3().complete
-    assert not EdgeColoring(3, 1, {(0, 1): 1}).complete
+    c = EdgeColoring(3, 1, {(0, 1): 1})
+    assert not c.complete and validate(c) == []
+    assert pickle.loads(pickle.dumps(c)) == c
+    assert eval(repr(c)) == c and "complete" not in repr(c)
 
 
 # ------------------------------------------------------- is_partition_valid

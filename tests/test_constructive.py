@@ -96,7 +96,7 @@ def test_find_swap_breaks_the_pendant_configuration():
     for u in range(6):
         for v in range(u + 1, 6):
             colors.setdefault((u, v), 4)
-    c = EdgeColoring(6, 5, colors, complete=True)
+    c = EdgeColoring(6, 5, colors)
     s = RepresentativeSubgraph.from_edges(
         {1: (0, 1), 2: (0, 2), 3: (1, 2), 4: (2, 3), 5: (4, 5)}
     )

@@ -251,7 +251,7 @@ def random_subgraph_coloring(n, r, keep, rng):
     rng.shuffle(pairs)
     kept = pairs[:max(r, round(keep * len(pairs)))]
     cols = list(range(1, r + 1)) + [rng.randint(1, r) for _ in kept[r:]]
-    return EdgeColoring(n, r, dict(zip(kept, cols)), complete=False)
+    return EdgeColoring(n, r, dict(zip(kept, cols)))
 
 
 def test_level_dp_matches_the_submask_dp_reference():
@@ -259,7 +259,7 @@ def test_level_dp_matches_the_submask_dp_reference():
     cases = [
         monochromatic_complete(2),
         # a non-complete graph: two disjoint edges, and random subgraphs
-        EdgeColoring(4, 2, {(0, 1): 1, (2, 3): 2}, complete=False),
+        EdgeColoring(4, 2, {(0, 1): 1, (2, 3): 2}),
         random_subgraph_coloring(9, 4, 0.5, rng),
         random_subgraph_coloring(10, 6, 0.7, rng),
     ]
@@ -324,7 +324,7 @@ def test_block_table_on_random_subgraphs():
 def test_block_table_falls_back_to_the_intersection(monkeypatch):
     # a K_6 whose 5-vertex block {0, 1, 2, 3, 5} has a rainbow spanning
     # tree that no leaf certificate shows: only the intersection finds it
-    c = EdgeColoring(6, 5, (3, 2, 2, 3, 2, 3, 5, 2, 3, 4, 3, 2, 1, 4, 3), complete=True)
+    c = EdgeColoring(6, 5, (3, 2, 2, 3, 2, 3, 5, 2, 3, 4, 3, 2, 1, 4, 3))
     found = []
     real = solver._block_feasible
 

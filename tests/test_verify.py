@@ -159,6 +159,20 @@ def test_campaign_worstcase_guard():
         campaign_worstcase(max_n=11)
 
 
+@pytest.mark.parametrize("campaign, kwargs, name", [
+    (campaign_worstcase, {"max_n": 2}, "max_n"),
+    (campaign_cutedge, {"max_n": 2}, "max_n"),
+    (campaign_constructive, {"max_n": 2}, "max_n"),
+    (campaign_worstcase, {"samples_per_cell": -1}, "samples_per_cell"),
+    (campaign_monotonicity, {"trials": -1}, "trials"),
+    (campaign_monotonicity, {"trials": 0}, "trials"),
+    (campaign_constructive, {"samples": -1}, "samples"),
+])
+def test_campaigns_reject_a_size_that_runs_nothing(campaign, kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be at least"):
+        campaign(**kwargs)
+
+
 def test_campaign_worstcase_witnesses_include_the_6_5_cell():
     report = campaign_worstcase(max_n=6, samples_per_cell=5, seed=42)
     assert report.passed
