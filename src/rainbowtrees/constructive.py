@@ -3,10 +3,15 @@
 The algorithm keeps one representative edge per color and hill-climbs: while
 some single representative reassignment strictly enlarges the largest
 component of the chosen edges, apply the first such move (colors scanned in
-increasing order, replacement edges in lexicographic order).  At a local
-optimum the largest component is split off as one rainbow tree (its edges
-all carry distinct colors, so any spanning tree of it is rainbow) and the
-next level runs on the complete graph induced by the remaining vertices.
+increasing order, replacement edges in lexicographic order).  The search
+stops at once when the largest component already has r + 1 vertices, or
+every live one, which no r edges can exceed; otherwise one bridge pass
+over the chosen edges tells, for every color, how dropping its
+representative splits the components, and each replacement edge is judged
+in O(1).  At a local optimum the largest component is split off as one
+rainbow tree (its edges all carry distinct colors, so any spanning tree of
+it is rainbow) and the next level runs on the complete graph induced by
+the remaining vertices.
 
 All levels work in place on the input coloring: the split-off vertices are
 marked dead, and each color's representative at a new level is its first
@@ -93,32 +98,48 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
     """First single-representative reassignment that strictly increases the
     largest component, or None when the subgraph is locally maximal.
 
-    Only edges with both ends in `alive` (default: every vertex) are
-    candidates; colors are scanned in increasing order, each color's edges
-    in lexicographic order.  Dropping one representative only splits a
-    component, so every component left has order at most n1 =
-    s.largest_size: a replacement edge grows the largest component exactly
-    when it joins two components of total order above n1, and that total
-    is then the new largest order.  The dropped edge itself never
-    qualifies, as it at most rejoins its old component.  A vertex on no
-    representative edge is a singleton and n1 >= 2, so a qualifying edge
-    has an end on some representative edge: only those edges are read, and
-    the union-find of each color spans only the representative endpoints.
-    A call costs O(r·n' + r^2) for n' vertices in `alive`, plus two
-    n-entry arrays built once.
+    Only edges with both ends in `alive` (a collection of vertices holding
+    every representative edge; default: every vertex) are candidates;
+    colors are scanned in increasing order, each color's edges in
+    lexicographic order.  The r representatives never span a component of
+    more than r + 1 vertices, nor of more than the n' vertices in `alive`,
+    so a largest component of that order returns None at once.
+
+    Dropping one representative only splits a component, so every component
+    left has order at most n1 = s.largest_size: a replacement edge grows
+    the largest component exactly when it joins two components of total
+    order above n1, and that total is then the new largest order.  The
+    dropped edge itself never qualifies, as it at most rejoins its old
+    component.  A vertex on no representative edge is a singleton and
+    n1 >= 2, so a qualifying edge has an end on some representative edge:
+    only those edges are read.
+
+    One depth-first pass over the representative graph gives each vertex
+    its component and its entry and exit times tin/tout, and finds the
+    bridges by low-link (Tarjan, Inf. Process. Lett. 2 (1974)).  Dropping a
+    representative that is no bridge leaves the components as they are;
+    dropping a bridge whose end away from the DFS root is x cuts off
+    exactly the vertices y of that component with tin[x] <= tin[y] <
+    tout[x].  Each candidate is so judged in O(1), and a call costs
+    O(n'·|T| + r) for the set T of representative endpoints.
     """
     if not c.complete:
         raise ValueError("find_swap requires a complete graph")
-    seq, n1 = c.color_sequence, s.largest_size
+    n1 = s.largest_size
+    if n1 >= min(len(s.rep_edges) + 1, c.n if alive is None else len(alive)):
+        return None
+    seq = c.color_sequence
     verts = range(c.n) if alive is None else sorted(alive)
-    touched = sorted({x for e in s.rep_edges.values() for x in e})
-    slot = {x: i for i, x in enumerate(touched)}
-    live_touched = [x for x in verts if x in slot]
+    adj: dict = {}  # representative endpoint -> [(neighbour, color)]
+    for color, (u, v) in s.rep_edges.items():
+        adj.setdefault(u, []).append((v, color))
+        adj.setdefault(v, []).append((u, color))
+    live_touched = [x for x in verts if x in adj]
     # candidate edges of each color, in lexicographic order
     cands: dict = {color: [] for color in s.rep_edges}
     j = 0
     for i, u in enumerate(verts):
-        if u in slot:
+        if u in adj:
             partners = verts[i + 1:]
         else:
             while j < len(live_touched) and live_touched[j] < u:
@@ -129,23 +150,67 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
             bucket = cands.get(seq[row + v])
             if bucket is not None:
                 bucket.append((u, v))
-    # component label and order of each vertex, representatives minus one
-    # color; a vertex off the representatives keeps its own label and order 1
-    label = list(range(c.n))
-    size = [1] * c.n
+    # one iterative DFS: component, tin, tout and low of each endpoint, and
+    # the end away from the root of each bridge, keyed by the bridge's color
+    comp: dict = {}
+    tin: dict = {}
+    tout: dict = {}
+    low: dict = {}
+    order = []  # order of each component, by component id
+    child: dict = {}
+    clock = 0
+    for root in adj:
+        if root in tin:
+            continue
+        cid, first = len(order), clock
+        comp[root], tin[root], low[root] = cid, clock, clock
+        clock += 1
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            x, via, it = stack[-1]
+            for y, color in it:
+                if color == via:
+                    continue
+                if y in tin:
+                    low[x] = min(low[x], tin[y])
+                    continue
+                comp[y], tin[y], low[y] = cid, clock, clock
+                clock += 1
+                stack.append((y, color, iter(adj[y])))
+                break
+            else:
+                stack.pop()
+                tout[x] = clock
+                if stack:
+                    p = stack[-1][0]
+                    low[p] = min(low[p], low[x])
+                    if low[x] > tin[p]:
+                        child[via] = x
+        order.append(clock - first)
+    cut_off = len(order)  # label of the side a dropped bridge cuts off
+    cut = lo = hi = -1
+
+    def part(v):
+        """Label and order of v's component once the scanned color is dropped."""
+        if v not in comp:
+            return -1 - v, 1
+        k = comp[v]
+        if k != cut:
+            return k, order[k]
+        if lo <= tin[v] < hi:
+            return cut_off, hi - lo
+        return k, order[k] - (hi - lo)
+
     for color in sorted(s.rep_edges):
-        uf = UnionFind(len(touched))
-        for col2, (u, v) in s.rep_edges.items():
-            if col2 != color:
-                uf.union(slot[u], slot[v])
-        for i, x in enumerate(touched):
-            root = uf.find(i)
-            label[x] = touched[root]
-            size[touched[root]] = uf.size[root]
+        x = child.get(color)
+        if x is None:
+            cut = -1
+        else:
+            cut, lo, hi = comp[x], tin[x], tout[x]
         for g in cands[color]:
-            a, b = label[g[0]], label[g[1]]
-            if a != b and size[a] + size[b] > n1:
-                return SwapMove(color, s.rep_edges[color], g, size[a] + size[b])
+            (a, size_a), (b, size_b) = part(g[0]), part(g[1])
+            if a != b and size_a + size_b > n1:
+                return SwapMove(color, s.rep_edges[color], g, size_a + size_b)
     return None
 
 

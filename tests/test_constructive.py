@@ -323,6 +323,65 @@ def test_find_swap_on_live_vertices_matches_the_restricted_coloring():
     assert moves > 50
 
 
+def _reads_no_edge(monkeypatch):
+    def unreachable(n, u):
+        raise AssertionError("find_swap read an edge row")
+
+    monkeypatch.setattr(constructive, "row_offset", unreachable)
+
+
+def test_find_swap_returns_at_once_when_the_representatives_span_r_plus_one(monkeypatch):
+    # the path 0-1-2-3 of r = 3 representatives spans r + 1 = 4 < n = 6
+    # vertices; no component of three edges is larger, so no edge is read
+    colors = dict.fromkeys(((u, v) for u in range(6) for v in range(u + 1, 6)), 1)
+    colors.update({(1, 2): 2, (2, 3): 3})
+    c = EdgeColoring(6, 3, colors)
+    s = RepresentativeSubgraph.from_edges({1: (0, 1), 2: (1, 2), 3: (2, 3)})
+    assert s.largest_size == len(s.rep_edges) + 1 < c.n
+    assert top3_find_swap(s, c) is None
+    _reads_no_edge(monkeypatch)
+    assert find_swap(s, c) is None
+
+
+def test_find_swap_returns_at_once_when_the_representatives_span_every_alive_vertex(monkeypatch):
+    # r + 1 exceeds n': on all of the rainbow K_5, and on the live vertices
+    # {0, 1, 2, 3} of a K_7 whose six colors all sit inside them
+    c = rainbow_complete(5)
+    s = initial_representatives(c)
+    assert s.largest_size == c.n < len(s.rep_edges) + 1
+    assert top3_find_swap(s, c) is None
+    alive = [0, 1, 2, 3]
+    colors = dict.fromkeys(((u, v) for u in range(7) for v in range(u + 1, 7)), 1)
+    inside = [(u, v) for u in alive for v in alive if u < v]
+    colors.update({e: i for i, e in enumerate(inside, 1)})
+    big = EdgeColoring(7, 6, colors)
+    on_alive = RepresentativeSubgraph.from_edges({i: e for i, e in enumerate(inside, 1)})
+    assert on_alive.largest_size == len(alive) < len(on_alive.rep_edges) + 1
+    sub, _ = restrict(big, alive)
+    assert top3_find_swap(initial_representatives(sub), sub) is None
+    _reads_no_edge(monkeypatch)
+    assert find_swap(s, c) is None
+    assert find_swap(on_alive, big, alive) is None
+
+
+def test_find_swap_grows_through_the_side_a_dropped_bridge_cuts_off():
+    # the largest component is the pendant 0 on the bridge (0, 1) of color 1
+    # plus the triangle {1, 2, 3}; the other is the edge (4, 5), and every
+    # other edge has color 1.  Dropping the bridge leaves {0} and {1, 2, 3}:
+    # (0, 4) and (0, 5) join only 1 + 2 vertices, (1, 4) joins 3 + 2 > 4.
+    colors = dict.fromkeys(((u, v) for u in range(6) for v in range(u + 1, 6)), 1)
+    colors.update({(1, 2): 2, (1, 3): 3, (2, 3): 4, (4, 5): 5})
+    c = EdgeColoring(6, 5, colors)
+    s = RepresentativeSubgraph.from_edges(
+        {1: (0, 1), 2: (1, 2), 3: (1, 3), 4: (2, 3), 5: (4, 5)}
+    )
+    assert s.largest_size == 4 and s.component_count == 2
+    move = find_swap(s, c)
+    assert move == SwapMove(1, (0, 1), (1, 4), 5)
+    assert move == top3_find_swap(s, c)
+    assert apply_swap(s, move).largest_size == 5
+
+
 def test_find_swap_requires_a_complete_graph():
     c = EdgeColoring(4, 2, {(0, 1): 1, (1, 2): 2, (2, 3): 1})
     s = RepresentativeSubgraph.from_edges({1: (0, 1), 2: (1, 2)})
@@ -378,12 +437,12 @@ def _assert_matches_reference(c):
 
 
 def test_construct_matches_the_restrict_reference_on_random_colorings():
-    # r = m stops at n = 24: each find_swap call then costs about m^2
-    # unions in either version, and every rainbow K_n climbs the same way
+    # r = m is a rainbow K_n: its hill-climbs pass the most representatives
+    # through find_swap, and the reference's top3_find_swap takes most of the time
     rng = random.Random(1729)
     for n in range(2, 41):
         m = comb(n, 2)
-        rs = {1, 2, 3, m // 2} | ({m} if n <= 24 else set())
+        rs = {1, 2, 3, m // 2, m}
         for r in sorted(rs & set(range(1, m + 1))):
             _assert_matches_reference(random_surjective_coloring(n, r, rng))
 
