@@ -8,7 +8,8 @@ single-vertex graph, which has r = 0.
 
 Values are immutable and all operations here are pure functions, so they
 are safe to share across concurrent workers.  A coloring of K_n stores its
-edge colors as one tuple in lexicographic edge order.
+edge colors as one tuple in lexicographic edge order; the `colors` dict and
+the color classes are derived from that storage on first use and cached.
 
 File formats
 ------------
@@ -75,12 +76,13 @@ class EdgeColoring:
     sequence must have exactly C(n, 2) colors; anything else raises
     ValueError.  A coloring whose pairs are exactly those of K_n stores one
     color tuple in that order, and any other pair set is kept as a sorted
-    tuple of pairs.  The input is copied, and `colors` is a read-only
-    mapping view of the stored data.  The constructor does not check n, r
-    or the colors (range and surjectivity); use validate() for that.
+    tuple of pairs.  The input is copied, and `colors` is a read-only dict
+    (a MappingProxyType) built from the stored data on first access and
+    cached.  The constructor does not check n, r or the colors (range and
+    surjectivity); use validate() for that.
     """
 
-    __slots__ = ("n", "r", "_pairs", "_cols", "_classes")
+    __slots__ = ("n", "r", "_pairs", "_cols", "_colors", "_classes")
 
     def __init__(self, n: int, r: int, colors):
         m = comb(n, 2)
@@ -104,7 +106,7 @@ class EdgeColoring:
                 items = sorted(colors.items())
                 pairs = tuple(e for e, _ in items)
                 cols = tuple(col for _, col in items)
-        for name, value in zip(self.__slots__, (n, r, pairs, cols, None)):
+        for name, value in zip(self.__slots__, (n, r, pairs, cols, None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -134,12 +136,12 @@ class EdgeColoring:
 
     @property
     def colors(self) -> Mapping:
-        """Read-only mapping (u, v) -> color over the stored pairs."""
-        return _ColorView(self)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self._cols)
+        """Read-only dict (u, v) -> color in lexicographic edge order
+        (computed once per coloring)."""
+        if self._colors is None:
+            frozen = MappingProxyType(dict(zip(self._pairs_in_order(), self._cols)))
+            object.__setattr__(self, "_colors", frozen)
+        return self._colors
 
     def _pairs_in_order(self):
         if self._pairs is not None:
@@ -185,34 +187,6 @@ class EdgeColoring:
             frozen = MappingProxyType({c: tuple(es) for c, es in classes.items()})
             object.__setattr__(self, "_classes", frozen)
         return self._classes
-
-
-class _ColorView(Mapping):
-    """The `colors` mapping of an EdgeColoring, backed by its storage."""
-
-    __slots__ = ("_c",)
-
-    def __init__(self, c: EdgeColoring):
-        self._c = c
-
-    def __getitem__(self, key):
-        try:
-            u, v = key
-            i = self._c._position(u, v)
-        except (TypeError, ValueError):
-            raise KeyError(key) from None
-        if i < 0:
-            raise KeyError(key)
-        return self._c._cols[i]
-
-    def __iter__(self):
-        return iter(self._c._pairs_in_order())
-
-    def __len__(self) -> int:
-        return len(self._c._cols)
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
 
 
 @dataclass(frozen=True)
@@ -346,7 +320,7 @@ def merge_colors(c: EdgeColoring, src: int, dst: int) -> EdgeColoring:
         if col > src:
             col -= 1
         merged.append(col)
-    return EdgeColoring(c.n, c.r - 1, dict(zip(c.colors, merged)))
+    return EdgeColoring(c.n, c.r - 1, dict(zip(c._pairs_in_order(), merged)))
 
 
 @dataclass(frozen=True)
@@ -375,24 +349,15 @@ def restrict(c: EdgeColoring, keep) -> tuple[EdgeColoring, RestrictionMaps]:
     if kept[0] < 0 or kept[-1] >= c.n:
         raise ValueError("restrict vertex set out of range")
     vmap = {old: new for new, old in enumerate(kept)}
-    if c._pairs is None:
-        # K_n stays complete: pick the kept rows of the triangular color tuple
-        seq, pairs, induced = c.color_sequence, None, []
-        for i, u in enumerate(kept):
-            row = row_offset(c.n, u)  # (u, v) sits at row + v
-            induced.extend([seq[row + v] for v in kept[i + 1:]])
-    else:
-        keep_set = set(kept)
-        pairs, induced = [], []
-        for (u, v), col in zip(c._pairs, c._cols):
-            if u in keep_set and v in keep_set:
-                pairs.append((vmap[u], vmap[v]))
-                induced.append(col)
+    pairs, induced = [], []
+    for (u, v), col in zip(c._pairs_in_order(), c._cols):
+        if u in vmap and v in vmap:
+            pairs.append((vmap[u], vmap[v]))
+            induced.append(col)
     surviving = sorted(set(induced))
     cmap = {old: new for new, old in enumerate(surviving, start=1)}
     recolored = [cmap[col] for col in induced]
-    colors = recolored if pairs is None else dict(zip(pairs, recolored))
-    sub = EdgeColoring(len(kept), len(surviving), colors)
+    sub = EdgeColoring(len(kept), len(surviving), dict(zip(pairs, recolored)))
     return sub, RestrictionMaps(vmap, cmap)
 
 

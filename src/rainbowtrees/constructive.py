@@ -9,9 +9,11 @@ every live one, which no r edges can exceed; otherwise one bridge pass
 over the chosen edges tells, for every color, how dropping its
 representative splits the components, and each replacement edge is judged
 in O(1).  At a local optimum the largest component is split off as one
-rainbow tree (its edges all carry distinct colors, so any spanning tree of
-it is rainbow) and the next level runs on the complete graph induced by
-the remaining vertices.
+rainbow tree: its edges all carry distinct colors, so any spanning tree of
+it is rainbow, and the tree taken is that component's part of the spanning
+forest the representative subgraph kept when it was built (Kruskal over the
+representatives in lexicographic order).  The next level runs on the
+complete graph induced by the remaining vertices.
 
 All levels work in place on the input coloring: the split-off vertices are
 marked dead, and each color's representative at a new level is its first
@@ -54,20 +56,23 @@ class RepresentativeSubgraph:
 
     rep_edges: dict    # color -> (u, v)
     components: tuple  # frozensets, sorted by (-size, min vertex)
+    forest: tuple      # (u, v), u < v: the edges that join components, in order
 
     @classmethod
     def from_edges(cls, rep_edges: dict) -> "RepresentativeSubgraph":
-        """The components spanned by the given color -> edge choice."""
-        verts = sorted({x for e in rep_edges.values() for x in e})
+        """The components spanned by the given color -> edge choice, and the
+        spanning forest Kruskal keeps when it reads the edges in
+        lexicographic order."""
+        edges = sorted((min(e), max(e)) for e in rep_edges.values())
+        verts = sorted({x for e in edges for x in e})
         index = {v: i for i, v in enumerate(verts)}
         uf = UnionFind(len(verts))
-        for u, v in rep_edges.values():
-            uf.union(index[u], index[v])
+        forest = tuple(e for e in edges if uf.union(index[e[0]], index[e[1]]))
         groups: dict[int, set] = {}
         for v in verts:
             groups.setdefault(uf.find(index[v]), set()).add(v)
         comps = sorted(groups.values(), key=lambda g: (-len(g), min(g)))
-        return cls(dict(rep_edges), tuple(frozenset(g) for g in comps))
+        return cls(dict(rep_edges), tuple(frozenset(g) for g in comps), forest)
 
     @property
     def largest_size(self) -> int:
@@ -220,20 +225,6 @@ def apply_swap(s: RepresentativeSubgraph, move: SwapMove) -> RepresentativeSubgr
     return RepresentativeSubgraph.from_edges(reps)
 
 
-def _spanning_tree_of_component(c: EdgeColoring, s: RepresentativeSubgraph) -> Tree:
-    comp = s.components[0]
-    inside = sorted(
-        (min(e), max(e)) for e in s.rep_edges.values() if e[0] in comp and e[1] in comp
-    )
-    index = {v: i for i, v in enumerate(sorted(comp))}
-    uf = UnionFind(len(comp))
-    picked = []
-    for u, v in inside:
-        if uf.union(index[u], index[v]):
-            picked.append((u, v, c.color_of(u, v)))
-    return Tree.make(comp, picked)
-
-
 def _defect(message: str, c: EdgeColoring) -> ConstructionDefect:
     return ConstructionDefect(message, instance_text=format_coloring(c))
 
@@ -282,8 +273,10 @@ def _construct(c: EdgeColoring, trace: list | None) -> list[Tree]:
         if trace is not None:
             trace.append({"n": n, "r": r, "moves": moves, "largest": n1, "components": k})
 
-        out.append(_spanning_tree_of_component(c, s))
-        for v in s.components[0]:
+        largest = s.components[0]
+        out.append(Tree.make(largest, [(u, v, c.color_of(u, v)) for u, v in s.forest
+                                       if u in largest]))
+        for v in largest:
             dead[v] = 1
         live = [v for v in live if not dead[v]]
         if not live:

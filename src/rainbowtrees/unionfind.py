@@ -27,6 +27,3 @@ class UnionFind:
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
         return True
-
-    def component_size(self, x: int) -> int:
-        return self.size[self.find(x)]

@@ -25,7 +25,7 @@ from .coloring import (
     validate,
 )
 from .constructive import partition_complete
-from .errors import ConstructionDefect, SizeGuardError
+from .errors import ConstructionDefect, FileFormatError, SizeGuardError
 from .formula import partition_number
 from .solver import solve
 
@@ -80,20 +80,49 @@ class VerificationReport:
 
 
 def revalidate_witness(w: dict) -> bool:
+    """Re-check one witness from its serialized fields; malformed input
+    (a missing or mistyped field, an unreadable coloring) returns False.
+
+    An extremal witness must carry a valid coloring of K_n whose n and r
+    are the recorded ones, and its recorded value must equal both the
+    closed form and the count `solve` (canonical-extremal) or
+    `partition_complete` (constructive-extremal) gives; a coloring above
+    `solve`'s size guard raises SizeGuardError, as `solve` does.  A
+    cut-edge witness must list exactly C(n-1, 2) + 1 distinct pairs
+    (u, v), 0 <= u < v < n, that form a connected graph with a bridge, and
+    record that bound.
+    """
     kind = w.get("kind")
-    if kind == "canonical-extremal":
-        c = parse_coloring(w["coloring"])
-        return not validate(c) and solve(c).count == w["value"]
-    if kind == "constructive-extremal":
-        c = parse_coloring(w["coloring"])
-        return not validate(c) and partition_complete(c).count == w["count"]
+    if kind in ("canonical-extremal", "constructive-extremal"):
+        if not isinstance(w.get("coloring"), str):
+            return False
+        try:
+            c = parse_coloring(w["coloring"])
+        except FileFormatError:
+            return False
+        if validate(c) or not c.complete or (w.get("n"), w.get("r")) != (c.n, c.r):
+            return False
+        if kind == "canonical-extremal":
+            value, partition = w.get("value"), solve
+        else:
+            value, partition = w.get("count"), partition_complete
+        return value == partition_number(c.n, c.r) and partition(c).count == value
     if kind == "cutedge-tight":
-        n = w["n"]
-        edges = [tuple(e) for e in w["edges"]]
-        if len(edges) != w["bound"]:
+        n, edges = w.get("n"), w.get("edges")
+        if not (isinstance(n, int) and n >= 1 and isinstance(edges, list)):
+            return False
+        if w.get("bound") != comb(n - 1, 2) + 1 or len(edges) != w["bound"]:
+            return False
+        pairs = set()
+        for e in edges:
+            if not (isinstance(e, (list, tuple)) and len(e) == 2
+                    and all(isinstance(x, int) for x in e) and 0 <= e[0] < e[1] < n):
+                return False
+            pairs.add(tuple(e))
+        if len(pairs) != len(edges):
             return False
         adj = [0] * n
-        for u, v in edges:
+        for u, v in pairs:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return _connected_bitadj(n, adj) and bool(_bridges_bitadj(n, adj))

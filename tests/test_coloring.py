@@ -425,6 +425,26 @@ def test_coloring_is_immutable_and_copies_its_input():
     assert pickle.loads(pickle.dumps(c)) == c
 
 
+def test_colors_is_one_cached_read_only_dict():
+    for c in (rainbow_k3(), EdgeColoring(4, 2, {(2, 3): 2, (0, 1): 1})):
+        colors = c.colors
+        assert c.colors is colors
+        assert list(colors.items()) == [((u, v), col) for u, v, col in c.edges()]
+        with pytest.raises(TypeError):
+            colors[(0, 1)] = 2
+        with pytest.raises(TypeError):
+            del colors[(0, 1)]
+        with pytest.raises(KeyError):
+            colors[(1, 0)]
+        # a dict, not a Mapping view: an unhashable key is a TypeError
+        with pytest.raises(TypeError):
+            colors[[0, 1]]
+        assert c == EdgeColoring(c.n, c.r, dict(colors))
+        assert pickle.loads(pickle.dumps(c)) == c
+        assert eval(repr(c)) == c
+        assert c.colors is colors
+
+
 def test_color_sequence_must_cover_every_pair():
     with pytest.raises(ValueError):
         EdgeColoring(3, 2, [1, 2])

@@ -107,6 +107,26 @@ def test_find_swap_breaks_the_pendant_configuration():
     assert move.new_largest_size >= 5
 
 
+def test_forest_is_the_lexicographic_kruskal_forest_of_the_representatives():
+    rng = random.Random(2718)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        c = random_surjective_coloring(n, rng.randint(1, min(comb(n, 2), 25)), rng)
+        reps = {col: rng.choice(es) for col, es in c.color_classes().items()}
+        # from_edges takes either orientation of an edge
+        s = RepresentativeSubgraph.from_edges(
+            {col: e[::-1] if rng.random() < 0.5 else e for col, e in reps.items()})
+        uf = UnionFind(n)
+        assert s.forest == tuple(e for e in sorted(reps.values()) if uf.union(*e))
+        uf = UnionFind(n)
+        assert all(uf.union(u, v) for u, v in s.forest)  # acyclic
+        for comp in s.components:
+            inside = [(u, v) for u, v in s.forest if u in comp]
+            assert all(v in comp for _, v in inside)
+            assert len(inside) == len(comp) - 1
+        assert sum(len(comp) - 1 for comp in s.components) == len(s.forest)
+
+
 def test_partition_canonical_5_3():
     c, _ = generate_canonical(5, 3)
     trace = []

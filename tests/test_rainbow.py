@@ -136,7 +136,7 @@ def test_spanning_size_maximizers_are_returned_as_trees():
             uf = UnionFind(len(index))
             for u, v, _ in forest.edges:
                 uf.union(index[u], index[v])
-            assert uf.component_size(0) == len(index)
+            assert uf.size[uf.find(0)] == len(index)
     assert found > 20
 
 

@@ -16,7 +16,10 @@ from rainbowtrees import (
     generate_canonical,
     iter_surjective_colorings,
     iter_two_colorings_up_to_swap,
+    partition_complete,
+    partition_number,
     random_surjective_coloring,
+    solve,
     validate,
 )
 from rainbowtrees.verify import _bridges_bitadj, _connected_bitadj, revalidate_witness
@@ -262,3 +265,50 @@ def test_witness_revalidation_catches_tampering():
     report.witnesses[0]["edges"] = report.witnesses[0]["edges"][:-1]
     assert not report.revalidate()
     assert not revalidate_witness({"kind": "unknown"})
+
+
+def test_cutedge_witness_must_record_the_true_bound():
+    # a path is connected and every edge is a bridge, but 4 != C(4, 2) + 1
+    path = [[0, 1], [1, 2], [2, 3], [3, 4]]
+    assert not revalidate_witness({"kind": "cutedge-tight", "n": 5, "bound": 4, "edges": path})
+
+
+def test_cutedge_witness_must_list_distinct_edges():
+    w = campaign_cutedge(max_n=5).witnesses[-1]
+    assert revalidate_witness(w)
+    repeated = w["edges"][:-1] + [w["edges"][0]]
+    assert not revalidate_witness(dict(w, edges=repeated))
+
+
+def test_cutedge_witness_with_an_out_of_range_edge_is_rejected_not_raised():
+    w = {"kind": "cutedge-tight", "n": 3, "bound": 2, "edges": [[0, 5], [1, 2]]}
+    assert not revalidate_witness(w)
+    for edges in ([[1, 0], [1, 2]], [[0, 1, 2], [1, 2]], [["0", 1], [1, 2]], None):
+        assert not revalidate_witness(dict(w, edges=edges))
+    assert not revalidate_witness(dict(w, n="3"))
+
+
+def test_extremal_witness_value_must_equal_the_closed_form():
+    # solve gives 2 on the first coloring and partition_complete gives 2 on
+    # the second; both are below the closed form 3 for n = 8, r = 3
+    assert partition_number(8, 3) == 3
+    c = random_surjective_coloring(8, 3, random.Random(4))
+    assert solve(c).count == 2
+    w = {"kind": "canonical-extremal", "n": 8, "r": 3, "value": 2, "coloring": format_coloring(c)}
+    assert not revalidate_witness(w)
+    c = random_surjective_coloring(8, 3, random.Random(0))
+    assert partition_complete(c).count == 2
+    w = {"kind": "constructive-extremal", "n": 8, "r": 3, "count": 2,
+         "coloring": format_coloring(c)}
+    assert not revalidate_witness(w)
+
+
+def test_extremal_witness_must_match_its_coloring():
+    for report in (campaign_worstcase(max_n=3, samples_per_cell=0),
+                   campaign_constructive(max_n=3, samples=0)):
+        w = report.witnesses[-1]
+        assert revalidate_witness(w)
+        assert not revalidate_witness(dict(w, n=w["n"] + 1))
+        assert not revalidate_witness(dict(w, r=w["r"] - 1))
+        assert not revalidate_witness(dict(w, coloring=w["coloring"].replace("\n", "\nx", 1)))
+        assert not revalidate_witness({k: v for k, v in w.items() if k != "coloring"})
