@@ -2,8 +2,9 @@
 
 Four campaigns: worst-case equality (canonical instances meet the formula,
 random ones stay below, K_4 checked exhaustively), merge monotonicity,
-the cut-edge edge-count bound over all small connected graphs, and the
-constructive algorithm's contracts.  Reports serialize to text and JSON and
+the cut-edge edge-count bound on every small connected graph (only the
+graphs with at least C(n-1,2)+1 edges can break it, so only those are
+walked), and the constructive algorithm's contracts.  Reports serialize to text and JSON and
 their witnesses re-validate from the serialized form.
 
 Run: python demos/05_verification_campaigns.py
@@ -28,7 +29,7 @@ report = campaign_monotonicity(trials=300, seed=42)
 print(report.to_text(), end="")
 
 print("=" * 64)
-print("cut-edge bound campaign (all connected graphs, n <= 6)")
+print("cut-edge bound campaign (graphs with at least C(n-1,2)+1 edges, n <= 6)")
 report = campaign_cutedge(max_n=6)
 print(report.to_text(), end="")
 

@@ -74,10 +74,10 @@ def generate_canonical(n: int, r: int, fill_color: int | None = None):
         fill = r
         if not remaining:
             raise AssertionError("unused color with no remaining edge to carry it")
+    elif fill_color is not None and not 1 <= fill_color <= r:
+        raise ValueError(f"fill color {fill_color} out of range 1..{r}")
     elif remaining:
         fill = 1 if fill_color is None else fill_color
-        if not 1 <= fill <= r:
-            raise ValueError(f"fill color {fill} out of range 1..{r}")
     else:
         fill = None
     cols = [fill] * comb(n, 2)

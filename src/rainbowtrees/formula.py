@@ -19,14 +19,8 @@ def f_of_r(r: int) -> int:
     """The unique t >= 1 with C(t,2) + 2 <= r <= C(t+1,2) + 1."""
     if r < 2:
         raise ValueError(f"threshold undefined for r={r}; need r >= 2")
-    # Invert t(t-1)/2 + 2 <= r with an integer square root, then correct by
-    # scanning; the scan settles boundary cases exactly.
-    t = max(1, (1 + isqrt(8 * (r - 2))) // 2)
-    while comb(t, 2) + 2 > r:
-        t -= 1
-    while comb(t + 1, 2) + 1 < r:
-        t += 1
-    return t
+    # C(t,2) + 2 <= r  <=>  (2t - 1)^2 <= 8r - 15; the largest such t is the one
+    return (1 + isqrt(8 * r - 15)) // 2
 
 
 def r_range_for_t(t: int) -> tuple[int, int]:

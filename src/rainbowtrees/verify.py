@@ -121,11 +121,8 @@ def revalidate_witness(w: dict) -> bool:
             pairs.add(tuple(e))
         if len(pairs) != len(edges):
             return False
-        adj = [0] * n
-        for u, v in pairs:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return _connected_bitadj(n, adj) and bool(_bridges_bitadj(n, adj))
+        adj = _adjacency(n, pairs)
+        return _connected_bitadj(n, adj) and _has_bridge(n, adj)
     return False
 
 
@@ -221,35 +218,47 @@ def _connected_bitadj(n: int, adj: list[int]) -> bool:
     return seen == (1 << n) - 1
 
 
-def _bridges_bitadj(n: int, adj: list[int]) -> list[tuple[int, int]]:
-    disc = [-1] * n
-    low = [0] * n
-    out = []
-    timer = 0
+def _adjacency(n: int, edges) -> list[int]:
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
 
-    def dfs(v: int, parent: int) -> None:
-        nonlocal timer
-        disc[v] = low[v] = timer
-        timer += 1
-        nb = adj[v]
-        while nb:
-            b = nb & -nb
-            nb ^= b
-            w = b.bit_length() - 1
-            if w == parent:
-                continue
-            if disc[w] == -1:
-                dfs(w, v)
-                low[v] = min(low[v], low[w])
-                if low[w] > disc[v]:
-                    out.append((min(v, w), max(v, w)))
-            else:
-                low[v] = min(low[v], disc[w])
 
-    for v in range(n):
-        if disc[v] == -1:
-            dfs(v, -1)
-    return out
+def _has_bridge(n: int, adj: list[int]) -> bool:
+    """Whether the connected graph `adj` has a bridge: an edge whose
+    deletion disconnects it."""
+    for u in range(n):
+        for v in range(u + 1, n):
+            if adj[u] >> v & 1:
+                cut = adj.copy()
+                cut[u] ^= 1 << v
+                cut[v] ^= 1 << u
+                if not _connected_bitadj(n, cut):
+                    return True
+    return False
+
+
+def _masks_with_bit_count(m: int, k: int):
+    """Every m-bit mask with k >= 1 bits set, in increasing order (Gosper's hack)."""
+    mask = (1 << k) - 1
+    while mask >> m == 0:
+        yield mask
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | ((mask ^ ripple) >> 2) // low
+
+
+def _connected_graph_count(n: int) -> int:
+    """Labeled connected graphs on n vertices (OEIS A001187): all graphs on
+    j vertices, less those whose vertex 0 lies in a component of k < j."""
+    c = [0, 1]
+    for j in range(2, n + 1):
+        c.append(2 ** comb(j, 2) - sum(
+            comb(j - 1, k - 1) * c[k] * 2 ** comb(j - k, 2) for k in range(1, j)
+        ))
+    return c[n]
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +285,12 @@ def campaign_worstcase(max_n: int = 6, samples_per_cell: int = 100, seed: int = 
     for n in range(3, max_n + 1):
         for r in range(2, comb(n, 2) + 1):
             expected = partition_number(n, r)
-            cell_failures = 0
-            cell_instances = 1
+            instances, failures = report.instances, len(report.failures)
             c, _ = generate_canonical(n, r)
             got = solve(c).count
             report.instances += 1
             max_observed = got
             if got != expected:
-                cell_failures += 1
                 report.failures.append(
                     _failure("canonical-equality", c, n=n, r=r, observed=got, expected=expected)
                 )
@@ -301,37 +308,20 @@ def campaign_worstcase(max_n: int = 6, samples_per_cell: int = 100, seed: int = 
                 sample = random_surjective_coloring(n, r, rng)
                 value = solve(sample).count
                 report.instances += 1
-                cell_instances += 1
                 max_observed = max(max_observed, value)
                 if value > expected:
-                    cell_failures += 1
                     report.failures.append(
                         _failure("upper-bound", sample, n=n, r=r, observed=value, expected=expected)
                     )
             if n == 4:
-                exhaustive_max = 0
-                for sample in iter_surjective_colorings(4, r):
-                    exhaustive_max = max(exhaustive_max, solve(sample).count)
-                    report.instances += 1
-                    cell_instances += 1
-                if exhaustive_max != expected:
-                    cell_failures += 1
-                    report.failures.append(
-                        _failure(
-                            "exhaustive-max", None, n=4, r=r,
-                            observed=exhaustive_max, expected=expected,
-                        )
-                    )
-            report.cells.append(
-                {
-                    "n": n,
-                    "r": r,
-                    "instances": cell_instances,
-                    "failures": cell_failures,
-                    "max_observed": max_observed,
-                    "expected": expected,
-                }
-            )
+                values = [solve(sample).count for sample in iter_surjective_colorings(4, r)]
+                report.instances += len(values)
+                if max(values) != expected:
+                    report.failures.append(_failure("exhaustive-max", None, n=4, r=r,
+                                                    observed=max(values), expected=expected))
+            report.cells.append({"n": n, "r": r, "instances": report.instances - instances,
+                                 "failures": len(report.failures) - failures,
+                                 "max_observed": max_observed, "expected": expected})
     report.elapsed = time.monotonic() - t0
     return report
 
@@ -369,11 +359,14 @@ def campaign_monotonicity(trials: int = 1000, seed: int = 0) -> VerificationRepo
 def campaign_cutedge(max_n: int = 6) -> VerificationReport:
     """Every connected bridged graph on n vertices has at most C(n-1,2)+1 edges.
 
-    All 2^C(n,2) labeled graphs are enumerated with a connectivity filter.
-    Graphs at or above the bound get a bridge test: above the bound they must
-    be bridge-free, and at the bound the first bridged graph is recorded as
-    the tight witness (it is the complete graph on n-1 vertices plus a
-    pendant edge, up to relabeling).
+    A disconnected graph has at most C(n-1,2) edges, so only graphs with at
+    least `bound` = C(n-1,2)+1 edges can break the claim, and only those are
+    walked: by edge count, then by increasing edge mask (Gosper's hack).
+    Connected graphs above the bound must be bridge-free; at the bound the
+    first bridged graph is recorded as the tight witness (it is the complete
+    graph on n-1 vertices plus a pendant edge, up to relabeling).  The
+    `connected` count of each cell, which is also its number of instances,
+    comes from the recurrence for labeled connected graphs.
     """
     if max_n > 7:
         raise SizeGuardError(f"campaign guard: max_n={max_n} > 7")
@@ -381,64 +374,36 @@ def campaign_cutedge(max_n: int = 6) -> VerificationReport:
     t0 = time.monotonic()
     report = VerificationReport("cutedge", {"max_n": max_n}, 0)
     for n in range(3, max_n + 1):
+        failures = len(report.failures)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         m = len(pairs)
         bound = comb(n - 1, 2) + 1
-        connected_count = 0
         checked_above = 0
         witness_edges = None
-        cell_failures = 0
-        min_edges = n - 1
-        for mask in range(1 << m):
-            edge_count = mask.bit_count()
-            if edge_count < min_edges:
-                continue
-            adj = [0] * n
-            mm = mask
-            while mm:
-                b = mm & -mm
-                mm ^= b
-                u, v = pairs[b.bit_length() - 1]
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            if not _connected_bitadj(n, adj):
-                continue
-            connected_count += 1
-            if edge_count > bound:
-                checked_above += 1
-                if _bridges_bitadj(n, adj):
-                    cell_failures += 1
-                    report.failures.append(
-                        {
-                            "kind": "cutedge-bound",
-                            "n": n,
-                            "edges": edge_count,
-                            "bound": bound,
-                            "mask": mask,
-                        }
-                    )
-            elif edge_count == bound and witness_edges is None:
-                if _bridges_bitadj(n, adj):
-                    witness_edges = [
-                        [u, v] for i, (u, v) in enumerate(pairs) if mask >> i & 1
-                    ]
-        report.instances += connected_count
+        for edge_count in range(bound, m + 1):
+            for mask in _masks_with_bit_count(m, edge_count):
+                edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+                adj = _adjacency(n, edges)
+                if not _connected_bitadj(n, adj):
+                    continue
+                if edge_count > bound:
+                    checked_above += 1
+                    if _has_bridge(n, adj):
+                        report.failures.append({"kind": "cutedge-bound", "n": n,
+                                                "edges": edge_count, "bound": bound, "mask": mask})
+                elif witness_edges is None and _has_bridge(n, adj):
+                    witness_edges = [list(e) for e in edges]
+        connected = _connected_graph_count(n)
+        report.instances += connected
         if witness_edges is None:
-            cell_failures += 1
             report.failures.append({"kind": "cutedge-no-witness", "n": n, "bound": bound})
         else:
             report.witnesses.append(
                 {"kind": "cutedge-tight", "n": n, "bound": bound, "edges": witness_edges}
             )
-        report.cells.append(
-            {
-                "n": n,
-                "connected": connected_count,
-                "bound": bound,
-                "checked_above_bound": checked_above,
-                "failures": cell_failures,
-            }
-        )
+        report.cells.append({"n": n, "connected": connected, "bound": bound,
+                             "checked_above_bound": checked_above,
+                             "failures": len(report.failures) - failures})
     report.elapsed = time.monotonic() - t0
     return report
 
@@ -457,37 +422,36 @@ def campaign_constructive(max_n: int = 8, samples: int = 100, seed: int = 0) -> 
     )
     extremal_seen: set = set()
 
-    def check(c: EdgeColoring, mode: str, cell: dict) -> None:
+    def check(c: EdgeColoring) -> int:
+        """Check one coloring; return its most swap moves on a level, or 0
+        when it fails before they are known."""
         report.instances += 1
-        cell["instances"] += 1
         bound = partition_number(c.n, c.r)
         trace: list = []
         try:
             part = partition_complete(c, trace)
         except ConstructionDefect as exc:
-            cell["failures"] += 1
             report.failures.append(
                 _failure("construction-defect", c, n=c.n, r=c.r, detail=str(exc))
             )
-            return
+            return 0
         for level in trace:
             if level["moves"] > max(0, level["n"] - 2):
-                cell["failures"] += 1
                 report.failures.append(
                     _failure("swap-budget", c, n=c.n, r=c.r, level_n=level["n"], moves=level["moves"])
                 )
-                return
-        cell["max_swaps"] = max(cell["max_swaps"], max(lv["moves"] for lv in trace))
+                return 0
+        swaps = max(lv["moves"] for lv in trace)
         if c.n <= 7:
             exact = solve(c).count
             if part.count < exact:
-                cell["failures"] += 1
                 report.failures.append(
                     _failure("below-optimum", c, n=c.n, r=c.r, observed=part.count, exact=exact)
                 )
-                return
-        if part.count == bound and (c.n, mode) not in extremal_seen:
-            extremal_seen.add((c.n, mode))
+                return swaps
+        # each n runs in one mode only, so keying by n keeps one witness per (n, mode)
+        if part.count == bound and c.n not in extremal_seen:
+            extremal_seen.add(c.n)
             report.witnesses.append(
                 {
                     "kind": "constructive-extremal",
@@ -497,26 +461,25 @@ def campaign_constructive(max_n: int = 8, samples: int = 100, seed: int = 0) -> 
                     "coloring": format_coloring(c),
                 }
             )
+        return swaps
+
+    def add_cell(n: int, mode: str, colorings) -> None:
+        instances, failures = report.instances, len(report.failures)
+        max_swaps = max(map(check, colorings), default=0)
+        report.cells.append({"n": n, "mode": mode, "instances": report.instances - instances,
+                             "failures": len(report.failures) - failures, "max_swaps": max_swaps})
 
     exhaustive: list[tuple[int, int]] = [(3, r) for r in range(2, 4)]
     exhaustive += [(4, r) for r in range(2, 7)]
     for n, r in exhaustive:
-        if n > max_n:
-            continue
-        cell = {"n": n, "mode": "exhaustive", "instances": 0, "failures": 0, "max_swaps": 0}
-        for c in iter_surjective_colorings(n, r):
-            check(c, "exhaustive", cell)
-        report.cells.append(cell)
+        if n <= max_n:
+            add_cell(n, "exhaustive", iter_surjective_colorings(n, r))
     if max_n >= 5:
-        cell = {"n": 5, "mode": "exhaustive-r2", "instances": 0, "failures": 0, "max_swaps": 0}
-        for c in iter_two_colorings_up_to_swap(5):
-            check(c, "exhaustive", cell)
-        report.cells.append(cell)
+        add_cell(5, "exhaustive-r2", iter_two_colorings_up_to_swap(5))
     for n in range(6, max_n + 1):
-        cell = {"n": n, "mode": "random", "instances": 0, "failures": 0, "max_swaps": 0}
-        for _ in range(samples):
-            r = rng.randint(2, comb(n, 2))
-            check(random_surjective_coloring(n, r, rng), "random", cell)
-        report.cells.append(cell)
+        add_cell(n, "random", (
+            random_surjective_coloring(n, rng.randint(2, comb(n, 2)), rng)
+            for _ in range(samples)
+        ))
     report.elapsed = time.monotonic() - t0
     return report

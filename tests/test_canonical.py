@@ -85,6 +85,14 @@ def test_fill_override_rules():
         generate_canonical(5, 4, fill_color=2)  # the unused color is forced
 
 
+def test_fill_color_is_range_checked_when_no_edge_remains():
+    # K_3 with r = 3 is rainbow, so step 3 has no edge to color
+    c, layout = generate_canonical(3, 3, fill_color=2)
+    assert layout.fill_color is None
+    with pytest.raises(ValueError, match="fill color 99 out of range 1..3"):
+        generate_canonical(3, 3, fill_color=99)
+
+
 def test_extremal_partition_5_3():
     c, layout = generate_canonical(5, 3)
     p = extremal_partition(c, layout)

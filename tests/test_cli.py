@@ -68,6 +68,13 @@ def test_canonical_stdout_is_a_valid_coloring_file(capsys):
     assert c.n == 5 and c.r == 4
 
 
+def test_canonical_rejects_an_out_of_range_fill_color(capsys):
+    for n in (3, 4):
+        code, _, err = run_cli(capsys, "canonical", n, 3, "--fill", 99)
+        assert code == 1
+        assert "fill color 99 out of range 1..3" in err
+
+
 def test_canonical_partition_output(tmp_path, capsys):
     cfile = tmp_path / "c.txt"
     pfile = tmp_path / "p.txt"

@@ -199,7 +199,7 @@ def test_surviving_colors_after_splitting_a_bridged_component():
     # most C(n1-1,2)+1 edges, so at least r - (C(n1-1,2)+1) colors survive
     # on the complement
     from rainbowtrees import restrict
-    from rainbowtrees.verify import _bridges_bitadj
+    from rainbowtrees.verify import _has_bridge
 
     rng = random.Random(31415)
     checked = 0
@@ -219,7 +219,7 @@ def test_surviving_colors_after_splitting_a_bridged_component():
         for u, v in inside:
             adj[index[u]] |= 1 << index[v]
             adj[index[v]] |= 1 << index[u]
-        if not _bridges_bitadj(len(largest), adj):
+        if not _has_bridge(len(largest), adj):
             continue
         n1 = len(largest)
         assert len(inside) <= comb(n1 - 1, 2) + 1

@@ -45,6 +45,12 @@ def test_r_ranges_tile_the_integers():
         expected = hi + 1
 
 
+def test_threshold_is_exact_at_both_ends_of_every_range():
+    for t in [*range(1, 10_001), 10**9]:
+        lo, hi = r_range_for_t(t)
+        assert f_of_r(lo) == t == f_of_r(hi), t
+
+
 @settings(max_examples=200, derandomize=True)
 @given(st.integers(2, 100_000))
 def test_threshold_matches_scan_oracle(r):

@@ -22,7 +22,8 @@ from rainbowtrees import (
     solve,
     validate,
 )
-from rainbowtrees.verify import _bridges_bitadj, _connected_bitadj, revalidate_witness
+from rainbowtrees import verify
+from rainbowtrees.verify import _connected_bitadj, _has_bridge, revalidate_witness
 
 
 # ------------------------------------------------------- instance generators
@@ -124,6 +125,7 @@ def naive_bridges(n, edges):
 
 def test_bridges_match_naive_oracle():
     rng = random.Random(17)
+    outcomes = []
     for _ in range(300):
         n = rng.randint(2, 7)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -132,7 +134,11 @@ def test_bridges_match_naive_oracle():
         for u, v in edges:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        assert sorted(_bridges_bitadj(n, adj)) == naive_bridges(n, edges)
+        if _connected_bitadj(n, adj):
+            outcomes.append(_has_bridge(n, adj))
+            assert outcomes[-1] == bool(naive_bridges(n, edges))
+    assert len(outcomes) >= 100
+    assert set(outcomes) == {False, True}
 
 
 def test_connectivity_helper():
@@ -160,6 +166,23 @@ def test_campaign_worstcase_small_scale_passes():
 def test_campaign_worstcase_guard():
     with pytest.raises(SizeGuardError):
         campaign_worstcase(max_n=11)
+
+
+def test_campaign_worstcase_cells_count_their_own_failures(monkeypatch):
+    def overcounting_solve(c):
+        result = solve(c)
+        if (c.n, c.r) == (4, 3):
+            return dataclasses.replace(result, count=result.count + 1)
+        return result
+
+    monkeypatch.setattr(verify, "solve", overcounting_solve)
+    report = campaign_worstcase(max_n=5, samples_per_cell=10, seed=1)
+    assert not report.passed
+    for cell in report.cells:
+        records = [f for f in report.failures if (f["n"], f["r"]) == (cell["n"], cell["r"])]
+        assert cell["failures"] == len(records)
+    assert [(cell["n"], cell["r"]) for cell in report.cells if cell["failures"]] == [(4, 3)]
+    assert sum(cell["instances"] for cell in report.cells) == report.instances
 
 
 @pytest.mark.parametrize("campaign, kwargs, name", [
@@ -209,6 +232,41 @@ def test_campaign_cutedge_small():
     assert cells[5]["connected"] == 728
     with pytest.raises(SizeGuardError):
         campaign_cutedge(max_n=8)
+
+
+def full_cutedge_walk(max_n):
+    """Oracle: the cut-edge campaign over all 2^C(n,2) labeled graphs, with
+    the naive bridge test; returns its (cells, witnesses, instances)."""
+    cells, witnesses, instances = [], [], 0
+    for n in range(3, max_n + 1):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        bound = comb(n - 1, 2) + 1
+        connected = checked_above = failures = 0
+        witness = None
+        for mask in range(1 << len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            adj = [0] * n
+            for u, v in edges:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            if not _connected_bitadj(n, adj):
+                continue
+            connected += 1
+            if len(edges) > bound:
+                checked_above += 1
+                failures += bool(naive_bridges(n, edges))
+            elif len(edges) == bound and witness is None and naive_bridges(n, edges):
+                witness = [list(e) for e in edges]
+        instances += connected
+        witnesses.append({"kind": "cutedge-tight", "n": n, "bound": bound, "edges": witness})
+        cells.append({"n": n, "connected": connected, "bound": bound,
+                      "checked_above_bound": checked_above, "failures": failures})
+    return cells, witnesses, instances
+
+
+def test_campaign_cutedge_matches_the_full_walk():
+    report = campaign_cutedge(max_n=6)
+    assert (report.cells, report.witnesses, report.instances) == full_cutedge_walk(6)
 
 
 def test_campaign_constructive_small():
