@@ -44,14 +44,7 @@ from .errors import (
     SizeGuardError,
 )
 from .formula import f_of_r, partition_number, r_range_for_t
-from .rainbow import (
-    RainbowForest,
-    has_rainbow_spanning_tree,
-    max_rainbow_forest,
-    max_rainbow_forest_bruteforce,
-    max_rainbow_forest_size,
-    rainbow_spanning_tree,
-)
+from .rainbow import max_rainbow_forest, max_rainbow_forest_bruteforce
 from .solver import SolveResult, solve, solve_bruteforce
 from .verify import (
     VerificationReport,
@@ -71,7 +64,6 @@ __all__ = [
     "ConstructionDefect",
     "EdgeColoring",
     "FileFormatError",
-    "RainbowForest",
     "RainbowTreeMissingError",
     "RepresentativeSubgraph",
     "RestrictionMaps",
@@ -93,14 +85,12 @@ __all__ = [
     "format_coloring",
     "format_partition",
     "generate_canonical",
-    "has_rainbow_spanning_tree",
     "initial_representatives",
     "is_partition_valid",
     "iter_surjective_colorings",
     "iter_two_colorings_up_to_swap",
     "max_rainbow_forest",
     "max_rainbow_forest_bruteforce",
-    "max_rainbow_forest_size",
     "merge_colors",
     "monochromatic_complete",
     "parse_coloring",
@@ -109,7 +99,6 @@ __all__ = [
     "partition_number",
     "r_range_for_t",
     "rainbow_complete",
-    "rainbow_spanning_tree",
     "random_surjective_coloring",
     "read_coloring",
     "read_partition",

@@ -28,7 +28,7 @@ from math import comb
 from .coloring import EdgeColoring, Tree, TreePartition, edge_index, matching_trees
 from .errors import RainbowTreeMissingError
 from .formula import f_of_r
-from .rainbow import rainbow_spanning_tree
+from .rainbow import max_rainbow_forest
 
 
 @dataclass(frozen=True)
@@ -94,11 +94,10 @@ def extremal_partition(c: EdgeColoring, layout: CanonicalLayout) -> TreePartitio
     block = list(layout.core) + [layout.hub]
     if layout.extra is not None:
         block.append(layout.extra)
-    try:
-        forest = rainbow_spanning_tree(c, block)
-    except RainbowTreeMissingError as exc:
+    edges = max_rainbow_forest(c, block)
+    if len(edges) != len(block) - 1:
         raise RainbowTreeMissingError(
             f"canonical core block {block} lost its guaranteed rainbow spanning tree"
-        ) from exc
+        )
     rest = list(range(max(block) + 1, c.n))
-    return TreePartition((Tree.make(block, forest.edges), *matching_trees(c, rest)))
+    return TreePartition((Tree.make(block, edges), *matching_trees(c, rest)))

@@ -231,10 +231,9 @@ def validate(c: EdgeColoring) -> list[Violation]:
     if n < 1:
         out.append(Violation("BadVertexCount", (n,)))
         return out
-    if n == 1:
-        if r != 0:
-            out.append(Violation("BadColorCount", (r,)))
-    elif r < 1:
+    # more colors than edges: report r once, not one MissingColor per color
+    too_many = r > len(c._cols)
+    if too_many or (r != 0 if n == 1 else r < 1):
         out.append(Violation("BadColorCount", (r,)))
 
     used = set(c._cols)
@@ -243,7 +242,8 @@ def validate(c: EdgeColoring) -> list[Violation]:
         out += [Violation("BadColor", (u, v, col))
                 for (u, v), col in zip(c._pairs_in_order(), c._cols) if col in bad]
         used -= bad
-    out += [Violation("MissingColor", (col,)) for col in range(1, r + 1) if col not in used]
+    if not too_many:
+        out += [Violation("MissingColor", (col,)) for col in range(1, r + 1) if col not in used]
     return out
 
 

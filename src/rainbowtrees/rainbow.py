@@ -9,31 +9,19 @@ here reads its result: a maximum rainbow forest, deterministic for a given
 input.  Each augmenting phase roots the chosen forest once and reads every
 exchange arc from it, by climbing to where the two ends of an edge meet.
 
-Spanning-tree existence reduces to the maximum size: an acyclic edge set of
-size |W| - 1 on the vertex set W has exactly one component, so a maximum
-rainbow forest of that size is itself a rainbow spanning tree.
+Spanning-tree existence is a length check on that one result: an acyclic
+edge set of size |W| - 1 on the vertex set W has exactly one component, so
+W spans a rainbow tree iff max_rainbow_forest(c, W) has |W| - 1 edges.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 
 from .coloring import EdgeColoring
-from .errors import RainbowTreeMissingError, SizeGuardError
+from .errors import SizeGuardError
 from .unionfind import UnionFind
-
-
-@dataclass(frozen=True)
-class RainbowForest:
-    """An acyclic edge set whose colors are pairwise distinct."""
-
-    edges: tuple
-
-    @property
-    def size(self) -> int:
-        return len(self.edges)
 
 
 def _induced_items(c: EdgeColoring, within) -> tuple[list[int], list[tuple[int, int, int]]]:
@@ -147,33 +135,15 @@ def _max_common_set(items) -> list[int]:
     return [i for i in range(m) if in_set[i]]
 
 
-def max_rainbow_forest_size(c: EdgeColoring, within) -> int:
-    """Size of a maximum rainbow forest inside the induced subgraph."""
-    return max_rainbow_forest(c, within).size
+def max_rainbow_forest(c: EdgeColoring, within) -> tuple:
+    """The (u, v, color) edges of a maximum rainbow forest of the subgraph
+    induced by `within`, deterministic for a given input.
 
-
-def max_rainbow_forest(c: EdgeColoring, within) -> RainbowForest:
-    """A maximum rainbow forest of the induced subgraph, deterministic for a
-    given input."""
+    The result is a rainbow spanning tree of `within` exactly when it has
+    |within| - 1 edges.
+    """
     _, items = _induced_items(c, within)
-    return RainbowForest(tuple(items[i] for i in _max_common_set(items)))
-
-
-def has_rainbow_spanning_tree(c: EdgeColoring, within) -> bool:
-    """True iff the induced subgraph has a spanning tree with distinct colors."""
-    within = set(within)
-    return max_rainbow_forest(c, within).size == len(within) - 1
-
-
-def rainbow_spanning_tree(c: EdgeColoring, within) -> RainbowForest:
-    """A rainbow spanning tree of the induced subgraph, or a loud failure."""
-    within = set(within)
-    forest = max_rainbow_forest(c, within)
-    if forest.size != len(within) - 1:
-        raise RainbowTreeMissingError(
-            f"no rainbow spanning tree on vertex set {sorted(within)}"
-        )
-    return forest
+    return tuple(items[i] for i in _max_common_set(items))
 
 
 def max_rainbow_forest_bruteforce(c: EdgeColoring, within, max_edges: int = 20) -> int:

@@ -151,8 +151,7 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
         vs = [i for i in range(n) if mask >> i & 1]
         if len(vs) == 1:
             return Tree.make(vs)
-        forest = max_rainbow_forest(c, vs)
-        return Tree.make(vs, forest.edges)
+        return Tree.make(vs, max_rainbow_forest(c, vs))
 
     def checked(count: int, blocks) -> SolveResult:
         partition = TreePartition(tuple(block_tree(b) for b in blocks))

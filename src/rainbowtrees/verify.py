@@ -81,7 +81,8 @@ class VerificationReport:
 
 def revalidate_witness(w: dict) -> bool:
     """Re-check one witness from its serialized fields; malformed input
-    (a missing or mistyped field, an unreadable coloring) returns False.
+    (not a dict, a missing or mistyped field, an unreadable coloring)
+    returns False.
 
     An extremal witness must carry a valid coloring of K_n whose n and r
     are the recorded ones, and its recorded value must equal both the
@@ -92,6 +93,8 @@ def revalidate_witness(w: dict) -> bool:
     (u, v), 0 <= u < v < n, that form a connected graph with a bridge, and
     record that bound.
     """
+    if not isinstance(w, dict):
+        return False
     kind = w.get("kind")
     if kind in ("canonical-extremal", "constructive-extremal"):
         if not isinstance(w.get("coloring"), str):

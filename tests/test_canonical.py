@@ -2,6 +2,7 @@ import pytest
 from math import comb
 
 from rainbowtrees import (
+    RainbowTreeMissingError,
     extremal_partition,
     f_of_r,
     format_coloring,
@@ -11,6 +12,7 @@ from rainbowtrees import (
     solve,
     validate,
 )
+from rainbowtrees import canonical
 
 
 def test_canonical_4_3_layout():
@@ -118,6 +120,19 @@ def test_extremal_partition_8_5():
     assert p.count == 3 == partition_number(8, 5)
     sizes = sorted(len(t.vertices) for t in p.trees)
     assert sizes == [1, 2, 5]
+
+
+def test_extremal_partition_is_loud_when_the_core_tree_is_missing(monkeypatch):
+    real = canonical.max_rainbow_forest
+
+    def one_edge_short(c, within):
+        return real(c, within)[1:]
+
+    monkeypatch.setattr(canonical, "max_rainbow_forest", one_edge_short)
+    c, layout = generate_canonical(8, 5)
+    missing = r"canonical core block \[0, 1, 2, 3, 4\] lost"
+    with pytest.raises(RainbowTreeMissingError, match=missing):
+        extremal_partition(c, layout)
 
 
 def test_extremal_partition_matches_formula_everywhere():

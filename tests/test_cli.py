@@ -143,6 +143,15 @@ def test_invalid_coloring_rejected(tmp_path, capsys):
     assert f"{cfile}: invalid coloring: MissingColor" in err
 
 
+def test_color_count_above_the_edge_count_is_one_short_error(tmp_path, capsys):
+    cfile = tmp_path / "bad.txt"
+    cfile.write_text("3 100000\n0 1 1\n0 2 1\n1 2 1\n")
+    code, _, err = run_cli(capsys, "solve", cfile)
+    assert code == 1
+    assert "BadColorCount(100000,)" in err
+    assert len(err) < 1024
+
+
 def test_usage_error_exit_code(capsys):
     assert run_cli(capsys, "no-such-command")[0] == 1
     assert run_cli(capsys, "formula", "x", "y")[0] == 1

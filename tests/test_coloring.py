@@ -10,6 +10,7 @@ from rainbowtrees import (
     FileFormatError,
     Tree,
     TreePartition,
+    Violation,
     format_coloring,
     format_partition,
     is_partition_valid,
@@ -40,6 +41,14 @@ def test_validate_missing_color():
     codes = [v.code for v in validate(c)]
     assert codes == ["MissingColor"]
     assert validate(c)[0].info == (3,)
+
+
+def test_validate_reports_a_color_count_above_the_edge_count_once():
+    # r > C(3, 2): one BadColorCount, not one MissingColor per absent color
+    assert validate(EdgeColoring(3, 10**6, (1, 1, 1))) == [
+        Violation("BadColorCount", (10**6,))]
+    assert validate(EdgeColoring(3, 4, (1, 2, 5))) == [
+        Violation("BadColorCount", (4,)), Violation("BadColor", (1, 2, 5))]
 
 
 @pytest.mark.parametrize("key", [(1, 0), (0, 5), (1, 1), ("a", 1), (0, 1, 2)],

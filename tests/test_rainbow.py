@@ -5,16 +5,12 @@ import pytest
 
 from rainbowtrees import (
     EdgeColoring,
-    RainbowTreeMissingError,
     SizeGuardError,
     generate_canonical,
-    has_rainbow_spanning_tree,
     max_rainbow_forest,
     max_rainbow_forest_bruteforce,
-    max_rainbow_forest_size,
     monochromatic_complete,
     rainbow_complete,
-    rainbow_spanning_tree,
 )
 from rainbowtrees.rainbow import _max_common_set
 from rainbowtrees.unionfind import UnionFind
@@ -32,14 +28,14 @@ def random_coloring(rng, n, edge_prob=0.8):
 
 def test_monochromatic_k4_max_forest_is_one_edge():
     c = monochromatic_complete(4)
-    assert max_rainbow_forest_size(c, range(4)) == 1
-    assert max_rainbow_forest(c, range(4)).edges == ((0, 1, 1),)
+    assert len(max_rainbow_forest(c, range(4))) == 1
+    assert max_rainbow_forest(c, range(4)) == ((0, 1, 1),)
 
 
 def test_rainbow_k4_has_spanning_tree():
     c = rainbow_complete(4)
-    assert max_rainbow_forest_size(c, range(4)) == 3
-    assert has_rainbow_spanning_tree(c, range(4))
+    # |W| - 1 = 3 edges: a rainbow spanning tree
+    assert len(max_rainbow_forest(c, range(4))) == 3
 
 
 def test_canonical_5_3_core_block():
@@ -47,30 +43,23 @@ def test_canonical_5_3_core_block():
     block = [0, 1, 2, 3]
     assert max_rainbow_forest_bruteforce(c, block) == 3
     forest = max_rainbow_forest(c, block)
-    assert forest.size == 3
-    assert forest.edges == ((0, 2, 2), (0, 3, 1), (1, 2, 3))
-    assert has_rainbow_spanning_tree(c, block)
+    assert len(forest) == len(block) - 1
+    assert forest == ((0, 2, 2), (0, 3, 1), (1, 2, 3))
     # the whole graph needs 4 distinct colors but only 3 exist
-    assert not has_rainbow_spanning_tree(c, range(5))
+    assert len(max_rainbow_forest(c, range(5))) < 5 - 1
 
 
 def test_single_vertex_always_has_spanning_tree():
     c = monochromatic_complete(4)
-    assert has_rainbow_spanning_tree(c, [2])
-    assert max_rainbow_forest(c, [2]).size == 0
+    # no edges, |W| - 1 = 0: a single vertex spans itself
+    assert max_rainbow_forest(c, [2]) == ()
 
 
-def test_rainbow_spanning_tree_is_loud_when_missing():
-    c = monochromatic_complete(4)
-    with pytest.raises(RainbowTreeMissingError):
-        rainbow_spanning_tree(c, range(4))
-
-
-def test_rainbow_spanning_tree_really_spans():
+def test_a_spanning_size_forest_really_spans():
     c = rainbow_complete(6)
-    forest = rainbow_spanning_tree(c, [1, 3, 4, 5])
-    assert forest.size == 3
-    touched = {x for u, v, _ in forest.edges for x in (u, v)}
+    forest = max_rainbow_forest(c, [1, 3, 4, 5])
+    assert len(forest) == 3
+    touched = {x for u, v, _ in forest for x in (u, v)}
     assert touched == {1, 3, 4, 5}
 
 
@@ -87,10 +76,10 @@ def test_matroid_intersection_agrees_with_bruteforce():
         n = rng.randint(2, 6)
         c = random_coloring(rng, n)
         within = rng.sample(range(n), rng.randint(1, n))
-        fast = max_rainbow_forest_size(c, within)
+        fast = max_rainbow_forest(c, within)
         slow = max_rainbow_forest_bruteforce(c, within)
-        assert fast == slow, (c.colors, within)
-        assert max_rainbow_forest(c, within).size == slow, (c.colors, within)
+        assert len(fast) == slow, (c.colors, within)
+        assert max_rainbow_forest(c, within) == fast, (c.colors, within)
 
 
 def test_forest_invariants_hold():
@@ -100,12 +89,12 @@ def test_forest_invariants_hold():
         c = random_coloring(rng, n)
         within = rng.sample(range(n), rng.randint(1, n))
         forest = max_rainbow_forest(c, within)
-        cols = [col for _, _, col in forest.edges]
+        cols = [col for _, _, col in forest]
         assert len(set(cols)) == len(cols)
         verts = sorted(set(within))
         index = {v: i for i, v in enumerate(verts)}
         uf = UnionFind(len(verts))
-        for u, v, _ in forest.edges:
+        for u, v, _ in forest:
             assert u in index and v in index
             assert uf.union(index[u], index[v]), "forest contains a cycle"
 
@@ -117,7 +106,7 @@ def test_enlarging_within_never_shrinks_the_maximum():
         c = random_coloring(rng, n)
         small = rng.sample(range(n), rng.randint(1, n - 1))
         big = small + [v for v in range(n) if v not in small][:1]
-        assert max_rainbow_forest_size(c, small) <= max_rainbow_forest_size(c, big)
+        assert len(max_rainbow_forest(c, small)) <= len(max_rainbow_forest(c, big))
 
 
 def test_spanning_size_maximizers_are_returned_as_trees():
@@ -128,13 +117,13 @@ def test_spanning_size_maximizers_are_returned_as_trees():
         n = rng.randint(3, 6)
         c = random_coloring(rng, n, edge_prob=1.0)
         within = rng.sample(range(n), rng.randint(2, n))
-        if has_rainbow_spanning_tree(c, within):
+        forest = max_rainbow_forest(c, within)
+        if len(forest) == len(within) - 1:
             found += 1
-            forest = max_rainbow_forest(c, within)
-            assert forest.size == len(set(within)) - 1
+            assert len(forest) == len(set(within)) - 1
             index = {v: i for i, v in enumerate(sorted(set(within)))}
             uf = UnionFind(len(index))
-            for u, v, _ in forest.edges:
+            for u, v, _ in forest:
                 uf.union(index[u], index[v])
             assert uf.size[uf.find(0)] == len(index)
     assert found > 20
@@ -143,9 +132,9 @@ def test_spanning_size_maximizers_are_returned_as_trees():
 def test_within_validation():
     c = rainbow_complete(4)
     with pytest.raises(ValueError):
-        max_rainbow_forest_size(c, [])
+        max_rainbow_forest(c, [])
     with pytest.raises(ValueError):
-        max_rainbow_forest_size(c, [0, 9])
+        max_rainbow_forest(c, [0, 9])
 
 
 # ------------------------------------------------- augmenting-phase reference

@@ -5,7 +5,6 @@ from math import comb
 
 from rainbowtrees import (
     EdgeColoring,
-    RainbowForest,
     SizeGuardError,
     Tree,
     TreePartition,
@@ -171,8 +170,8 @@ def test_solve_rejects_an_invalid_witness(monkeypatch):
     real = solver.max_rainbow_forest
 
     def forest_with_a_wrong_color(c, within):
-        (u, v, col), *rest = real(c, within).edges
-        return RainbowForest(((u, v, col % c.r + 1), *rest))
+        (u, v, col), *rest = real(c, within)
+        return ((u, v, col % c.r + 1), *rest)
 
     monkeypatch.setattr(solver, "max_rainbow_forest", forest_with_a_wrong_color)
     # one whole-graph block, and a partition found by the subset DP
@@ -201,12 +200,12 @@ def submask_dp_reference(c):
     def feasible(mask):
         if mask not in feas:
             vs = vertices(mask)
-            feas[mask] = max_rainbow_forest(c, vs).size == len(vs) - 1
+            feas[mask] = len(max_rainbow_forest(c, vs)) == len(vs) - 1
         return feas[mask]
 
     def tree(mask):
         vs = vertices(mask)
-        return Tree.make(vs, max_rainbow_forest(c, vs).edges if len(vs) > 1 else ())
+        return Tree.make(vs, max_rainbow_forest(c, vs) if len(vs) > 1 else ())
 
     if feasible(full):
         return 1, TreePartition((tree(full),)), len(feas)
@@ -296,7 +295,7 @@ def assert_block_table_matches_intersections(c):
             assert not feas[mask]
             continue
         checks += 1
-        spanning = max_rainbow_forest(c, vs).size == len(vs) - 1
+        spanning = len(max_rainbow_forest(c, vs)) == len(vs) - 1
         assert feas[mask] == spanning, (format_coloring(c), vs)
         if spanning:
             kept = colors[mask]

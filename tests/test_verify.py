@@ -325,6 +325,14 @@ def test_witness_revalidation_catches_tampering():
     assert not revalidate_witness({"kind": "unknown"})
 
 
+def test_a_witness_that_is_not_a_dict_is_rejected_not_raised():
+    for w in ("x", 3, None, ["kind"]):
+        assert not revalidate_witness(w)
+    report = campaign_cutedge(max_n=4)
+    report.witnesses.append("x")
+    assert not VerificationReport.from_json(report.to_json()).revalidate()
+
+
 def test_cutedge_witness_must_record_the_true_bound():
     # a path is connected and every edge is a bridge, but 4 != C(4, 2) + 1
     path = [[0, 1], [1, 2], [2, 3], [3, 4]]
