@@ -16,11 +16,15 @@ rejects, then one matroid intersection, whose tree gives the block's colors.
 Then the partitions are counted level by level: level k is one 2^n-bit
 integer whose bit M is set iff the subset M splits into at most k feasible
 blocks, and level k + 1 is level k OR-ed with each feasible block B shifted
-onto the masks of level k disjoint from B.  The count is the first level
-holding the full set.  One optimal witness is read back from the levels,
-taking at each step the smallest block mask that contains the lowest
-uncovered vertex; each of its trees is read from max_rainbow_forest.  Desk
-scale only (n <= 14 by default).
+onto the masks of level k disjoint from B.  The walk that builds a level
+skips every block lying inside no feasible block (read from the downward
+closure of the table, taken once with n big-int steps), since no block
+grown from it is feasible.  The count is the first level holding the full
+set; the test is one AND of the feasible blocks with the level mirrored,
+bit M moved to bit full ^ M.  One optimal witness is read back from the
+levels, taking at each step the smallest block mask that contains the
+lowest uncovered vertex; each of its trees is read from max_rainbow_forest.
+Desk scale only (n <= 14 by default).
 
 solve_bruteforce() is the independent oracle: it enumerates all set
 partitions of the vertices and checks each block with the subset-enumeration
@@ -56,6 +60,9 @@ class SolveResult:
         vertex set, then every block of at most r + 1 vertices;
       masks - block shifts of the level DP, one per (level, feasible block)
         pair;
+      blocks_walked - blocks the level walk visits, summed over levels: the
+        nonempty blocks lying inside some feasible block (each costs one
+        2^n-bit AND);
       cache_hits - feasibility table reads of the witness walk;
       intersections - blocks that ran a matroid intersection: the full
         vertex set, and each table block that neither leaf certificate nor
@@ -65,6 +72,17 @@ class SolveResult:
     count: int
     partition: TreePartition
     stats: dict
+
+
+# feas bytes to binary digits and back
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _mirror(bits: int, n: int) -> int:
+    """bits with bit M moved to bit full ^ M, full = 2^n - 1, by reversing
+    its 2^n binary digits."""
+    return int(format(bits, f"0{1 << n}b")[::-1], 2)
 
 
 def _block_feasible(items, need: int, stats: dict) -> int | None:
@@ -140,7 +158,8 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
     n, r = c.n, c.r
     if n > max_n:
         raise SizeGuardError(f"n={n} exceeds solver guard {max_n}")
-    stats = {"masks": 0, "feasibility_checks": 0, "cache_hits": 0, "intersections": 0}
+    stats = {"masks": 0, "feasibility_checks": 0, "cache_hits": 0, "intersections": 0,
+             "blocks_walked": 0}
     if n == 1:
         return SolveResult(1, TreePartition((Tree.make([0]),)), stats)
 
@@ -174,31 +193,45 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
     every = (1 << (full + 1)) - 1
     keep = [every // ((1 << (2 << v)) - 1) * ((1 << (1 << v)) - 1) for v in range(n)]
 
+    # bit M of feasible is feas[M]; inside is its downward closure, the
+    # blocks that lie inside some feasible block, rendered back to bytes
+    feasible = int(feas.translate(_BITS)[::-1], 2)
+    inside = feasible
+    for v in range(n):
+        inside |= (inside & ~keep[v]) >> (1 << v)
+    inside = format(inside, f"0{full + 1}b")[::-1].encode().translate(_FLAGS)
+
     def next_level(level: int) -> int:
         """Level k + 1 from level k.  Blocks are enumerated depth first, so
         the masks of level k disjoint from a block cost one AND on those
-        disjoint from its parent block."""
+        disjoint from its parent block.  A block inside no feasible block
+        is skipped with everything grown from it, none of which can be
+        feasible; every feasible block is still shifted."""
         out = level
-        shifts = 0
+        shifts = walked = 0
         stack = [(0, level, 0, cap)]
         while stack:
             block, part, start, room = stack.pop()
             for v in range(start, n):
-                sub = part & keep[v]
                 grown = block | 1 << v
+                if not inside[grown]:
+                    continue
+                walked += 1
+                sub = part & keep[v]
                 if feas[grown]:
                     out |= sub << grown
                     shifts += 1
                 if room > 1:
                     stack.append((grown, sub, v + 1, room - 1))
         stats["masks"] += shifts
+        stats["blocks_walked"] += walked
         return out
 
     # levels[k] marks the masks that split into at most k feasible blocks;
-    # the full set is in level k + 1 iff a feasible block holding vertex 0
-    # leaves a rest in level k
+    # the full set is in level k + 1 iff some feasible block B leaves its
+    # rest full ^ B in level k, that is, B is in mirror(level k)
     levels = [1]
-    while not any(feas[b] and levels[-1] >> (full ^ b) & 1 for b in range(1, full, 2)):
+    while not feasible & _mirror(levels[-1], n):
         levels.append(next_level(levels[-1]))
     count = len(levels)
 

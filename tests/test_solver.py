@@ -243,6 +243,61 @@ def submask_dp_reference(c):
     return dp[full], TreePartition(tuple(tree(b) for b in blocks)), len(feas)
 
 
+def unpruned_level_dp(c):
+    """solve()'s level phase without the prune, as oracle: on solve()'s own
+    block table, every block of at most r + 1 vertices is walked on every
+    level, the stop test scans every feasible block holding vertex 0, and
+    the witness is read back by ascending submasks.  Returns the count, the
+    partition, the block shifts and the blocks walked."""
+    n, cap = c.n, c.r + 1
+    full = (1 << n) - 1
+
+    def tree(mask):
+        vs = [i for i in range(n) if mask >> i & 1]
+        return Tree.make(vs, max_rainbow_forest(c, vs) if len(vs) > 1 else ())
+
+    if len(max_rainbow_forest(c, range(n))) == n - 1:
+        return 1, TreePartition((tree(full),)), 0, 0
+    feas, _ = solver._block_table(c, cap, {"feasibility_checks": 0, "intersections": 0})
+    every = (1 << (full + 1)) - 1
+    keep = [every // ((1 << (2 << v)) - 1) * ((1 << (1 << v)) - 1) for v in range(n)]
+    shifts = walked = 0
+
+    def next_level(level):
+        nonlocal shifts, walked
+        out = level
+        stack = [(0, level, 0, cap)]
+        while stack:
+            block, part, start, room = stack.pop()
+            for v in range(start, n):
+                walked += 1
+                sub = part & keep[v]
+                grown = block | 1 << v
+                if feas[grown]:
+                    out |= sub << grown
+                    shifts += 1
+                if room > 1:
+                    stack.append((grown, sub, v + 1, room - 1))
+        return out
+
+    levels = [1]
+    while not any(feas[b] and levels[-1] >> (full ^ b) & 1 for b in range(1, full, 2)):
+        levels.append(next_level(levels[-1]))
+    blocks = []
+    mask = full
+    for rest_level in reversed(levels):
+        low = mask & -mask
+        rest = mask ^ low
+        sub = 0
+        while not (feas[sub | low] and rest_level >> (mask ^ (sub | low)) & 1):
+            if sub == rest:
+                raise AssertionError(f"dp levels are inconsistent at mask {mask:#x}")
+            sub = (sub - rest) & rest
+        blocks.append(sub | low)
+        mask ^= sub | low
+    return len(levels), TreePartition(tuple(tree(b) for b in blocks)), shifts, walked
+
+
 def random_subgraph_coloring(n, r, keep, rng):
     """A surjective r-coloring of a random subgraph of K_n keeping about a
     `keep` share of the edges (at least r of them)."""
@@ -279,6 +334,62 @@ def test_level_dp_matches_the_submask_dp_reference():
         assert res.count == count, format_coloring(c)
         assert format_partition(res.partition) == format_partition(partition), format_coloring(c)
         assert res.stats["feasibility_checks"] == checks, format_coloring(c)
+
+
+def assert_pruned_walk_matches_the_unpruned_walk(c):
+    count, partition, shifts, walked = unpruned_level_dp(c)
+    res = solve(c)
+    assert res.count == count, format_coloring(c)
+    assert format_partition(res.partition) == format_partition(partition), format_coloring(c)
+    assert res.stats["masks"] == shifts, format_coloring(c)
+    assert 0 <= res.stats["blocks_walked"] <= walked, format_coloring(c)
+    return res
+
+
+def test_pruned_level_walk_matches_the_unpruned_walk():
+    rng = random.Random(1729)
+    for n in range(8, 14):
+        for r in (2, 3, 5):
+            assert_pruned_walk_matches_the_unpruned_walk(generate_canonical(n, r)[0])
+        for r in (1, 2, 4, rng.randint(5, n)):
+            assert_pruned_walk_matches_the_unpruned_walk(random_surjective_coloring(n, r, rng))
+
+
+def test_pruned_level_walk_on_sparse_subgraphs():
+    # most blocks of a sparse subgraph are infeasible, so most are pruned
+    rng = random.Random(1730)
+    for n, r, keep in ((8, 3, 0.3), (9, 4, 0.25), (10, 5, 0.3), (11, 4, 0.2), (12, 6, 0.25)):
+        res = assert_pruned_walk_matches_the_unpruned_walk(random_subgraph_coloring(n, r, keep, rng))
+        assert res.count > 1
+
+
+def test_pruned_level_walk_stops_at_count_two_and_at_half_of_n():
+    # the first level that can hold the full set, and the last one
+    for n in (8, 11, 13):
+        r = min(k for k in range(2, comb(n, 2)) if partition_number(n, k) == 2)
+        assert assert_pruned_walk_matches_the_unpruned_walk(generate_canonical(n, r)[0]).count == 2
+        c = monochromatic_complete(n)
+        assert assert_pruned_walk_matches_the_unpruned_walk(c).count == (n + 1) // 2
+
+
+def test_pruned_level_walk_skips_blocks_on_a_canonical_coloring():
+    c = generate_canonical(13, 5)[0]
+    _, _, _, walked = unpruned_level_dp(c)
+    assert solve(c).stats["blocks_walked"] < walked
+
+
+def test_mirror_moves_bit_m_to_bit_full_xor_m():
+    rng = random.Random(99)
+    for n in range(2, 15):
+        full = (1 << n) - 1
+        for _ in range(3):
+            bits = rng.getrandbits(full + 1)
+            mirrored = solver._mirror(bits, n)
+            assert mirrored >> (full + 1) == 0
+            for m in range(full + 1):
+                assert mirrored >> m & 1 == bits >> (full ^ m) & 1
+        assert solver._mirror(1, n) == 1 << full
+        assert solver._mirror(0, n) == 0
 
 
 def assert_block_table_matches_intersections(c):
