@@ -28,7 +28,7 @@ print(f"  core clique      = {layout.core}")
 print(f"  hub vertex       = {layout.hub}")
 print(f"  extra vertex     = {layout.extra}")
 print(f"  fill color       = {layout.fill_color}")
-print(f"  hub edge colors  = {layout.hub_edges}")
+print(f"  hub edge colors  = {dict(layout.hub_edges)}")
 
 print("\ncoloring file body:")
 print(format_coloring(coloring), end="")

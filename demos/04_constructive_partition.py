@@ -26,7 +26,7 @@ from rainbowtrees import (
 c, _ = generate_canonical(5, 3)
 print("hill-climb on the canonical K_5 with 3 colors")
 s = initial_representatives(c)
-print(f"  start: reps={s.rep_edges} largest={s.largest_size}")
+print(f"  start: reps={dict(s.rep_edges)} largest={s.largest_size}")
 while (move := find_swap(s, c)) is not None:
     print(f"  swap color {move.color}: {move.old_edge} -> {move.new_edge} "
           f"(largest {s.largest_size} -> {move.new_largest_size})")

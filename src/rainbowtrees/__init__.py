@@ -53,7 +53,6 @@ from .verify import (
     campaign_monotonicity,
     campaign_worstcase,
     iter_surjective_colorings,
-    iter_two_colorings_up_to_swap,
     random_surjective_coloring,
 )
 
@@ -88,7 +87,6 @@ __all__ = [
     "initial_representatives",
     "is_partition_valid",
     "iter_surjective_colorings",
-    "iter_two_colorings_up_to_swap",
     "max_rainbow_forest",
     "max_rainbow_forest_bruteforce",
     "merge_colors",

@@ -22,8 +22,10 @@ extra vertex, plus a perfect matching (and possibly a singleton) on the rest.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import comb
+from types import MappingProxyType
 
 from .coloring import EdgeColoring, Tree, TreePartition, edge_index, matching_trees
 from .errors import RainbowTreeMissingError
@@ -40,7 +42,7 @@ class CanonicalLayout:
     hub: int               # vertex t, carries the leftover colors
     extra: int | None      # vertex t+1 when n >= t+2, else None
     fill_color: int | None  # step-3 color, None when no edge remains
-    hub_edges: dict        # leftover color -> its core-hub edge
+    hub_edges: Mapping     # leftover color -> its core-hub edge, read-only
 
 
 def generate_canonical(n: int, r: int, fill_color: int | None = None):
@@ -85,7 +87,7 @@ def generate_canonical(n: int, r: int, fill_color: int | None = None):
         cols[edge_index(n, u, v)] = col
 
     extra = t + 1 if n >= t + 2 else None
-    layout = CanonicalLayout(t, core, hub, extra, fill, hub_edges)
+    layout = CanonicalLayout(t, core, hub, extra, fill, MappingProxyType(hub_edges))
     return EdgeColoring(n, r, cols), layout
 
 

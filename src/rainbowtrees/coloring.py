@@ -325,10 +325,10 @@ def merge_colors(c: EdgeColoring, src: int, dst: int) -> EdgeColoring:
 
 @dataclass(frozen=True)
 class RestrictionMaps:
-    """Old-to-new renumberings produced by restrict()."""
+    """Old-to-new renumberings produced by restrict(), read-only."""
 
-    vertex_map: dict
-    color_map: dict
+    vertex_map: Mapping
+    color_map: Mapping
 
     def vertices_back(self) -> dict:
         return {new: old for old, new in self.vertex_map.items()}
@@ -358,7 +358,7 @@ def restrict(c: EdgeColoring, keep) -> tuple[EdgeColoring, RestrictionMaps]:
     cmap = {old: new for new, old in enumerate(surviving, start=1)}
     recolored = [cmap[col] for col in induced]
     sub = EdgeColoring(len(kept), len(surviving), dict(zip(pairs, recolored)))
-    return sub, RestrictionMaps(vmap, cmap)
+    return sub, RestrictionMaps(MappingProxyType(vmap), MappingProxyType(cmap))
 
 
 def matching_trees(c: EdgeColoring, vertices) -> list[Tree]:
@@ -461,6 +461,9 @@ def parse_partition(text: str, c: EdgeColoring) -> TreePartition:
         if len(set(verts)) < len(verts):
             repeated = next(v for i, v in enumerate(verts) if v in verts[:i])
             raise FileFormatError(f"vertex {repeated} repeated in tree line", lineno)
+        for v in verts:
+            if not 0 <= v < c.n:
+                raise FileFormatError(f"vertex {v} out of range 0..{c.n - 1}", lineno)
         tail_parts = tail.split()
         if not tail_parts or tail_parts[0] != "edges":
             raise FileFormatError("edge list must start with `edges`", lineno)

@@ -31,7 +31,9 @@ carrying the serialized instance, it is never accepted silently.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .coloring import (
     EdgeColoring,
@@ -54,7 +56,7 @@ from .unionfind import UnionFind
 class RepresentativeSubgraph:
     """One chosen edge per color; components ordered by decreasing size."""
 
-    rep_edges: dict    # color -> (u, v)
+    rep_edges: Mapping  # color -> (u, v), read-only
     components: tuple  # frozensets, sorted by (-size, min vertex)
     forest: tuple      # (u, v), u < v: the edges that join components, in order
 
@@ -72,7 +74,7 @@ class RepresentativeSubgraph:
         for v in verts:
             groups.setdefault(uf.find(index[v]), set()).add(v)
         comps = sorted(groups.values(), key=lambda g: (-len(g), min(g)))
-        return cls(dict(rep_edges), tuple(frozenset(g) for g in comps), forest)
+        return cls(MappingProxyType(dict(rep_edges)), tuple(frozenset(g) for g in comps), forest)
 
     @property
     def largest_size(self) -> int:

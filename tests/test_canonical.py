@@ -32,6 +32,13 @@ def test_canonical_4_3_layout():
     }
 
 
+def test_canonical_layout_hub_edges_are_read_only():
+    _, layout = generate_canonical(4, 3)
+    with pytest.raises(TypeError):
+        layout.hub_edges[3] = (1, 2)
+    assert layout.hub_edges == {2: (0, 2), 3: (1, 2)}
+
+
 def test_canonical_5_4_uses_the_leftover_color_as_fill():
     # r = C(3,2)+1 leaves one color unplaced after the hub edges
     c, layout = generate_canonical(5, 4)

@@ -187,6 +187,16 @@ def test_restrict_to_identity():
     assert maps.color_map == {1: 1, 2: 2, 3: 3}
 
 
+def test_restriction_maps_are_read_only():
+    _, maps = restrict(rainbow_complete(4), {0, 1, 2})
+    with pytest.raises(TypeError):
+        maps.vertex_map[3] = 3
+    with pytest.raises(TypeError):
+        maps.color_map[4] = 4
+    assert maps.vertex_map == {0: 0, 1: 1, 2: 2}
+    assert maps.color_map == {1: 1, 2: 2, 4: 3}
+
+
 def test_restrict_rainbow_k4_to_triangle():
     sub, maps = restrict(rainbow_complete(4), {0, 1, 2})
     assert sub.n == 3 and sub.r == 3
@@ -301,6 +311,14 @@ def test_parse_partition_rejects_a_repeated_vertex():
     c = EdgeColoring(3, 1, {(0, 1): 1})
     with pytest.raises(FileFormatError, match="line 2: vertex 0 repeated in tree line"):
         parse_partition("tree 2 ; edges\ntree 0 0 1 ; edges (0,1)\n", c)
+
+
+def test_parse_partition_rejects_an_out_of_range_vertex():
+    c = rainbow_complete(3)
+    with pytest.raises(FileFormatError, match=r"line 1: vertex 7 out of range 0\.\.2"):
+        parse_partition("tree 7 ; edges\n", c)
+    with pytest.raises(FileFormatError, match=r"line 2: vertex -1 out of range 0\.\.2"):
+        parse_partition("# header\ntree -1 0 1 2 ; edges (0,1) (1,2)\n", c)
 
 
 # Fuzzed file text: free text, and lines shaped like both file grammars

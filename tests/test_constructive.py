@@ -18,7 +18,7 @@ from rainbowtrees import (
     generate_canonical,
     initial_representatives,
     is_partition_valid,
-    iter_two_colorings_up_to_swap,
+    iter_surjective_colorings,
     monochromatic_complete,
     partition_complete,
     partition_number,
@@ -39,6 +39,16 @@ def test_initial_representatives_canonical_5_3():
     assert s.components == (frozenset({0, 1, 2}),)
     assert s.largest_size == 3
     assert s.component_count == 1
+
+
+def test_representative_edges_are_read_only():
+    reps = {1: (0, 1), 2: (2, 3)}
+    s = RepresentativeSubgraph.from_edges(reps)
+    with pytest.raises(TypeError):
+        s.rep_edges[1] = (1, 2)
+    reps[1] = (1, 2)  # the caller's dict is copied, not shared
+    assert s.rep_edges == {1: (0, 1), 2: (2, 3)}
+    assert s == RepresentativeSubgraph.from_edges({1: (0, 1), 2: (2, 3)})
 
 
 def test_initial_representatives_rainbow_triangle():
@@ -149,12 +159,11 @@ def test_partition_single_vertex():
 
 
 def test_every_2_coloring_of_k5_needs_at_most_two_trees():
-    seen = 0
-    for c in iter_two_colorings_up_to_swap(5):
-        p = partition_complete(c)
-        assert p.count <= 2
-        seen += 1
-    assert seen == 2 ** 9 - 1
+    # first edge pinned to color 1: one 2-coloring per color swap
+    pinned = [c for c in iter_surjective_colorings(5, 2) if c.color_sequence[0] == 1]
+    assert len(pinned) == 2 ** 9 - 1
+    for c in pinned:
+        assert partition_complete(c).count <= 2
 
 
 def test_partition_requires_complete_valid_input():

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import random
 
 import pytest
@@ -15,7 +16,6 @@ from rainbowtrees import (
     format_coloring,
     generate_canonical,
     iter_surjective_colorings,
-    iter_two_colorings_up_to_swap,
     partition_complete,
     partition_number,
     random_surjective_coloring,
@@ -78,7 +78,9 @@ def test_random_surjective_rejects_bad_parameters():
 def test_exhaustive_enumerations_have_known_sizes():
     assert sum(1 for _ in iter_surjective_colorings(3, 2)) == 2 ** 3 - 2
     assert sum(1 for _ in iter_surjective_colorings(3, 3)) == 6
-    assert sum(1 for _ in iter_two_colorings_up_to_swap(4)) == 2 ** 5 - 1
+    # first edge pinned to color 1: one 2-coloring per color swap
+    pinned = [c for c in iter_surjective_colorings(4, 2) if c.color_sequence[0] == 1]
+    assert len(pinned) == 2 ** 5 - 1
     for c in iter_surjective_colorings(3, 2):
         assert validate(c) == []
 
@@ -277,6 +279,26 @@ def test_campaign_constructive_small():
     assert report.revalidate()
 
 
+def test_seeded_reports_match_their_golden_digests():
+    # sha256 of to_json() for seeded runs; a refactor that changes any cell,
+    # witness or failure record of these reports breaks one of them
+    digests = [
+        hashlib.sha256(report.to_json().encode()).hexdigest()
+        for report in (
+            campaign_worstcase(max_n=5, samples_per_cell=10, seed=1),
+            campaign_monotonicity(trials=40, seed=11),
+            campaign_cutedge(max_n=6),
+            campaign_constructive(max_n=6, samples=25, seed=3),
+        )
+    ]
+    assert digests == [
+        "eb0975443c7ae69abd3462ce2b52e42ad3de2605b59ac64d292082e6fa947900",
+        "6d9b9b2ce70b87c1917dd7dd7c332859ce8d246ed1bc2c2eb2a1e758a65428c0",
+        "765e7afdcca1816cfeefd8c6bb7e8fb184b94e0c19e13a6dd6277a52a14a018d",
+        "947d79c5172816920efbec5372bf2c77f96b890690a23c454c9eba9c2c16e30c",
+    ]
+
+
 def test_campaigns_are_deterministic():
     a = campaign_worstcase(max_n=4, samples_per_cell=15, seed=7)
     b = campaign_worstcase(max_n=4, samples_per_cell=15, seed=7)
@@ -294,6 +316,23 @@ def test_report_round_trips_losslessly():
     again = VerificationReport.from_json(report.to_json())
     assert again == dataclasses.replace(report, elapsed=0.0)
     assert again.revalidate()
+
+
+def test_report_from_json_rejects_json_that_is_not_a_report():
+    text = campaign_cutedge(max_n=4).to_json()
+    with pytest.raises(ValueError, match="a report is a JSON object, got list"):
+        VerificationReport.from_json("[1, 2]")
+    data = json.loads(text)
+    del data["cells"], data["instances"]
+    missing = r"missing fields \['cells', 'instances'\], unknown fields \[\]"
+    with pytest.raises(ValueError, match=missing):
+        VerificationReport.from_json(json.dumps(data))
+    data = dict(json.loads(text), extra=1)
+    with pytest.raises(ValueError, match=r"missing fields \[\], unknown fields \['extra'\]"):
+        VerificationReport.from_json(json.dumps(data))
+    # elapsed is optional: to_json leaves it out, and a given value is kept
+    data = dict(json.loads(text), elapsed=1.5)
+    assert VerificationReport.from_json(json.dumps(data)).elapsed == 1.5
 
 
 def test_report_text_form():
