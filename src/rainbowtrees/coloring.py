@@ -9,7 +9,8 @@ single-vertex graph, which has r = 0.
 Values are immutable and all operations here are pure functions, so they
 are safe to share across concurrent workers.  A coloring of K_n stores its
 edge colors as one tuple in lexicographic edge order; the `colors` dict and
-the color classes are derived from that storage on first use and cached.
+the packed color classes are derived from that storage on first use and
+cached.
 
 File formats
 ------------
@@ -30,6 +31,7 @@ accompanying coloring when the file is read back.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -59,6 +61,11 @@ def edge_index(n: int, u: int, v: int) -> int:
     """Position of the edge (u, v), 0 <= u < v < n, in the lexicographic
     edge order of K_n."""
     return u * (2 * n - u - 3) // 2 + v - 1
+
+
+def edge_pair(code: int) -> tuple[int, int]:
+    """The edge (u, v) that EdgeColoring.color_classes() packs as u << 16 | v."""
+    return code >> 16, code & 0xFFFF
 
 
 def row_offset(n: int, u: int) -> int:
@@ -116,7 +123,9 @@ class EdgeColoring:
         raise AttributeError(f"EdgeColoring is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
-        return EdgeColoring, (self.n, self.r, dict(self.colors))
+        if self._pairs is None:
+            return EdgeColoring, (self.n, self.r, self._cols)
+        return EdgeColoring, (self.n, self.r, dict(zip(self._pairs, self._cols)))
 
     def __eq__(self, other):
         if not isinstance(other, EdgeColoring):
@@ -176,15 +185,23 @@ class EdgeColoring:
         """All edges as (u, v, color) with u < v, in lexicographic order."""
         return [(u, v, c) for (u, v), c in zip(self._pairs_in_order(), self._cols)]
 
-    def color_classes(self) -> Mapping[int, tuple[tuple[int, int], ...]]:
-        """Map each color to its lexicographically sorted edges (read-only,
-        computed once per coloring)."""
+    def color_classes(self) -> Mapping[int, memoryview]:
+        """Map each color to its edges, packed: the edge (u, v) is the int
+        u << 16 | v (edge_pair() decodes it), and each class is a read-only
+        memoryview of unsigned ints in lexicographic edge order.  Colors
+        appear in the order of their first edge.  Computed once per
+        coloring; ValueError when n > 65536, which only a sparse coloring
+        can have, since the C(n, 2) colors of K_65537 do not fit in memory.
+        """
         if self._classes is None:
+            if self.n > 0x10000:
+                raise ValueError(f"color_classes packs vertices in 16 bits; n={self.n} > 65536")
             cols = self._cols
-            classes = {c: [] for c in dict.fromkeys(cols)}
-            for e, c in zip(self._pairs_in_order(), cols):
-                classes[c].append(e)
-            frozen = MappingProxyType({c: tuple(es) for c, es in classes.items()})
+            classes = {c: array("I") for c in dict.fromkeys(cols)}
+            for (u, v), c in zip(self._pairs_in_order(), cols):
+                classes[c].append(u << 16 | v)
+            frozen = MappingProxyType(
+                {c: memoryview(codes.tobytes()).cast("I") for c, codes in classes.items()})
             object.__setattr__(self, "_classes", frozen)
         return self._classes
 

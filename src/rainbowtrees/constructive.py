@@ -17,9 +17,12 @@ complete graph induced by the remaining vertices.
 
 All levels work in place on the input coloring: the split-off vertices are
 marked dead, and each color's representative at a new level is its first
-lexicographic edge with no dead end, found by a cursor into the color's
-edge list that only moves forward.  A level's n and r count the live
-vertices and the colors that still have a live edge.
+lexicographic edge with no dead end.  A cursor finds it, moving only forward
+through the color's packed class (one int u << 16 | v per edge, in
+lexicographic order, from EdgeColoring.color_classes).  The class edges of
+row u are contiguous, so a dead u lets the cursor jump past them all by
+bisection.  A level's n and r count the live vertices and the colors that
+still have a live edge.
 
 Base cases: a single vertex is one tree; with one color a maximum matching
 plus an optional singleton is optimal.
@@ -31,6 +34,7 @@ carrying the serialized instance, it is never accepted silently.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -39,6 +43,7 @@ from .coloring import (
     EdgeColoring,
     Tree,
     TreePartition,
+    edge_pair,
     format_coloring,
     is_partition_valid,
     matching_trees,
@@ -98,7 +103,8 @@ class SwapMove:
 def initial_representatives(c: EdgeColoring) -> RepresentativeSubgraph:
     """The lexicographically smallest edge of each color."""
     classes = c.color_classes()
-    return RepresentativeSubgraph.from_edges({col: edges[0] for col, edges in classes.items()})
+    return RepresentativeSubgraph.from_edges(
+        {col: edge_pair(codes[0]) for col, codes in classes.items()})
 
 
 def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMove | None:
@@ -240,12 +246,19 @@ def _construct(c: EdgeColoring, trace: list | None) -> list[Tree]:
     while True:
         reps = {}
         for color, i in cursor.items():
-            es = classes[color]
-            while i < len(es) and (dead[es[i][0]] or dead[es[i][1]]):
-                i += 1
+            codes = classes[color]
+            end = len(codes)
+            while i < end:
+                code = codes[i]
+                u, v = code >> 16, code & 0xFFFF  # edge_pair(code), inlined
+                if dead[u]:  # the rest of row u is dead too: jump past it
+                    i = bisect_left(codes, (u + 1) << 16, i + 1)
+                elif dead[v]:
+                    i += 1
+                else:
+                    reps[color] = u, v
+                    break
             cursor[color] = i
-            if i < len(es):
-                reps[color] = es[i]
         n, r = len(live), len(reps)
         if n == 1:
             if trace is not None:

@@ -22,7 +22,7 @@ from rainbowtrees import (
     restrict,
     validate,
 )
-from rainbowtrees.coloring import edge_index, row_offset
+from rainbowtrees.coloring import edge_index, edge_pair, row_offset
 
 
 def rainbow_k3():
@@ -417,7 +417,8 @@ def test_storage_matches_sort_based_reference(case, data):
     assert c.edges() == sorted_edges(colors)
     classes = c.color_classes()
     assert list(classes) == list(sorted_classes(colors))
-    assert {col: list(es) for col, es in classes.items()} == sorted_classes(colors)
+    assert {col: [edge_pair(code) for code in codes]
+            for col, codes in classes.items()} == sorted_classes(colors)
     for u in range(n):
         for v in range(n):
             known = (u, v) in colors or (v, u) in colors
@@ -439,6 +440,8 @@ def test_coloring_is_immutable_and_copies_its_input():
         c.colors[(0, 1)] = 2
     with pytest.raises(TypeError):
         c.color_classes()[1] = ()
+    with pytest.raises(TypeError):
+        c.color_classes()[1][0] = 2 << 16 | 3
     with pytest.raises(AttributeError):
         c.colors = {}
     with pytest.raises(AttributeError):
@@ -450,6 +453,36 @@ def test_coloring_is_immutable_and_copies_its_input():
     assert c.colors == {(0, 1): 1, (0, 2): 2, (1, 2): 3}
     assert c == rainbow_k3() and validate(c) == []
     assert pickle.loads(pickle.dumps(c)) == c
+
+
+def test_color_classes_are_packed_and_cached():
+    c = EdgeColoring(4, 2, [1, 2, 1, 2, 1, 1])
+    classes = c.color_classes()
+    assert c.color_classes() is classes
+    assert {col: codes.tolist() for col, codes in classes.items()} == {
+        1: [0 << 16 | 1, 0 << 16 | 3, 1 << 16 | 3, 2 << 16 | 3],
+        2: [0 << 16 | 2, 1 << 16 | 2],
+    }
+    assert all(codes.readonly and codes.format == "I" for codes in classes.values())
+    assert edge_pair(65534 << 16 | 65535) == (65534, 65535)
+    assert EdgeColoring(65536, 1, {(65534, 65535): 1}).color_classes()[1].tolist() == [
+        65534 << 16 | 65535]
+
+
+def test_color_classes_reject_vertices_above_16_bits():
+    c = EdgeColoring(70000, 1, {(0, 69999): 1})
+    assert validate(c) == []
+    with pytest.raises(ValueError, match="65536"):
+        c.color_classes()
+
+
+def test_pickling_a_complete_coloring_builds_no_colors_dict():
+    c = EdgeColoring(6, 3, [1, 2, 3] * 5)
+    assert pickle.loads(pickle.dumps(c)) == c
+    assert c._colors is None
+    sparse = EdgeColoring(6, 2, {(0, 5): 2, (1, 2): 1})
+    assert pickle.loads(pickle.dumps(sparse)) == sparse
+    assert sparse._colors is None
 
 
 def test_colors_is_one_cached_read_only_dict():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -28,7 +29,7 @@ from rainbowtrees import (
     solve,
 )
 from rainbowtrees import constructive
-from rainbowtrees.coloring import matching_trees
+from rainbowtrees.coloring import edge_pair, matching_trees
 from rainbowtrees.unionfind import UnionFind
 
 
@@ -122,7 +123,7 @@ def test_forest_is_the_lexicographic_kruskal_forest_of_the_representatives():
     for _ in range(300):
         n = rng.randint(2, 12)
         c = random_surjective_coloring(n, rng.randint(1, min(comb(n, 2), 25)), rng)
-        reps = {col: rng.choice(es) for col, es in c.color_classes().items()}
+        reps = {col: edge_pair(rng.choice(codes)) for col, codes in c.color_classes().items()}
         # from_edges takes either orientation of an edge
         s = RepresentativeSubgraph.from_edges(
             {col: e[::-1] if rng.random() < 0.5 else e for col, e in reps.items()})
@@ -275,7 +276,8 @@ def top3_find_swap(s, c):
             reverse=True,
         )
         top = sizes[:3]
-        for g in classes[color]:
+        for code in classes[color]:
+            g = edge_pair(code)
             if g == h:
                 continue
             ra, rb = uf.find(g[0]), uf.find(g[1])
@@ -304,7 +306,7 @@ def test_find_swap_agrees_with_the_top3_oracle():
         if i % 2:
             s = initial_representatives(c)
         else:
-            reps = {col: rng.choice(es) for col, es in c.color_classes().items()}
+            reps = {col: edge_pair(rng.choice(codes)) for col, codes in c.color_classes().items()}
             s = RepresentativeSubgraph.from_edges(reps)
         while True:
             move = find_swap(s, c)
@@ -330,7 +332,8 @@ def test_find_swap_on_live_vertices_matches_the_restricted_coloring():
         if i % 2:
             s = initial_representatives(sub)
         else:
-            reps = {col: rng.choice(es) for col, es in sub.color_classes().items()}
+            reps = {col: edge_pair(rng.choice(codes))
+                    for col, codes in sub.color_classes().items()}
             s = RepresentativeSubgraph.from_edges(reps)
         while True:
             root_s = RepresentativeSubgraph.from_edges(
@@ -504,3 +507,18 @@ def test_defect_below_the_top_level_names_that_level(monkeypatch):
     n, r = level["n"], level["r"]
     assert str(info.value) == f"hill-climb exceeded {n - 2} moves at n={n}, r={r}"
     assert info.value.instance_text == format_coloring(c)
+
+
+def test_printed_trees_match_their_golden_digest():
+    # sha256 of format_partition over a seeded set of canonical and random
+    # colorings, recorded before the color classes were packed; a change to
+    # the class order or the cursor walk changes a printed tree and breaks it
+    rng = random.Random(1717)
+    cases = [generate_canonical(n, r)[0] for n in (60, 90) for r in (8, 12, 20)]
+    cases += [random_surjective_coloring(n, r, rng) for n in (50, 80) for r in (8, 12, 20)]
+    digest = hashlib.sha256()
+    for c in cases:
+        digest.update(format_partition(partition_complete(c)).encode())
+    assert digest.hexdigest() == (
+        "a362a92e05399c248cea79e1c38f0a449fd7c39cc6ce1766fa72cc3c1f451ade"
+    )
