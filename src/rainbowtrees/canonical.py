@@ -54,22 +54,11 @@ def generate_canonical(n: int, r: int, fill_color: int | None = None):
     t = f_of_r(r)
     core = tuple(range(t))
     hub = t
-    colors: dict = {}
-    next_color = 1
-    for u in range(t):
-        for v in range(u + 1, t):
-            colors[(u, v)] = next_color
-            next_color += 1
-    hub_edges: dict = {}
-    i = 0
-    while next_color <= r and i < t:
-        colors[(i, hub)] = next_color
-        hub_edges[next_color] = (i, hub)
-        next_color += 1
-        i += 1
+    placed = [(u, v) for u in range(t) for v in range(u + 1, t)]
+    placed += [(i, hub) for i in range(min(t, r - len(placed)))]
 
-    remaining = comb(n, 2) - len(colors)
-    if next_color == r:
+    remaining = comb(n, 2) - len(placed)
+    if len(placed) == r - 1:
         # exactly one color was never placed; step 3 must use it
         if fill_color is not None:
             raise ValueError(f"fill color is forced to {r} when r = C(t+1,2)+1")
@@ -83,8 +72,9 @@ def generate_canonical(n: int, r: int, fill_color: int | None = None):
     else:
         fill = None
     cols = [fill] * comb(n, 2)
-    for (u, v), col in colors.items():
+    for col, (u, v) in enumerate(placed, 1):
         cols[edge_index(n, u, v)] = col
+    hub_edges = dict(enumerate(placed[comb(t, 2):], comb(t, 2) + 1))
 
     extra = t + 1 if n >= t + 2 else None
     layout = CanonicalLayout(t, core, hub, extra, fill, MappingProxyType(hub_edges))

@@ -24,8 +24,8 @@ row u are contiguous, so a dead u lets the cursor jump past them all by
 bisection.  A level's n and r count the live vertices and the colors that
 still have a live edge.
 
-Base cases: a single vertex is one tree; with one color a maximum matching
-plus an optional singleton is optimal.
+Base case: with at most one color left (r = 0 means one live vertex) a
+maximum matching plus an optional singleton is optimal.
 
 The number of trees produced is asserted against the closed-form bound
 ceil((n - t) / 2) at every call; a violation raises ConstructionDefect
@@ -237,13 +237,13 @@ def _defect(message: str, c: EdgeColoring) -> ConstructionDefect:
     return ConstructionDefect(message, instance_text=format_coloring(c))
 
 
-def _construct(c: EdgeColoring, trace: list | None) -> list[Tree]:
+def _construct(c: EdgeColoring, trace: list) -> list[Tree]:
     classes = c.color_classes()
     cursor = dict.fromkeys(sorted(classes), 0)  # first edge of each class not yet dead
     dead = bytearray(c.n)
     live = list(range(c.n))
     out: list[Tree] = []
-    while True:
+    while live:
         reps = {}
         for color, i in cursor.items():
             codes = classes[color]
@@ -260,13 +260,8 @@ def _construct(c: EdgeColoring, trace: list | None) -> list[Tree]:
                     break
             cursor[color] = i
         n, r = len(live), len(reps)
-        if n == 1:
-            if trace is not None:
-                trace.append({"n": n, "r": r, "moves": 0, "largest": 1, "components": 0})
-            return out + [Tree.make(live)]
-        if r == 1:
-            if trace is not None:
-                trace.append({"n": n, "r": r, "moves": 0, "largest": 2, "components": 0})
+        if r <= 1:  # one live vertex (r = 0) or one color
+            trace.append({"n": n, "r": r, "moves": 0, "largest": min(n, 2), "components": 0})
             return out + matching_trees(c, live)
 
         s = RepresentativeSubgraph.from_edges(reps)
@@ -285,8 +280,7 @@ def _construct(c: EdgeColoring, trace: list | None) -> list[Tree]:
                 f"locally maximal single component has order {n1} < t+2 = {t + 2} (n={n}, r={r})",
                 c,
             )
-        if trace is not None:
-            trace.append({"n": n, "r": r, "moves": moves, "largest": n1, "components": k})
+        trace.append({"n": n, "r": r, "moves": moves, "largest": n1, "components": k})
 
         largest = s.components[0]
         out.append(Tree.make(largest, [(u, v, c.color_of(u, v)) for u, v in s.forest
@@ -294,8 +288,7 @@ def _construct(c: EdgeColoring, trace: list | None) -> list[Tree]:
         for v in largest:
             dead[v] = 1
         live = [v for v in live if not dead[v]]
-        if not live:
-            return out
+    return out
 
 
 def partition_complete(c: EdgeColoring, trace: list | None = None) -> TreePartition:
@@ -308,7 +301,7 @@ def partition_complete(c: EdgeColoring, trace: list | None = None) -> TreePartit
     require_valid(validate(c))
     if not c.complete:
         raise ValueError("partition_complete requires a complete graph")
-    result = TreePartition(tuple(_construct(c, trace)))
+    result = TreePartition(tuple(_construct(c, [] if trace is None else trace)))
     ok, why = is_partition_valid(c, result)
     if not ok:
         raise _defect(f"constructed partition is invalid: {why}", c)

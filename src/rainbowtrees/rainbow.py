@@ -111,8 +111,6 @@ def _augment(ends, cols, nv, in_set) -> bool:
 def _max_common_set(items) -> list[int]:
     """Indices of a maximum common independent set (deterministic)."""
     m = len(items)
-    if m == 0:
-        return []
     vid: dict[int, int] = {}
     for a, b, _ in items:
         vid.setdefault(a, len(vid))

@@ -2,16 +2,17 @@
 
 The minimum number of vertex-disjoint rainbow trees covering all vertices is
 computed over vertex subsets in two phases.  First the whole vertex set is
-tried as one tree; if that fails, the feasibility of every block of at most
-r + 1 vertices (a block of k vertices needs k - 1 distinct colors) is
-tabulated once, a block being feasible exactly when its induced subgraph has
-a rainbow spanning tree.  The table runs by increasing block size and keeps
-the color set of one tree per feasible block.  Most blocks are decided from
-the blocks one vertex smaller by leaf certificates, since every tree has a
-leaf: B is infeasible if no B - v is feasible, and feasible if some edge
-from v into a feasible B - v has a color missing from the tree kept for
-B - v.  Only a block with neither certificate goes to the fallback: cheap
-rejects, then one matroid intersection, whose tree gives the block's colors.
+tried as one tree, and a tree found there is the witness.  If none, the
+feasibility of every block of at most r + 1 vertices (a block of k vertices
+needs k - 1 distinct colors) is tabulated once, a block being feasible
+exactly when its induced subgraph has a rainbow spanning tree.  The table
+runs by increasing block size and keeps the color set of one tree per
+feasible block.  Most blocks are decided from the blocks one vertex smaller
+by leaf certificates, since every tree has a leaf: B is infeasible if no
+B - v is feasible, and feasible if some edge from v into a feasible B - v
+has a color missing from the tree kept for B - v.  Only a block with
+neither certificate goes to the fallback: cheap rejects, then one matroid
+intersection, whose tree gives the block's colors.
 
 Then the partitions are counted level by level: level k is one 2^n-bit
 integer whose bit M is set iff the subset M splits into at most k feasible
@@ -23,8 +24,8 @@ grown from it is feasible.  The count is the first level holding the full
 set; the test is one AND of the feasible blocks with the level mirrored,
 bit M moved to bit full ^ M.  One optimal witness is read back from the
 levels, taking at each step the smallest block mask that contains the
-lowest uncovered vertex; each of its trees is read from max_rainbow_forest.
-Desk scale only (n <= 14 by default).
+lowest uncovered vertex; the tree of each block with an edge is read from
+max_rainbow_forest.  Desk scale only (n <= 14 by default).
 
 solve_bruteforce() is the independent oracle: it enumerates all set
 partitions of the vertices and checks each block with the subset-enumeration
@@ -33,11 +34,13 @@ forest oracle, sharing no code with the DP path.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from math import comb
 from operator import or_
+from types import MappingProxyType
 
 from .coloring import (
     EdgeColoring,
@@ -51,7 +54,7 @@ from .errors import SizeGuardError
 from .rainbow import _max_common_set, max_rainbow_forest, max_rainbow_forest_bruteforce
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveResult:
     """The minimum tree count, one optimal partition, and work counters.
 
@@ -67,11 +70,12 @@ class SolveResult:
       intersections - blocks that ran a matroid intersection: the full
         vertex set, and each table block that neither leaf certificate nor
         a cheap reject decided (at most feasibility_checks).
+    For n = 1, feasibility_checks = intersections = 1 (the whole set).
     """
 
     count: int
     partition: TreePartition
-    stats: dict
+    stats: Mapping  # read-only
 
 
 # feas bytes to binary digits and back
@@ -85,18 +89,18 @@ def _mirror(bits: int, n: int) -> int:
     return int(format(bits, f"0{1 << n}b")[::-1], 2)
 
 
-def _block_feasible(items, need: int, stats: dict) -> int | None:
-    """Color bits of a rainbow spanning tree of a block with `need` + 1
-    vertices and induced edges `items`, or None if it has none: cheap
-    rejects, then one matroid intersection, counted in
-    stats["intersections"]."""
+def _block_feasible(items, need: int, stats: dict) -> tuple | None:
+    """The (u, v, color) edges of a rainbow spanning tree of a block with
+    `need` + 1 vertices and induced edges `items`, or None if it has none:
+    cheap rejects, then one matroid intersection, counted in
+    stats["intersections"].  The whole set's tree is solve's witness."""
     if len(items) < need or len({col for _, _, col in items}) < need:
         return None
     stats["intersections"] += 1
     tree = _max_common_set(items)
     if len(tree) < need:
         return None
-    return sum(1 << items[i][2] for i in tree)
+    return tuple(items[i] for i in tree)
 
 
 def _block_table(c: EdgeColoring, cap: int, stats: dict) -> tuple[bytearray, list[int]]:
@@ -109,7 +113,7 @@ def _block_table(c: EdgeColoring, cap: int, stats: dict) -> tuple[bytearray, lis
     infeasible when no B - v is feasible, and feasible when some v has an
     edge into B - v whose color is not on the stored tree of B - v: that
     tree plus the edge spans B.  Only a block with neither certificate goes
-    to _block_feasible, and its colors are read from the intersection.
+    to _block_feasible, and its colors are read from the tree it returns.
     Every block counts in stats["feasibility_checks"].
     """
     n = c.n
@@ -141,10 +145,10 @@ def _block_table(c: EdgeColoring, cap: int, stats: dict) -> tuple[bytearray, lis
                 if leaf:
                     items = [(u, v, pair[u][v].bit_length() - 1)
                              for u, v in combinations(vs, 2) if pair[u][v]]
-                    bits = _block_feasible(items, size - 1, stats)
-                    if bits is not None:
+                    tree = _block_feasible(items, size - 1, stats)
+                    if tree is not None:
                         feas[mask] = 1
-                        colors[mask] = bits
+                        colors[mask] = reduce(or_, (1 << col for _, _, col in tree))
     return feas, colors
 
 
@@ -160,9 +164,6 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
         raise SizeGuardError(f"n={n} exceeds solver guard {max_n}")
     stats = {"masks": 0, "feasibility_checks": 0, "cache_hits": 0, "intersections": 0,
              "blocks_walked": 0}
-    if n == 1:
-        return SolveResult(1, TreePartition((Tree.make([0]),)), stats)
-
     full = (1 << n) - 1
     cap = r + 1  # a block of k vertices needs k-1 distinct colors
 
@@ -172,18 +173,19 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
             return Tree.make(vs)
         return Tree.make(vs, max_rainbow_forest(c, vs))
 
-    def checked(count: int, blocks) -> SolveResult:
-        partition = TreePartition(tuple(block_tree(b) for b in blocks))
+    def checked(count: int, trees) -> SolveResult:
+        partition = TreePartition(tuple(trees))
         if partition.count != count:
             raise RuntimeError(f"witness has {partition.count} trees, dp count is {count}")
         ok, why = is_partition_valid(c, partition)
         if not ok:
             raise RuntimeError(f"witness is not a rainbow tree partition: {why}")
-        return SolveResult(count, partition, stats)
+        return SolveResult(count, partition, MappingProxyType(stats))
 
     stats["feasibility_checks"] = 1
-    if _block_feasible(c.edges(), n - 1, stats) is not None:
-        return checked(1, [full])
+    tree = _block_feasible(c.edges(), n - 1, stats)
+    if tree is not None:
+        return checked(1, [Tree.make(range(n), tree)])
 
     # feas[M] = 1 iff M is a feasible block; blocks over cap and full stay 0
     feas, _ = _block_table(c, cap, stats)
@@ -254,7 +256,7 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
         mask ^= block
     stats["cache_hits"] = reads
 
-    return checked(count, blocks)
+    return checked(count, map(block_tree, blocks))
 
 
 def _set_partitions(elems: tuple):

@@ -116,10 +116,24 @@ def test_partition_must_cover_everything():
 
 
 def test_partition_cycle_rejected():
-    c = rainbow_k3()
-    p = TreePartition((Tree.make([0, 1, 2], [(0, 1, 1), (0, 2, 2), (1, 2, 3)]),))
-    ok, why = is_partition_valid(c, p)
-    assert not ok
+    # |E| = |V| - 1, so the edge count passes: a triangle plus an isolated vertex
+    c = rainbow_complete(4)
+    p = TreePartition((Tree.make([0, 1, 2, 3], [(0, 1, 1), (0, 2, 2), (1, 2, 4)]),))
+    assert is_partition_valid(c, p) == (False, "tree 0 contains a cycle through (1,2)")
+
+
+@pytest.mark.parametrize("c, trees, why", [
+    (rainbow_k3(), (), "partition has no trees"),
+    (rainbow_k3(), (Tree.make([]),), "tree 0 is empty"),
+    (rainbow_k3(), (Tree.make([0, 1, 2], [(0, 1, 1), (0, 2, 2)]), Tree.make([3])),
+     "tree 1 contains out-of-range vertex 3"),
+    (rainbow_k3(), (Tree.make([0, 1], [(1, 2, 3)]), Tree.make([2])),
+     "tree 0 edge (1,2) leaves its vertex set"),
+    (EdgeColoring(3, 2, {(0, 1): 1, (1, 2): 2}), (Tree.make([0, 1, 2], [(0, 1, 1), (0, 2, 2)]),),
+     "tree 0 edge (0,2) is not in the graph"),
+])
+def test_partition_check_names_each_violation(c, trees, why):
+    assert is_partition_valid(c, TreePartition(trees)) == (False, why)
 
 
 def test_partition_wrong_color_rejected():
@@ -311,6 +325,14 @@ def test_parse_partition_rejects_a_repeated_vertex():
     c = EdgeColoring(3, 1, {(0, 1): 1})
     with pytest.raises(FileFormatError, match="line 2: vertex 0 repeated in tree line"):
         parse_partition("tree 2 ; edges\ntree 0 0 1 ; edges (0,1)\n", c)
+
+
+def test_parse_partition_rejects_a_malformed_edge_list():
+    c = rainbow_k3()
+    with pytest.raises(FileFormatError, match="line 2: edge list must start with `edges`"):
+        parse_partition("tree 2 ; edges\ntree 0 1 ; (0,1)\n", c)
+    with pytest.raises(FileFormatError, match="line 3: bad edge token '1,2'"):
+        parse_partition("# header\ntree 0 ; edges\ntree 1 2 ; edges 1,2\n", c)
 
 
 def test_parse_partition_rejects_an_out_of_range_vertex():

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -15,6 +17,7 @@ from rainbowtrees import (
     max_rainbow_forest,
     merge_colors,
     monochromatic_complete,
+    partition_complete,
     partition_number,
     rainbow_complete,
     random_surjective_coloring,
@@ -141,6 +144,9 @@ def test_degenerate_single_vertex():
     c = EdgeColoring(1, 0, {})
     res = solve(c)
     assert res.count == 1
+    assert format_partition(res.partition) == "tree 0 ; edges\n"
+    # the whole-set check decides the one block, with an intersection on no edges
+    assert res.stats["feasibility_checks"] == res.stats["intersections"] == 1
     assert solve_bruteforce(c) == 1
 
 
@@ -167,17 +173,34 @@ def test_stats_are_reported():
 
 
 def test_solve_rejects_an_invalid_witness(monkeypatch):
-    real = solver.max_rainbow_forest
+    def wrong_color(r, tree):
+        (u, v, col), *rest = tree
+        return ((u, v, col % r + 1), *rest)
 
-    def forest_with_a_wrong_color(c, within):
-        (u, v, col), *rest = real(c, within)
-        return ((u, v, col % c.r + 1), *rest)
+    # one whole-graph tree, printed from the whole-set check
+    c = rainbow_complete(4)
+    real_block = solver._block_feasible
+    monkeypatch.setattr(solver, "_block_feasible",
+                        lambda items, need, stats: wrong_color(c.r, real_block(items, need, stats)))
+    with pytest.raises(RuntimeError, match="not a rainbow tree partition"):
+        solve(c)
+    monkeypatch.undo()
 
-    monkeypatch.setattr(solver, "max_rainbow_forest", forest_with_a_wrong_color)
-    # one whole-graph block, and a partition found by the subset DP
-    for c in (rainbow_complete(4), generate_canonical(6, 4)[0]):
-        with pytest.raises(RuntimeError, match="not a rainbow tree partition"):
-            solve(c)
+    # a partition found by the subset DP, its trees read from max_rainbow_forest
+    real_forest = solver.max_rainbow_forest
+    monkeypatch.setattr(solver, "max_rainbow_forest",
+                        lambda c, within: wrong_color(c.r, real_forest(c, within)))
+    with pytest.raises(RuntimeError, match="not a rainbow tree partition"):
+        solve(generate_canonical(6, 4)[0])
+
+
+def test_solve_result_is_immutable():
+    res = solve(generate_canonical(6, 4)[0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.count = 0
+    with pytest.raises(TypeError):
+        res.stats["masks"] = 0
+    assert res.count == 2 and res.stats["masks"] > 0
 
 
 def submask_dp_reference(c):
@@ -439,11 +462,78 @@ def test_block_table_falls_back_to_the_intersection(monkeypatch):
     real = solver._block_feasible
 
     def spy(items, need, stats):
-        bits = real(items, need, stats)
-        if bits is not None:
+        tree = real(items, need, stats)
+        if tree is not None:
             found.append(need + 1)
-        return bits
+        return tree
 
     monkeypatch.setattr(solver, "_block_feasible", spy)
     assert_block_table_matches_intersections(c)
     assert found == [5], "block {0, 1, 2, 3, 5} was not decided by the fallback"
+
+
+def golden_solve_cases():
+    rng = random.Random(1818)
+    cases = [monochromatic_complete(1), monochromatic_complete(2)]
+    for n in range(3, 8):
+        m = comb(n, 2)
+        cases += [rainbow_complete(n), random_surjective_coloring(n, m, rng),
+                  random_surjective_coloring(n, m - 1, rng)]
+    cases += [generate_canonical(n, r)[0] for n in range(4, 10) for r in (2, 3, 5, 7)
+              if r <= comb(n, 2)]
+    cases += [random_surjective_coloring(n, r, rng) for n in range(5, 10) for r in (2, 3, 4, 6)]
+    cases += [random_subgraph_coloring(n, r, keep, rng) for n in range(3, 10)
+              for keep in (0.3, 0.6, 0.9) for r in (2, 4, 9) if r <= comb(n, 2)]
+    cases.append(EdgeColoring(6, 5, {(i, i + 1): i + 1 for i in range(5)}))  # a rainbow path
+    return cases
+
+
+def golden_construct_cases():
+    rng = random.Random(1819)
+    cases = [monochromatic_complete(n) for n in range(1, 7)]
+    cases += [generate_canonical(n, r)[0] for n in range(3, 10) for r in range(2, comb(n, 2) + 1)]
+    cases += [generate_canonical(n, r)[0] for n in (60, 90) for r in (8, 12, 20)]
+    cases += [random_surjective_coloring(n, r, rng) for n in (5, 8, 12, 30)
+              for r in (2, 3, 5, 8) if r <= comb(n, 2)]
+    return cases
+
+
+def test_printed_output_matches_its_golden_digests():
+    # sha256 of solve's partitions and stats, partition_complete's partitions
+    # and trace records, and generate_canonical's colorings, layouts and
+    # errors over seeded inputs, recorded before the one-tree witness, the
+    # constructive base case and the canonical placement were simplified; a
+    # change that moves any of them breaks one digest
+    digest = hashlib.sha256()
+    for c in golden_solve_cases():
+        res = solve(c)
+        digest.update(format_partition(res.partition).encode())
+        if c.n >= 2:
+            digest.update(repr(sorted(res.stats.items())).encode())
+    solved = digest.hexdigest()
+
+    digest = hashlib.sha256()
+    for c in golden_construct_cases():
+        trace: list = []
+        digest.update(format_partition(partition_complete(c, trace=trace)).encode())
+        digest.update(repr(trace).encode())
+    constructed = digest.hexdigest()
+
+    digest = hashlib.sha256()
+    for n in range(3, 13):
+        for r in range(1, comb(n, 2) + 2):
+            for fill in (None, 1, 2, r + 1):
+                try:
+                    c, layout = generate_canonical(n, r, fill_color=fill)
+                except (ValueError, AssertionError) as exc:
+                    digest.update(f"{type(exc).__name__}: {exc}\n".encode())
+                else:
+                    digest.update(format_coloring(c).encode())
+                    digest.update(repr(layout).encode())
+    canonical = digest.hexdigest()
+
+    assert (solved, constructed, canonical) == (
+        "5683511d0582a7db2640854af3f4c781c57b6ea79d420ef19f8cb8ef968a563c",
+        "7b1aaa6a32f611db2936180c4664ec696cf96bdcfbd2e540423132e0c54b27b2",
+        "0981d829b4080aaa467b6a987577fe618a95514fec1fe363eded78f7b21b16db",
+    )
