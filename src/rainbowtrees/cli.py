@@ -24,7 +24,7 @@ from .coloring import (
     write_partition,
 )
 from .constructive import partition_complete
-from .errors import ConstructionDefect, FileFormatError, SizeGuardError
+from .errors import ConstructionDefect, SizeGuardError
 from .formula import f_of_r, partition_number
 from .solver import solve
 from .verify import (
@@ -202,9 +202,6 @@ def main(argv=None) -> int:
     _echo_config(args)
     try:
         return _COMMANDS[args.command](args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SizeGuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

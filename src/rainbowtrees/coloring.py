@@ -57,6 +57,11 @@ class Violation:
         return self.code
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool (True == 1 folds into 1 in any set)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def edge_index(n: int, u: int, v: int) -> int:
     """Position of the edge (u, v), 0 <= u < v < n, in the lexicographic
     edge order of K_n."""
@@ -79,17 +84,18 @@ class EdgeColoring:
 
     `colors` is either a mapping from vertex pairs to colors or, for K_n, a
     sequence of the C(n, 2) edge colors in lexicographic edge order.  Every
-    mapping key must be a pair (u, v) of ints with 0 <= u < v < n, and a
-    sequence must have exactly C(n, 2) colors; anything else raises
+    mapping key must be a pair (u, v) of ints, not bools, with 0 <= u < v <
+    n, and a sequence must have exactly C(n, 2) colors; anything else raises
     ValueError.  A coloring whose pairs are exactly those of K_n stores one
     color tuple in that order, and any other pair set is kept as a sorted
     tuple of pairs.  The input is copied, and `colors` is a read-only dict
     (a MappingProxyType) built from the stored data on first access and
-    cached.  The constructor does not check n, r or the colors (range and
+    cached, as is the set of color types that validate() reads.  The
+    constructor does not check n, r or the colors (type, range and
     surjectivity); use validate() for that.
     """
 
-    __slots__ = ("n", "r", "_pairs", "_cols", "_colors", "_classes")
+    __slots__ = ("n", "r", "_pairs", "_cols", "_colors", "_classes", "_types")
 
     def __init__(self, n: int, r: int, colors):
         m = comb(n, 2)
@@ -100,8 +106,8 @@ class EdgeColoring:
             pairs = None
         else:
             for key in colors:
-                if not (isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], int)
-                        and isinstance(key[1], int) and 0 <= key[0] < key[1] < n):
+                if not (isinstance(key, tuple) and len(key) == 2 and _is_int(key[0])
+                        and _is_int(key[1]) and 0 <= key[0] < key[1] < n):
                     raise ValueError(f"edge {key!r} is not a pair (u, v) of ints with "
                                      f"0 <= u < v < {n}")
             if len(colors) == m:
@@ -113,7 +119,7 @@ class EdgeColoring:
                 items = sorted(colors.items())
                 pairs = tuple(e for e, _ in items)
                 cols = tuple(col for _, col in items)
-        for name, value in zip(self.__slots__, (n, r, pairs, cols, None, None)):
+        for name, value in zip(self.__slots__, (n, r, pairs, cols, None, None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -242,23 +248,29 @@ def monochromatic_complete(n: int) -> EdgeColoring:
 
 def validate(c: EdgeColoring) -> list[Violation]:
     """Check n, r and the colors (the constructor already checked the
-    pairs); return all violations (empty list = valid)."""
+    pairs), a bool counting as no int; return all violations (empty list =
+    valid)."""
     out: list[Violation] = []
     n, r = c.n, c.r
-    if n < 1:
+    if not _is_int(n) or n < 1:
         out.append(Violation("BadVertexCount", (n,)))
         return out
     # more colors than edges: report r once, not one MissingColor per color
     too_many = r > len(c._cols)
-    if too_many or (r != 0 if n == 1 else r < 1):
+    if too_many or not _is_int(r) or (r != 0 if n == 1 else r < 1):
         out.append(Violation("BadColorCount", (r,)))
 
+    # a set folds True into 1 and 2.0 into 2, so unless every color is a
+    # plain int in range, each edge's color is checked; the type scan costs
+    # more than the set, so it runs once per coloring
+    if c._types is None:
+        object.__setattr__(c, "_types", frozenset(map(type, c._cols)))
     used = set(c._cols)
-    bad = {col for col in used if not (isinstance(col, int) and 1 <= col <= r)}
-    if bad:
+    if not (c._types <= {int} and all(1 <= col <= r for col in used)):
         out += [Violation("BadColor", (u, v, col))
-                for (u, v), col in zip(c._pairs_in_order(), c._cols) if col in bad]
-        used -= bad
+                for (u, v), col in zip(c._pairs_in_order(), c._cols)
+                if not (_is_int(col) and 1 <= col <= r)]
+        used = {col for col in c._cols if _is_int(col) and 1 <= col <= r}
     if not too_many:
         out += [Violation("MissingColor", (col,)) for col in range(1, r + 1) if col not in used]
     return out
@@ -285,6 +297,7 @@ def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | N
     if not p.trees:
         return False, "partition has no trees"
     covered: set = set()
+    uf = UnionFind(c.n)  # trees are disjoint and in range before their edges are read
     for i, t in enumerate(p.trees):
         if not t.vertices:
             return False, f"tree {i} is empty"
@@ -297,8 +310,6 @@ def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | N
                 return False, f"tree {i} contains out-of-range vertex {v}"
         if len(t.edges) != len(t.vertices) - 1:
             return False, f"tree {i} has {len(t.edges)} edges for {len(t.vertices)} vertices"
-        index = {v: j for j, v in enumerate(sorted(t.vertices))}
-        uf = UnionFind(len(index))
         tree_colors: set = set()
         for (u, v, col) in t.edges:
             if u not in t.vertices or v not in t.vertices:
@@ -310,7 +321,7 @@ def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | N
             if col in tree_colors:
                 return False, f"tree {i} repeats color {col}"
             tree_colors.add(col)
-            if not uf.union(index[u], index[v]):
+            if not uf.union(u, v):
                 return False, f"tree {i} contains a cycle through ({u},{v})"
     if covered != set(range(c.n)):
         missing = min(set(range(c.n)) - covered)
@@ -401,13 +412,18 @@ def format_coloring(c: EdgeColoring) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _data_lines(text: str):
+    """(line number, stripped line) of each line that is not blank or a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def parse_coloring(text: str) -> EdgeColoring:
     n = r = None
     colors: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(text):
         parts = line.split()
         if n is None:
             if len(parts) != 2:
@@ -459,10 +475,7 @@ def format_partition(p: TreePartition) -> str:
 
 def parse_partition(text: str, c: EdgeColoring) -> TreePartition:
     trees = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _data_lines(text):
         if ";" not in line:
             raise FileFormatError("expected `tree ... ; edges ...`", lineno)
         head, tail = line.split(";", 1)

@@ -127,9 +127,10 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
     n1 >= 2, so a qualifying edge has an end on some representative edge:
     only those edges are read.
 
-    One depth-first pass over the representative graph gives each vertex
-    its component and its entry and exit times tin/tout, and finds the
-    bridges by low-link (Tarjan, Inf. Process. Lett. 2 (1974)).  Dropping a
+    Each endpoint's component and each component's order are read from
+    s.components.  One depth-first pass over the representative graph gives
+    each vertex its entry and exit times tin/tout and its low-link, which
+    finds the bridges (Tarjan, Inf. Process. Lett. 2 (1974)).  Dropping a
     representative that is no bridge leaves the components as they are;
     dropping a bridge whose end away from the DFS root is x cuts off
     exactly the vertices y of that component with tin[x] <= tin[y] <
@@ -163,20 +164,20 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
             bucket = cands.get(seq[row + v])
             if bucket is not None:
                 bucket.append((u, v))
-    # one iterative DFS: component, tin, tout and low of each endpoint, and
-    # the end away from the root of each bridge, keyed by the bridge's color
-    comp: dict = {}
+    # each endpoint's component, and each component's order, by component id
+    comp = {v: k for k, g in enumerate(s.components) for v in g}
+    order = [len(g) for g in s.components]
+    # one iterative DFS: tin, tout and low of each endpoint, and the end away
+    # from the root of each bridge, keyed by the bridge's color
     tin: dict = {}
     tout: dict = {}
     low: dict = {}
-    order = []  # order of each component, by component id
     child: dict = {}
     clock = 0
     for root in adj:
         if root in tin:
             continue
-        cid, first = len(order), clock
-        comp[root], tin[root], low[root] = cid, clock, clock
+        tin[root] = low[root] = clock
         clock += 1
         stack = [(root, None, iter(adj[root]))]
         while stack:
@@ -187,7 +188,7 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
                 if y in tin:
                     low[x] = min(low[x], tin[y])
                     continue
-                comp[y], tin[y], low[y] = cid, clock, clock
+                tin[y] = low[y] = clock
                 clock += 1
                 stack.append((y, color, iter(adj[y])))
                 break
@@ -199,7 +200,6 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
                     low[p] = min(low[p], low[x])
                     if low[x] > tin[p]:
                         child[via] = x
-        order.append(clock - first)
     cut_off = len(order)  # label of the side a dropped bridge cuts off
     cut = lo = hi = -1
 

@@ -124,8 +124,7 @@ def _max_common_set(items) -> list[int]:
     used = set()
     for i in range(m):
         a, b = ends[i]
-        if cols[i] not in used and uf.find(a) != uf.find(b):
-            uf.union(a, b)
+        if cols[i] not in used and uf.union(a, b):
             used.add(cols[i])
             in_set[i] = True
     while _augment(ends, cols, nv, in_set):

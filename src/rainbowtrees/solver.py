@@ -94,7 +94,7 @@ def _block_feasible(items, need: int, stats: dict) -> tuple | None:
     `need` + 1 vertices and induced edges `items`, or None if it has none:
     cheap rejects, then one matroid intersection, counted in
     stats["intersections"].  The whole set's tree is solve's witness."""
-    if len(items) < need or len({col for _, _, col in items}) < need:
+    if len({col for _, _, col in items}) < need:
         return None
     stats["intersections"] += 1
     tree = _max_common_set(items)
@@ -280,8 +280,6 @@ def solve_bruteforce(c: EdgeColoring, max_n: int = 7) -> int:
     n = c.n
     if n > max_n:
         raise SizeGuardError(f"n={n} exceeds brute-force guard {max_n}")
-    if n == 1:
-        return 1
     ok_cache: dict[tuple, bool] = {}
 
     def block_ok(block: tuple) -> bool:

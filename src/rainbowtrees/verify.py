@@ -19,6 +19,7 @@ from math import comb
 from .canonical import generate_canonical
 from .coloring import (
     EdgeColoring,
+    _is_int,
     format_coloring,
     merge_colors,
     parse_coloring,
@@ -105,7 +106,12 @@ def revalidate_witness(w: dict) -> bool:
         return False
     kind = w.get("kind")
     if kind in ("canonical-extremal", "constructive-extremal"):
-        if not isinstance(w.get("coloring"), str):
+        if kind == "canonical-extremal":
+            value, partition = w.get("value"), solve
+        else:
+            value, partition = w.get("count"), partition_complete
+        if not (isinstance(w.get("coloring"), str)
+                and all(map(_is_int, (w.get("n"), w.get("r"), value)))):
             return False
         try:
             c = parse_coloring(w["coloring"])
@@ -113,21 +119,17 @@ def revalidate_witness(w: dict) -> bool:
             return False
         if validate(c) or not c.complete or (w.get("n"), w.get("r")) != (c.n, c.r):
             return False
-        if kind == "canonical-extremal":
-            value, partition = w.get("value"), solve
-        else:
-            value, partition = w.get("count"), partition_complete
         return value == partition_number(c.n, c.r) and partition(c).count == value
     if kind == "cutedge-tight":
-        n, edges = w.get("n"), w.get("edges")
-        if not (isinstance(n, int) and n >= 1 and isinstance(edges, list)):
+        n, edges, bound = w.get("n"), w.get("edges"), w.get("bound")
+        if not (_is_int(n) and n >= 1 and isinstance(edges, list) and _is_int(bound)):
             return False
-        if w.get("bound") != comb(n - 1, 2) + 1 or len(edges) != w["bound"]:
+        if bound != comb(n - 1, 2) + 1 or len(edges) != bound:
             return False
         pairs = set()
         for e in edges:
             if not (isinstance(e, (list, tuple)) and len(e) == 2
-                    and all(isinstance(x, int) for x in e) and 0 <= e[0] < e[1] < n):
+                    and all(map(_is_int, e)) and 0 <= e[0] < e[1] < n):
                 return False
             pairs.add(tuple(e))
         if len(pairs) != len(edges):
@@ -135,6 +137,10 @@ def revalidate_witness(w: dict) -> bool:
         adj = _adjacency(n, pairs)
         return _connected_bitadj(n, adj) and _has_bridge(n, adj)
     return False
+
+
+def _witness(kind: str, c: EdgeColoring, **fields) -> dict:
+    return {"kind": kind, "n": c.n, "r": c.r, **fields, "coloring": format_coloring(c)}
 
 
 def _failure(kind: str, c: EdgeColoring | None = None, **fields) -> dict:
@@ -295,15 +301,7 @@ def campaign_worstcase(max_n: int = 6, samples_per_cell: int = 100, seed: int = 
                     _failure("canonical-equality", c, n=n, r=r, observed=got, expected=expected)
                 )
             else:
-                report.witnesses.append(
-                    {
-                        "kind": "canonical-extremal",
-                        "n": n,
-                        "r": r,
-                        "value": expected,
-                        "coloring": format_coloring(c),
-                    }
-                )
+                report.witnesses.append(_witness("canonical-extremal", c, value=expected))
             for _ in range(samples_per_cell):
                 sample = random_surjective_coloring(n, r, rng)
                 value = solve(sample).count
@@ -449,15 +447,7 @@ def campaign_constructive(max_n: int = 8, samples: int = 100, seed: int = 0) -> 
         elif part.count == bound and c.n not in extremal_seen:
             # each n runs in one mode only, so keying by n keeps one witness per (n, mode)
             extremal_seen.add(c.n)
-            report.witnesses.append(
-                {
-                    "kind": "constructive-extremal",
-                    "n": c.n,
-                    "r": c.r,
-                    "count": part.count,
-                    "coloring": format_coloring(c),
-                }
-            )
+            report.witnesses.append(_witness("constructive-extremal", c, count=part.count))
         return swaps
 
     def add_cell(n: int, mode: str, colorings) -> None:
@@ -466,10 +456,8 @@ def campaign_constructive(max_n: int = 8, samples: int = 100, seed: int = 0) -> 
         report.cells.append({"n": n, "mode": mode, "instances": report.instances - instances,
                              "failures": len(report.failures) - failures, "max_swaps": max_swaps})
 
-    exhaustive: list[tuple[int, int]] = [(3, r) for r in range(2, 4)]
-    exhaustive += [(4, r) for r in range(2, 7)]
-    for n, r in exhaustive:
-        if n <= max_n:
+    for n in range(3, min(max_n, 4) + 1):
+        for r in range(2, comb(n, 2) + 1):
             add_cell(n, "exhaustive", iter_surjective_colorings(n, r))
     if max_n >= 5:
         # pinning the first edge to color 1 keeps one coloring per color swap

@@ -119,6 +119,17 @@ def test_merge_command(tmp_path, capsys):
     assert validate(merged) == []
 
 
+def test_merge_without_output_writes_the_coloring_to_stdout(tmp_path, capsys):
+    from rainbowtrees import generate_canonical, merge_colors
+
+    cfile = tmp_path / "c.txt"
+    run_cli(capsys, "canonical", 5, 4, "-o", cfile)
+    code, out, _ = run_cli(capsys, "merge", cfile, 4, 1)
+    assert code == 0
+    assert out.startswith("# config merge ")
+    assert parse_coloring(out) == merge_colors(generate_canonical(5, 4)[0], 4, 1)
+
+
 def test_solve_guard_exit_code(tmp_path, capsys):
     cfile = tmp_path / "c.txt"
     write_coloring(monochromatic_complete(6), cfile)
@@ -130,9 +141,10 @@ def test_solve_guard_exit_code(tmp_path, capsys):
 def test_malformed_file_reports_line_number(tmp_path, capsys):
     cfile = tmp_path / "bad.txt"
     cfile.write_text("3 2\n0 1 1\n5 9 1\n")
-    code, _, err = run_cli(capsys, "solve", cfile)
-    assert code == 1
-    assert "line 3" in err
+    for argv in (("solve", cfile), ("construct", cfile), ("merge", cfile, 2, 1)):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (1, "error: line 3: bad edge (5,9); need 0 <= u < v < 3\n")
+        assert out.startswith(f"# config {argv[0]} ") and out.count("\n") == 1
 
 
 def test_invalid_coloring_rejected(tmp_path, capsys):

@@ -2,7 +2,7 @@ import pickle
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rainbowtrees import (
@@ -51,11 +51,26 @@ def test_validate_reports_a_color_count_above_the_edge_count_once():
         Violation("BadColorCount", (4,)), Violation("BadColor", (1, 2, 5))]
 
 
-@pytest.mark.parametrize("key", [(1, 0), (0, 5), (1, 1), ("a", 1), (0, 1, 2)],
-                         ids=["reversed", "out-of-range", "loop", "non-int", "triple"])
+@pytest.mark.parametrize("key", [(1, 0), (0, 5), (1, 1), ("a", 1), (0, 1, 2), (False, True)],
+                         ids=["reversed", "out-of-range", "loop", "non-int", "triple", "bool"])
 def test_constructor_rejects_malformed_pairs(key):
     with pytest.raises(ValueError, match=re.escape(repr(key))):
         EdgeColoring(3, 1, {key: 1, (0, 2): 1})
+
+
+@pytest.mark.parametrize("c, found", [
+    (EdgeColoring(3, 2, [1, True, 2]), ["BadColor(0, 2, True)"]),
+    (EdgeColoring(3, 2, [True, 1, 2]), ["BadColor(0, 1, True)"]),
+    (EdgeColoring(3, 2, [True, True, 2]), ["BadColor(0, 1, True)", "BadColor(0, 2, True)",
+                                           "MissingColor(1,)"]),
+    (EdgeColoring(3, 2, [1, 2, False]), ["BadColor(1, 2, False)"]),
+    (EdgeColoring(3, 2, [1, 2, 2.0]), ["BadColor(1, 2, 2.0)"]),
+    (EdgeColoring(True, 0, []), ["BadVertexCount(True,)"]),
+    (EdgeColoring(2, True, [1]), ["BadColorCount(True,)"]),
+], ids=["true-after-1", "true-before-1", "only-true", "false", "float", "bool-n", "bool-r"])
+def test_validate_reports_each_color_that_is_not_an_int(c, found):
+    # a set folds True into 1 and 2.0 into 2; every edge's color is checked
+    assert [str(v) for v in validate(c)] == found
 
 
 def test_validate_color_out_of_range():
@@ -65,6 +80,7 @@ def test_validate_color_out_of_range():
 
 def test_validate_degenerate_single_vertex():
     assert validate(EdgeColoring(1, 0, {})) == []
+    assert validate(EdgeColoring(0, 0, [])) == [Violation("BadVertexCount", (0,))]
     assert "BadColorCount" in {v.code for v in validate(EdgeColoring(1, 1, {}))}
     assert "BadColorCount" in {v.code for v in validate(EdgeColoring(2, 0, {}))}
 
@@ -75,6 +91,13 @@ def test_completeness_is_inferred():
     assert not c.complete and validate(c) == []
     assert pickle.loads(pickle.dumps(c)) == c
     assert eval(repr(c)) == c and "complete" not in repr(c)
+
+
+def test_color_of_an_absent_edge_raises_and_other_types_are_unequal():
+    c = EdgeColoring(3, 1, {(0, 1): 1})
+    with pytest.raises(KeyError):
+        c.color_of(1, 2)
+    assert (c == 3) is False and c != "3 1"
 
 
 # ------------------------------------------------------- is_partition_valid
@@ -131,6 +154,7 @@ def test_partition_cycle_rejected():
      "tree 0 edge (1,2) leaves its vertex set"),
     (EdgeColoring(3, 2, {(0, 1): 1, (1, 2): 2}), (Tree.make([0, 1, 2], [(0, 1, 1), (0, 2, 2)]),),
      "tree 0 edge (0,2) is not in the graph"),
+    (rainbow_k3(), (Tree.make([0, 1, 2], [(0, 1, 1)]),), "tree 0 has 1 edges for 3 vertices"),
 ])
 def test_partition_check_names_each_violation(c, trees, why):
     assert is_partition_valid(c, TreePartition(trees)) == (False, why)
@@ -273,6 +297,27 @@ def test_coloring_round_trip():
 def test_coloring_format_is_deterministic():
     a, b = rainbow_complete(6), rainbow_complete(6)
     assert format_coloring(a) == format_coloring(b)
+
+
+@st.composite
+def loosely_typed_colorings(draw):
+    """Colorings whose n, r and colors may be bools or floats equal to an int."""
+    n = draw(st.one_of(st.integers(1, 4), st.just(True)))
+    m = n * (n - 1) // 2
+    r = draw(st.one_of(st.integers(0, m + 1), st.booleans()))
+    value = st.one_of(st.integers(0, m + 1), st.booleans(), st.sampled_from([1.0, 2.0]))
+    return EdgeColoring(n, r, draw(st.lists(value, min_size=m, max_size=m)))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(loosely_typed_colorings())
+@example(EdgeColoring(3, 2, [1, True, 2]))
+@example(EdgeColoring(3, 2, [1, 2, 2.0]))
+@example(EdgeColoring(True, 0, []))
+@example(EdgeColoring(2, True, [1]))
+def test_every_coloring_validate_accepts_survives_a_file_round_trip(c):
+    if validate(c) == []:
+        assert parse_coloring(format_coloring(c)) == c
 
 
 def test_parse_coloring_comments_and_blanks():

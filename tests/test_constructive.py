@@ -522,3 +522,28 @@ def test_printed_trees_match_their_golden_digest():
     assert digest.hexdigest() == (
         "a362a92e05399c248cea79e1c38f0a449fd7c39cc6ce1766fa72cc3c1f451ade"
     )
+
+
+def test_a_single_component_below_t_plus_two_is_a_defect(monkeypatch):
+    # canonical (5, 3) starts from the triangle 0 1 2 (t = 2); with no swap
+    # found, that one component of order 3 stays below t + 2 = 4
+    c, _ = generate_canonical(5, 3)
+    monkeypatch.setattr(constructive, "find_swap", lambda s, cc, alive=None: None)
+    with pytest.raises(ConstructionDefect) as info:
+        partition_complete(c)
+    assert str(info.value) == (
+        "locally maximal single component has order 3 < t+2 = 4 (n=5, r=3)")
+    assert info.value.instance_text == format_coloring(c)
+
+
+@pytest.mark.parametrize("trees, message", [
+    ([Tree.make([0])], "constructed partition is invalid: vertex 1 is not covered"),
+    ([Tree.make([v]) for v in range(5)], "constructed 5 trees, above the bound 2 (n=5, r=3)"),
+], ids=["invalid", "above-bound"])
+def test_a_constructed_partition_is_checked_before_it_is_returned(monkeypatch, trees, message):
+    c, _ = generate_canonical(5, 3)
+    monkeypatch.setattr(constructive, "_construct", lambda cc, trace: trees)
+    with pytest.raises(ConstructionDefect) as info:
+        partition_complete(c)
+    assert str(info.value) == message
+    assert info.value.instance_text == format_coloring(c)

@@ -30,6 +30,11 @@ def test_threshold_rejects_small_r():
         f_of_r(0)
 
 
+def test_r_range_rejects_t_below_one():
+    with pytest.raises(ValueError, match="^need t >= 1, got 0$"):
+        r_range_for_t(0)
+
+
 @pytest.mark.parametrize("t,lo,hi", [(1, 2, 2), (3, 5, 7), (5, 12, 16)])
 def test_r_range_frozen_values(t, lo, hi):
     assert r_range_for_t(t) == (lo, hi)

@@ -194,6 +194,21 @@ def test_solve_rejects_an_invalid_witness(monkeypatch):
         solve(generate_canonical(6, 4)[0])
 
 
+def test_solve_rejects_a_witness_with_the_wrong_tree_count(monkeypatch):
+    # monochromatic K_4 needs two trees; the witness loses its first one
+    monkeypatch.setattr(solver, "TreePartition", lambda trees: TreePartition(trees[1:]))
+    with pytest.raises(RuntimeError, match="^witness has 1 trees, dp count is 2$"):
+        solve(monochromatic_complete(4))
+
+
+def test_solve_rejects_levels_that_stop_too_early(monkeypatch):
+    # a mirror with every bit set ends the level walk at count 1, which no
+    # block but the infeasible full set can meet
+    monkeypatch.setattr(solver, "_mirror", lambda bits, n: -1)
+    with pytest.raises(RuntimeError, match="^dp levels are inconsistent at mask 0xf$"):
+        solve(monochromatic_complete(4))
+
+
 def test_solve_result_is_immutable():
     res = solve(generate_canonical(6, 4)[0])
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -2,11 +2,14 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
+import types
 
 import pytest
 from math import comb
 
 from rainbowtrees import (
+    ConstructionDefect,
     SizeGuardError,
     VerificationReport,
     campaign_constructive,
@@ -16,6 +19,8 @@ from rainbowtrees import (
     format_coloring,
     generate_canonical,
     iter_surjective_colorings,
+    merge_colors,
+    parse_coloring,
     partition_complete,
     partition_number,
     random_surjective_coloring,
@@ -168,6 +173,11 @@ def test_campaign_worstcase_small_scale_passes():
 def test_campaign_worstcase_guard():
     with pytest.raises(SizeGuardError):
         campaign_worstcase(max_n=11)
+
+
+def test_campaign_constructive_guard():
+    with pytest.raises(SizeGuardError, match=re.escape("campaign guard: max_n=13 > 12")):
+        campaign_constructive(max_n=13)
 
 
 def test_campaign_worstcase_cells_count_their_own_failures(monkeypatch):
@@ -343,6 +353,14 @@ def test_report_text_form():
     assert "instances 5" in text
 
 
+def test_report_text_lists_each_witness_without_its_coloring():
+    report = campaign_constructive(max_n=3, samples=0)
+    lines = report.to_text().splitlines()
+    witness_lines = [line for line in lines if line.startswith("witness ")]
+    assert witness_lines == ["witness kind=constructive-extremal n=3 r=2 count=1"]
+    assert not any(line.startswith("  | ") for line in lines)
+
+
 def test_failure_records_embed_the_instance():
     report = VerificationReport("demo", {}, 1)
     from rainbowtrees.verify import _failure
@@ -417,3 +435,89 @@ def test_extremal_witness_must_match_its_coloring():
         assert not revalidate_witness(dict(w, r=w["r"] - 1))
         assert not revalidate_witness(dict(w, coloring=w["coloring"].replace("\n", "\nx", 1)))
         assert not revalidate_witness({k: v for k, v in w.items() if k != "coloring"})
+
+
+def test_a_bool_in_place_of_an_int_fails_revalidation():
+    one_tree = format_coloring(generate_canonical(6, 15)[0])  # count 1, and True == 1
+    w = {"kind": "canonical-extremal", "n": 6, "r": 15, "value": 1, "coloring": one_tree}
+    assert revalidate_witness(w) and not revalidate_witness(dict(w, value=True))
+    w = {"kind": "constructive-extremal", "n": 6, "r": 15, "count": 1, "coloring": one_tree}
+    assert revalidate_witness(w) and not revalidate_witness(dict(w, count=True))
+    w = {"kind": "canonical-extremal", "n": 1, "r": 0, "value": 1, "coloring": "1 0\n"}
+    assert revalidate_witness(w) and not revalidate_witness(dict(w, n=True, r=False))
+    w = {"kind": "cutedge-tight", "n": 3, "bound": 2, "edges": [[0, 1], [1, 2]]}
+    assert revalidate_witness(w)
+    assert not revalidate_witness(dict(w, edges=[[False, True], [1, 2]]))
+    w = {"kind": "cutedge-tight", "n": 2, "bound": 1, "edges": [[0, 1]]}
+    assert revalidate_witness(w) and not revalidate_witness(dict(w, bound=True))
+
+
+# ------------------------------------------------------------- failure records
+
+
+def test_a_merge_that_lowers_the_count_is_recorded_with_its_coloring(monkeypatch):
+    seen = []
+
+    def count_colors(c):
+        seen.append(c)
+        return types.SimpleNamespace(count=c.r)
+
+    monkeypatch.setattr(verify, "solve", count_colors)
+    report = campaign_monotonicity(trials=1, seed=0)
+    [f] = report.failures
+    c, merged = seen
+    assert f["kind"] == "merge-monotonicity"
+    assert (f["n"], f["r"], f["before"], f["after"]) == (c.n, c.r, c.r, c.r - 1)
+    assert merged == merge_colors(c, f["src"], f["dst"])
+    assert parse_coloring(f["coloring"]) == c
+    assert report.cells == [{"trials": 1, "failures": 1}]
+
+
+def test_a_bridged_graph_above_the_bound_is_recorded(monkeypatch):
+    monkeypatch.setattr(verify, "_has_bridge", lambda n, adj: True)
+    report = campaign_cutedge(max_n=3)
+    # K_3 is the one graph on 3 vertices above the bound C(2, 2) + 1 = 2
+    assert report.failures == [{"kind": "cutedge-bound", "n": 3, "edges": 3, "bound": 2,
+                                "mask": 0b111}]
+    assert report.cells[0]["failures"] == 1 and len(report.witnesses) == 1
+
+
+def test_a_bound_with_no_bridged_graph_is_recorded(monkeypatch):
+    monkeypatch.setattr(verify, "_has_bridge", lambda n, adj: False)
+    report = campaign_cutedge(max_n=3)
+    assert report.failures == [{"kind": "cutedge-no-witness", "n": 3, "bound": 2}]
+    assert report.witnesses == [] and not report.passed
+
+
+def test_a_construction_defect_is_recorded_with_its_coloring(monkeypatch):
+    seen = []
+
+    def defective(c, trace=None):
+        seen.append(c)
+        raise ConstructionDefect("forced for the test", instance_text=format_coloring(c))
+
+    monkeypatch.setattr(verify, "partition_complete", defective)
+    report = campaign_constructive(max_n=3, samples=0)
+    assert len(report.failures) == len(seen) == 12  # the 6 + 6 surjective colorings of K_3
+    for f, c in zip(report.failures, seen):
+        assert (f["kind"], f["n"], f["r"]) == ("construction-defect", 3, c.r)
+        assert f["detail"] == "forced for the test"
+        assert parse_coloring(f["coloring"]) == c
+    assert [cell["max_swaps"] for cell in report.cells] == [0, 0]
+
+
+def test_a_partition_below_the_exact_optimum_is_recorded_with_its_coloring(monkeypatch):
+    seen = []
+
+    def above_every_partition(c):
+        seen.append(c)
+        return types.SimpleNamespace(count=c.n + 1)
+
+    monkeypatch.setattr(verify, "solve", above_every_partition)
+    report = campaign_constructive(max_n=3, samples=0)
+    assert len(report.failures) == len(seen) == 12
+    for f, c in zip(report.failures, seen):
+        assert (f["kind"], f["n"], f["r"], f["exact"]) == ("below-optimum", 3, c.r, 4)
+        assert f["observed"] == partition_complete(c).count
+        assert parse_coloring(f["coloring"]) == c
+    assert report.witnesses == []
