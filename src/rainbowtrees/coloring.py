@@ -296,8 +296,9 @@ def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | N
     """
     if not p.trees:
         return False, "partition has no trees"
+    n = c.n
     covered: set = set()
-    uf = UnionFind(c.n)  # trees are disjoint and in range before their edges are read
+    uf = UnionFind(n)  # trees are disjoint and in range before their edges are read
     for i, t in enumerate(p.trees):
         if not t.vertices:
             return False, f"tree {i} is empty"
@@ -306,7 +307,9 @@ def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | N
             return False, f"vertex {min(overlap)} appears in more than one tree"
         covered |= t.vertices
         for v in t.vertices:
-            if not (0 <= v < c.n):
+            if type(v) is not int and not _is_int(v):  # a plain int skips the call
+                return False, f"tree {i} contains vertex {v!r}, which is not an int"
+            if not 0 <= v < n:
                 return False, f"tree {i} contains out-of-range vertex {v}"
         if len(t.edges) != len(t.vertices) - 1:
             return False, f"tree {i} has {len(t.edges)} edges for {len(t.vertices)} vertices"
@@ -323,8 +326,8 @@ def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | N
             tree_colors.add(col)
             if not uf.union(u, v):
                 return False, f"tree {i} contains a cycle through ({u},{v})"
-    if covered != set(range(c.n)):
-        missing = min(set(range(c.n)) - covered)
+    if covered != set(range(n)):
+        missing = min(set(range(n)) - covered)
         return False, f"vertex {missing} is not covered"
     return True, None
 
@@ -412,16 +415,31 @@ def format_coloring(c: EdgeColoring) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lines(text: str):
+    """The lines of text.splitlines(), split about 64 KiB at a time; each
+    block ends just after a newline, where no separator can straddle it."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + 0x10000) + 1 or len(text)
+        yield from text[start:stop].splitlines()
+        start = stop
+
+
 def _data_lines(text: str):
     """(line number, stripped line) of each line that is not blank or a comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
 
 
 def parse_coloring(text: str) -> EdgeColoring:
+    """Read a coloring file body.  Colors are placed in one list in
+    lexicographic edge order when the text is long enough to list every
+    edge of K_n (each edge line takes at least 5 characters), else kept in
+    a dict, as they are when the file turns out to miss an edge."""
     n = r = None
+    placed: list | None = None
     colors: dict = {}
     for lineno, line in _data_lines(text):
         parts = line.split()
@@ -434,6 +452,8 @@ def parse_coloring(text: str) -> EdgeColoring:
                 raise FileFormatError("header values must be integers", lineno) from None
             if n < 1 or r < 0:
                 raise FileFormatError(f"bad header n={n} r={r}", lineno)
+            if 5 * comb(n, 2) <= len(text):
+                placed = [None] * comb(n, 2)
             continue
         if len(parts) != 3:
             raise FileFormatError("expected edge line `u v c`", lineno)
@@ -445,11 +465,21 @@ def parse_coloring(text: str) -> EdgeColoring:
             raise FileFormatError(f"bad edge ({u},{v}); need 0 <= u < v < {n}", lineno)
         if not 1 <= col <= r:
             raise FileFormatError(f"color {col} out of range 1..{r}", lineno)
-        if (u, v) in colors:
+        if placed is None:
+            duplicate = (u, v) in colors
+            colors[(u, v)] = col
+        else:
+            i = edge_index(n, u, v)
+            duplicate = placed[i] is not None
+            placed[i] = col
+        if duplicate:
             raise FileFormatError(f"duplicate edge ({u},{v})", lineno)
-        colors[(u, v)] = col
     if n is None:
         raise FileFormatError("empty coloring file")
+    if placed is not None:
+        if None not in placed:
+            return EdgeColoring(n, r, placed)
+        colors = {e: col for e, col in zip(combinations(range(n), 2), placed) if col is not None}
     return EdgeColoring(n, r, colors)
 
 

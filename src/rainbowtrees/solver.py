@@ -10,22 +10,27 @@ runs by increasing block size and keeps the color set of one tree per
 feasible block.  Most blocks are decided from the blocks one vertex smaller
 by leaf certificates, since every tree has a leaf: B is infeasible if no
 B - v is feasible, and feasible if some edge from v into a feasible B - v
-has a color missing from the tree kept for B - v.  Only a block with
-neither certificate goes to the fallback: cheap rejects, then one matroid
-intersection, whose tree gives the block's colors.
+has a color missing from the tree kept for B - v.  The colors of v's edges
+into B are read from two tables per vertex, indexed by the low n // 2 bits
+of B and by the rest.  Only a block with neither certificate goes to the
+fallback: a reject when B's edges carry fewer than |B| - 1 colors, then one
+matroid intersection, whose tree gives the block's colors.
 
 Then the partitions are counted level by level: level k is one 2^n-bit
 integer whose bit M is set iff the subset M splits into at most k feasible
-blocks, and level k + 1 is level k OR-ed with each feasible block B shifted
-onto the masks of level k disjoint from B.  The walk that builds a level
-skips every block lying inside no feasible block (read from the downward
-closure of the table, taken once with n big-int steps), since no block
-grown from it is feasible.  The count is the first level holding the full
-set; the test is one AND of the feasible blocks with the level mirrored,
-bit M moved to bit full ^ M.  One optimal witness is read back from the
-levels, taking at each step the smallest block mask that contains the
-lowest uncovered vertex; the tree of each block with an edge is read from
-max_rainbow_forest.  Desk scale only (n <= 14 by default).
+blocks.  A mask of level k + 1 is the feasible block B holding its top
+vertex t plus a rest of level k below t, so level k + 1 is level k OR-ed
+with each such B shifted onto the masks of level k that lie below t and
+miss B; for each t the walk grows the blocks down from t on level k cut to
+its first 2^t bits.  The walk skips every block lying inside no feasible
+block (read from the downward closure of the table, taken once with n
+big-int steps), since no block grown from it is feasible.  The count is
+the first level holding the full set; the test is one AND of the feasible
+blocks with the level mirrored, bit M moved to bit full ^ M.  One optimal
+witness is read back from the levels, taking at each step the smallest
+block mask that contains the lowest uncovered vertex; the tree of each
+block with an edge is read from max_rainbow_forest.  Desk scale only
+(n <= 14 by default).
 
 solve_bruteforce() is the independent oracle: it enumerates all set
 partitions of the vertices and checks each block with the subset-enumeration
@@ -65,7 +70,7 @@ class SolveResult:
         pair;
       blocks_walked - blocks the level walk visits, summed over levels: the
         nonempty blocks lying inside some feasible block (each costs one
-        2^n-bit AND);
+        AND on the level cut below the block's top vertex t, 2^t bits);
       cache_hits - feasibility table reads of the witness walk;
       intersections - blocks that ran a matroid intersection: the full
         vertex set, and each table block that neither leaf certificate nor
@@ -112,15 +117,27 @@ def _block_table(c: EdgeColoring, cap: int, stats: dict) -> tuple[bytearray, lis
     the color bits of one such tree.  Every tree has a leaf v, so B is
     infeasible when no B - v is feasible, and feasible when some v has an
     edge into B - v whose color is not on the stored tree of B - v: that
-    tree plus the edge spans B.  Only a block with neither certificate goes
-    to _block_feasible, and its colors are read from the tree it returns.
-    Every block counts in stats["feasibility_checks"].
+    tree plus the edge spans B.  The color bits of v's edges into B are two
+    table reads, lo[v] at B's low h = n // 2 bits and hi[v] at the rest.
+    Only a block with neither certificate goes to _block_feasible, unless
+    its edges carry fewer than |B| - 1 colors, and its colors are read from
+    the tree it returns.  Every block counts in stats["feasibility_checks"].
     """
     n = c.n
     full = (1 << n) - 1
     pair = [[0] * n for _ in range(n)]  # pair[u][v]: color bit of edge uv, 0 if absent
     for u, v, col in c.edges():
         pair[u][v] = pair[v][u] = 1 << col
+    # lo[v][i] / hi[v][j]: OR of pair[v][u] over the u in i / in j << h
+    h = n // 2
+    lo, hi = [], []
+    for row in pair:
+        for half, us in ((lo, row[:h]), (hi, row[h:])):
+            table = [0]
+            for p in us:
+                table += [x | p for x in table]
+            half.append(table)
+    low_half = (1 << h) - 1
     feas = bytearray(full + 1)
     colors = [0] * (full + 1)
     bit = [1 << v for v in range(n)]
@@ -131,18 +148,22 @@ def _block_table(c: EdgeColoring, cap: int, stats: dict) -> tuple[bytearray, lis
         stats["feasibility_checks"] += comb(n, size)
         for vs in combinations(range(n), size):
             mask = sum(map(bit.__getitem__, vs))
+            ml, mh = mask & low_half, mask >> h
             leaf = False  # some B - v is feasible
             for v in vs:
                 rest = mask ^ bit[v]
                 if feas[rest]:
                     leaf = True
-                    spare = reduce(or_, map(pair[v].__getitem__, vs)) & ~colors[rest]
+                    spare = (lo[v][ml] | hi[v][mh]) & ~colors[rest]
                     if spare:
                         feas[mask] = 1
                         colors[mask] = colors[rest] | spare & -spare
                         break
             else:
-                if leaf:
+                if not leaf:
+                    continue
+                inner = reduce(or_, [lo[v][ml] | hi[v][mh] for v in vs])  # colors inside B
+                if inner.bit_count() >= size - 1:
                     items = [(u, v, pair[u][v].bit_length() - 1)
                              for u, v in combinations(vs, 2) if pair[u][v]]
                     tree = _block_feasible(items, size - 1, stats)
@@ -204,27 +225,36 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
     inside = format(inside, f"0{full + 1}b")[::-1].encode().translate(_FLAGS)
 
     def next_level(level: int) -> int:
-        """Level k + 1 from level k.  Blocks are enumerated depth first, so
-        the masks of level k disjoint from a block cost one AND on those
-        disjoint from its parent block.  A block inside no feasible block
-        is skipped with everything grown from it, none of which can be
-        feasible; every feasible block is still shifted."""
+        """Level k + 1 from level k.  A mask of level k + 1 is the block B
+        holding its top vertex t plus a rest of level k lying below t, so
+        each t starts from level k truncated to its first 2^t bits, and
+        blocks are grown down from {t} depth first: the rests disjoint from
+        a block cost one AND on those disjoint from its parent block.  A
+        block inside no feasible block is skipped with everything grown
+        from it, none of which can be feasible; every feasible block is
+        still shifted once.  The shifts for one t fit in 2^(t+1) bits and
+        are OR-ed into one accumulator, which joins level k once."""
         out = level
-        shifts = walked = 0
-        stack = [(0, level, 0, cap)]
-        while stack:
-            block, part, start, room = stack.pop()
-            for v in range(start, n):
-                grown = block | 1 << v
-                if not inside[grown]:
-                    continue
-                walked += 1
-                sub = part & keep[v]
-                if feas[grown]:
-                    out |= sub << grown
-                    shifts += 1
-                if room > 1:
-                    stack.append((grown, sub, v + 1, room - 1))
+        shifts = walked = n  # every {t} is feasible
+        for t in range(n):
+            top = 1 << t
+            part = level & ((1 << top) - 1)
+            acc = part << top
+            stack = [(top, part, t, cap - 1)]
+            while stack:
+                block, part, low, room = stack.pop()
+                for v in range(low):
+                    grown = block | 1 << v
+                    if not inside[grown]:
+                        continue
+                    walked += 1
+                    sub = part & keep[v]
+                    if feas[grown]:
+                        acc |= sub << grown
+                        shifts += 1
+                    if room > 1:
+                        stack.append((grown, sub, v, room - 1))
+            out |= acc
         stats["masks"] += shifts
         stats["blocks_walked"] += walked
         return out

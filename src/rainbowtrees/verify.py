@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import struct
 import time
 from dataclasses import asdict, dataclass, field, fields
 from itertools import product
@@ -155,6 +156,22 @@ def _failure(kind: str, c: EdgeColoring | None = None, **fields) -> dict:
 # instance generators
 
 
+def _uniform_colors(r: int, m: int, rng: random.Random) -> list[int]:
+    """m colors uniform on 1..r, the same ones m calls rng.randint(1, r)
+    return, leaving rng in the same state.  randint draws one 32-bit word
+    per try and keeps its top r.bit_length() bits when they are below r, so
+    each round draws one word per color still missing, at most 4096, and
+    applies that test to each.  (r <= m, and m above 2^32 colors would not
+    fit in memory.)"""
+    shift = 32 - r.bit_length()
+    out: list[int] = []
+    while len(out) < m:
+        need = min(m - len(out), 0x1000)
+        words = struct.unpack(f"<{need}I", rng.getrandbits(32 * need).to_bytes(4 * need, "little"))
+        out += [x + 1 for w in words if (x := w >> shift) < r]
+    return out
+
+
 def random_surjective_coloring(n: int, r: int, rng: random.Random) -> EdgeColoring:
     """A surjective r-coloring of K_n: rejection sampling, then a repair.
 
@@ -176,12 +193,12 @@ def random_surjective_coloring(n: int, r: int, rng: random.Random) -> EdgeColori
         raise ValueError(f"need 1 <= r <= {m}, got {r}")
     assignment = None
     for _ in range(50):
-        cand = [rng.randint(1, r) for _ in range(m)]
+        cand = _uniform_colors(r, m, rng)
         if len(set(cand)) == r:
             assignment = cand
             break
     if assignment is None:
-        cand = [rng.randint(1, r) for _ in range(m)]
+        cand = _uniform_colors(r, m, rng)
         for _ in range(100):
             missing = sorted(set(range(1, r + 1)) - set(cand))
             if not missing:

@@ -1,4 +1,5 @@
 import pickle
+import random
 import re
 
 import pytest
@@ -22,6 +23,7 @@ from rainbowtrees import (
     restrict,
     validate,
 )
+from rainbowtrees import coloring
 from rainbowtrees.coloring import edge_index, edge_pair, row_offset
 
 
@@ -155,6 +157,11 @@ def test_partition_cycle_rejected():
     (EdgeColoring(3, 2, {(0, 1): 1, (1, 2): 2}), (Tree.make([0, 1, 2], [(0, 1, 1), (0, 2, 2)]),),
      "tree 0 edge (0,2) is not in the graph"),
     (rainbow_k3(), (Tree.make([0, 1, 2], [(0, 1, 1)]),), "tree 0 has 1 edges for 3 vertices"),
+    # True == 1 and hashes like 1, so a set of vertices cannot tell them apart
+    (rainbow_complete(3), (Tree.make([0, True, 2], [(0, True, 1), (0, 2, 2)]),),
+     "tree 0 contains vertex True, which is not an int"),
+    (rainbow_complete(3), (Tree.make([0, 1, 2], [(0, 1, 1), (0, 2, 2)]), Tree.make([1.5])),
+     "tree 1 contains vertex 1.5, which is not an int"),
 ])
 def test_partition_check_names_each_violation(c, trees, why):
     assert is_partition_valid(c, TreePartition(trees)) == (False, why)
@@ -386,6 +393,40 @@ def test_parse_partition_rejects_an_out_of_range_vertex():
         parse_partition("tree 7 ; edges\n", c)
     with pytest.raises(FileFormatError, match=r"line 2: vertex -1 out of range 0\.\.2"):
         parse_partition("# header\ntree -1 0 1 2 ; edges (0,1) (1,2)\n", c)
+
+
+# every separator str.splitlines() knows; parse errors count lines by it
+LINE_SEPARATORS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                   "\u2028", "\u2029"]
+
+
+def test_lines_split_like_splitlines_across_blocks():
+    # about 200 KB each, so every text spans several 64 KiB blocks
+    alphabet = LINE_SEPARATORS + ["a", "b", " ", "\n\n", "\r\r"]
+    for seed in range(6):
+        rng = random.Random(seed)
+        text = "".join(rng.choices(alphabet, k=80000))
+        assert list(coloring._lines(text)) == text.splitlines(), seed
+    for text in ("", "\n", "a", "a\n", "a\r", "\r\n", "a\x0b\nb", "\n" * 0x10001 + "x\r\n"):
+        assert list(coloring._lines(text)) == text.splitlines(), repr(text)
+
+
+def test_parse_errors_name_the_line_for_every_separator():
+    c = rainbow_complete(120)  # 7141 lines, about 87 KB: more than one block
+    good = format_coloring(c).splitlines()
+    rng = random.Random(5)
+    for sep in LINE_SEPARATORS + ["mixed"]:
+        def join(lines):
+            if sep != "mixed":
+                return sep.join(lines) + sep
+            return "".join(line + rng.choice(LINE_SEPARATORS) for line in lines)
+
+        assert parse_coloring(join(good)) == c, repr(sep)
+        for at in (1, 2, 5000, len(good) - 1):
+            lines = good[:at] + ["# comment", "", f"{good[at]} 9"] + good[at + 1:]
+            with pytest.raises(FileFormatError, match="expected edge line") as exc:
+                parse_coloring(join(lines))
+            assert exc.value.line == at + 3, (repr(sep), at)
 
 
 # Fuzzed file text: free text, and lines shaped like both file grammars

@@ -336,10 +336,12 @@ def unpruned_level_dp(c):
     return len(levels), TreePartition(tuple(tree(b) for b in blocks)), shifts, walked
 
 
-def random_subgraph_coloring(n, r, keep, rng):
+def random_subgraph_coloring(n, r, keep, rng, isolated=()):
     """A surjective r-coloring of a random subgraph of K_n keeping about a
-    `keep` share of the edges (at least r of them)."""
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    `keep` share of the edges (at least r of them), none of them at a vertex
+    in `isolated`."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if u not in isolated and v not in isolated]
     rng.shuffle(pairs)
     kept = pairs[:max(r, round(keep * len(pairs)))]
     cols = list(range(1, r + 1)) + [rng.randint(1, r) for _ in kept[r:]]
@@ -399,6 +401,30 @@ def test_pruned_level_walk_on_sparse_subgraphs():
     for n, r, keep in ((8, 3, 0.3), (9, 4, 0.25), (10, 5, 0.3), (11, 4, 0.2), (12, 6, 0.25)):
         res = assert_pruned_walk_matches_the_unpruned_walk(random_subgraph_coloring(n, r, keep, rng))
         assert res.count > 1
+
+
+def test_solve_matches_both_oracles_at_the_half_split_and_the_top_vertex():
+    # the block table reads each vertex's colors from two tables split at
+    # h = n // 2, and each level is walked truncated below a top vertex t:
+    # an isolated vertex n - 1, h - 1 or h leaves its rows all zero, n = 2
+    # and 3 have h = 1, and n = 14 has the widest tables
+    rng = random.Random(4242)
+    cases = [monochromatic_complete(2), monochromatic_complete(3), rainbow_complete(3)]
+    cases += [EdgeColoring(3, 1, {e: 1}) for e in ((0, 1), (0, 2), (1, 2))]
+    for n in (9, 10, 11, 12):
+        h = n // 2
+        for x in (n - 1, h - 1, h):
+            for r, keep in ((2, 0.5), (4, 0.8)):
+                cases.append(random_subgraph_coloring(n, r, keep, rng, isolated=(x,)))
+    cases.append(random_subgraph_coloring(14, 3, 0.6, rng, isolated=(7,)))
+    for c in cases:
+        if c.n <= 12:
+            assert_block_table_matches_intersections(c)
+        count, partition, checks = submask_dp_reference(c)
+        res = assert_pruned_walk_matches_the_unpruned_walk(c)
+        assert res.count == count, format_coloring(c)
+        assert format_partition(res.partition) == format_partition(partition), format_coloring(c)
+        assert res.stats["feasibility_checks"] == checks, format_coloring(c)
 
 
 def test_pruned_level_walk_stops_at_count_two_and_at_half_of_n():

@@ -10,6 +10,7 @@ from math import comb
 
 from rainbowtrees import (
     ConstructionDefect,
+    EdgeColoring,
     SizeGuardError,
     VerificationReport,
     campaign_constructive,
@@ -70,6 +71,49 @@ def test_seeded_instances_are_byte_identical_to_the_golden_files():
     assert digest.hexdigest() == (
         "1c47698f9e7b68bad99b91c697642e29a1771fdaaf3a3bfbcc943cf16c2ebc9f"
     )
+
+
+def randint_reference_coloring(n, r, rng):
+    """random_surjective_coloring written with one rng.randint(1, r) call
+    per edge: the reference its batched word draws must match."""
+    m = comb(n, 2)
+    for _ in range(50):
+        cand = [rng.randint(1, r) for _ in range(m)]
+        if len(set(cand)) == r:
+            return EdgeColoring(n, r, cand)
+    cand = [rng.randint(1, r) for _ in range(m)]
+    for _ in range(100):
+        missing = sorted(set(range(1, r + 1)) - set(cand))
+        if not missing:
+            break
+        for col, idx in zip(missing, rng.sample(range(m), len(missing))):
+            cand[idx] = col
+    if len(set(cand)) < r:
+        order = list(range(m))
+        rng.shuffle(order)
+        for col in range(1, r + 1):
+            cand[order[col - 1]] = col
+    return EdgeColoring(n, r, cand)
+
+
+def test_random_surjective_draws_match_randint_and_leave_the_same_rng_state():
+    # randint rejects half of all words when r is a power of two and a
+    # quarter at r = 3; r = m takes the repair path from n = 5 on
+    for n in (2, 3, 5, 7, 12):
+        m = comb(n, 2)
+        for r in sorted({1, 2, 3, 4, 5, 8, 9, m}):
+            if r > m:
+                continue
+            for seed in range(3):
+                ours, ref = random.Random(seed), random.Random(seed)
+                expected = randint_reference_coloring(n, r, ref)
+                assert random_surjective_coloring(n, r, ours) == expected, (n, r, seed)
+                assert ours.getstate() == ref.getstate(), (n, r, seed)
+    # 9000 colors take three rounds of at most 4096 words, or more
+    for r in (1, 2, 3, 7, 2**16 + 1, 2**31 + 5, 2**32 - 1):
+        ours, ref = random.Random(r), random.Random(r)
+        assert verify._uniform_colors(r, 9000, ours) == [ref.randint(1, r) for _ in range(9000)]
+        assert ours.getstate() == ref.getstate(), r
 
 
 def test_random_surjective_rejects_bad_parameters():
