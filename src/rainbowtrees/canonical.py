@@ -57,17 +57,14 @@ def generate_canonical(n: int, r: int, fill_color: int | None = None):
     placed = [(u, v) for u in range(t) for v in range(u + 1, t)]
     placed += [(i, hub) for i in range(min(t, r - len(placed)))]
 
-    remaining = comb(n, 2) - len(placed)
     if len(placed) == r - 1:
         # exactly one color was never placed; step 3 must use it
         if fill_color is not None:
             raise ValueError(f"fill color is forced to {r} when r = C(t+1,2)+1")
         fill = r
-        if not remaining:
-            raise AssertionError("unused color with no remaining edge to carry it")
     elif fill_color is not None and not 1 <= fill_color <= r:
         raise ValueError(f"fill color {fill_color} out of range 1..{r}")
-    elif remaining:
+    elif len(placed) < comb(n, 2):  # some edge is left for step 3
         fill = 1 if fill_color is None else fill_color
     else:
         fill = None

@@ -164,17 +164,19 @@ class EdgeColoring:
         return combinations(range(self.n), 2)
 
     def _position(self, u, v) -> int:
-        """Storage index of the pair (u, v), u < v, or -1."""
+        """Storage index of the edge joining u and v, in either order, or -1."""
+        if u > v:
+            u, v = v, u
         if self._pairs is None:
             return edge_index(self.n, u, v) if 0 <= u < v < self.n else -1
         i = bisect_left(self._pairs, (u, v))
         return i if i < len(self._pairs) and self._pairs[i] == (u, v) else -1
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (self._position(u, v) if u < v else self._position(v, u)) >= 0
+        return self._position(u, v) >= 0
 
     def color_of(self, u: int, v: int) -> int:
-        i = self._position(u, v) if u < v else self._position(v, u)
+        i = self._position(u, v)
         if i < 0:
             raise KeyError((u, v))
         return self._cols[i]
@@ -315,11 +317,13 @@ def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | N
             return False, f"tree {i} has {len(t.edges)} edges for {len(t.vertices)} vertices"
         tree_colors: set = set()
         for (u, v, col) in t.edges:
+            if not (type(u) is type(v) is int or _is_int(u) and _is_int(v)):
+                return False, f"tree {i} edge ({u!r},{v!r}) has an end that is not an int"
             if u not in t.vertices or v not in t.vertices:
                 return False, f"tree {i} edge ({u},{v}) leaves its vertex set"
-            if not c.has_edge(u, v):
+            if (pos := c._position(u, v)) < 0:
                 return False, f"tree {i} edge ({u},{v}) is not in the graph"
-            if c.color_of(u, v) != col:
+            if c._cols[pos] != col:
                 return False, f"tree {i} edge ({u},{v}) recorded with wrong color {col}"
             if col in tree_colors:
                 return False, f"tree {i} repeats color {col}"
@@ -337,21 +341,21 @@ def merge_colors(c: EdgeColoring, src: int, dst: int) -> EdgeColoring:
 
     Colors above `src` shift down by one, so the result is a valid
     (r-1)-edge-coloring: `dst` only gains edges, every other color keeps its
-    edges, and no color index is left unused.
+    edges, and no color index is left unused.  The result is stored as c
+    is (a K_n coloring as its color sequence), and an edge color outside
+    1..r raises KeyError.
     """
     if src == dst:
         raise ValueError("merge_colors requires two distinct colors")
     for col in (src, dst):
         if not 1 <= col <= c.r:
             raise ValueError(f"color {col} out of range 1..{c.r}")
-    merged = []
-    for col in c._cols:
-        if col == src:
-            col = dst
-        if col > src:
-            col -= 1
-        merged.append(col)
-    return EdgeColoring(c.n, c.r - 1, dict(zip(c._pairs_in_order(), merged)))
+    lut = {col: col - (col > src) for col in range(1, c.r + 1)}
+    lut[src] = lut[dst]
+    merged = map(lut.__getitem__, c._cols)
+    if c._pairs is not None:
+        merged = dict(zip(c._pairs, merged))
+    return EdgeColoring(c.n, c.r - 1, merged)
 
 
 @dataclass(frozen=True)
@@ -408,11 +412,15 @@ def matching_trees(c: EdgeColoring, vertices) -> list[Tree]:
 # file I/O
 
 
+def _coloring_lines(c: EdgeColoring):
+    """The lines of c's file, newline included, read straight from its storage."""
+    yield f"{c.n} {c.r}\n"
+    for (u, v), col in zip(c._pairs_in_order(), c._cols):
+        yield f"{u} {v} {col}\n"
+
+
 def format_coloring(c: EdgeColoring) -> str:
-    lines = [f"{c.n} {c.r}"]
-    for u, v, col in c.edges():
-        lines.append(f"{u} {v} {col}")
-    return "\n".join(lines) + "\n"
+    return "".join(_coloring_lines(c))
 
 
 def _lines(text: str):
@@ -488,7 +496,8 @@ def read_coloring(path) -> EdgeColoring:
 
 
 def write_coloring(c: EdgeColoring, path) -> None:
-    Path(path).write_text(format_coloring(c))
+    with open(path, "w") as fh:
+        fh.writelines(_coloring_lines(c))
 
 
 def format_partition(p: TreePartition) -> str:
@@ -535,9 +544,9 @@ def parse_partition(text: str, c: EdgeColoring) -> TreePartition:
                 u, v = (int(x) for x in token[1:-1].split(","))
             except ValueError:
                 raise FileFormatError(f"bad edge token {token!r}", lineno) from None
-            if not c.has_edge(u, v):
+            if (pos := c._position(u, v)) < 0:
                 raise FileFormatError(f"edge ({u},{v}) not present in the coloring", lineno)
-            edges.append((min(u, v), max(u, v), c.color_of(u, v)))
+            edges.append((min(u, v), max(u, v), c._cols[pos]))
         trees.append(Tree.make(verts, edges))
     return TreePartition(tuple(trees))
 

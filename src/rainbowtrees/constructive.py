@@ -34,7 +34,7 @@ carrying the serialized instance, it is never accepted silently.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -151,14 +151,11 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
     live_touched = [x for x in verts if x in adj]
     # candidate edges of each color, in lexicographic order
     cands: dict = {color: [] for color in s.rep_edges}
-    j = 0
     for i, u in enumerate(verts):
         if u in adj:
             partners = verts[i + 1:]
         else:
-            while j < len(live_touched) and live_touched[j] < u:
-                j += 1
-            partners = live_touched[j:]
+            partners = live_touched[bisect_right(live_touched, u):]
         row = row_offset(c.n, u)  # (u, v) sits at seq[row + v]
         for v in partners:
             bucket = cands.get(seq[row + v])

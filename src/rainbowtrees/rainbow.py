@@ -23,6 +23,8 @@ from .coloring import EdgeColoring
 from .errors import SizeGuardError
 from .unionfind import UnionFind
 
+_MAX_BRUTE_EDGES = 21  # every block of K_7, so solve_bruteforce reaches n = 7
+
 
 def _induced_items(c: EdgeColoring, within) -> tuple[list[int], list[tuple[int, int, int]]]:
     verts = sorted(set(within))
@@ -143,12 +145,12 @@ def max_rainbow_forest(c: EdgeColoring, within) -> tuple:
     return tuple(items[i] for i in _max_common_set(items))
 
 
-def max_rainbow_forest_bruteforce(c: EdgeColoring, within, max_edges: int = 20) -> int:
+def max_rainbow_forest_bruteforce(c: EdgeColoring, within) -> int:
     """Exact maximum rainbow forest size by subset enumeration (test oracle)."""
     verts, items = _induced_items(c, within)
     m = len(items)
-    if m > max_edges:
-        raise SizeGuardError(f"{m} induced edges exceeds brute-force guard {max_edges}")
+    if m > _MAX_BRUTE_EDGES:
+        raise SizeGuardError(f"{m} induced edges exceeds brute-force guard {_MAX_BRUTE_EDGES}")
     vid = {x: i for i, x in enumerate(verts)}
     distinct = len({col for _, _, col in items})
     upper = min(m, len(verts) - 1, distinct)

@@ -67,10 +67,11 @@ class SolveResult:
       feasibility_checks - blocks whose feasibility was decided: the full
         vertex set, then every block of at most r + 1 vertices;
       masks - block shifts of the level DP, one per (level, feasible block)
-        pair;
+        pair: (count - 1) * (feasible blocks);
       blocks_walked - blocks the level walk visits, summed over levels: the
         nonempty blocks lying inside some feasible block (each costs one
-        AND on the level cut below the block's top vertex t, 2^t bits);
+        AND on the level cut below the block's top vertex t, 2^t bits), so
+        (count - 1) * (nonempty blocks inside a feasible block);
       cache_hits - feasibility table reads of the witness walk;
       intersections - blocks that ran a matroid intersection: the full
         vertex set, and each table block that neither leaf certificate nor
@@ -97,10 +98,9 @@ def _mirror(bits: int, n: int) -> int:
 def _block_feasible(items, need: int, stats: dict) -> tuple | None:
     """The (u, v, color) edges of a rainbow spanning tree of a block with
     `need` + 1 vertices and induced edges `items`, or None if it has none:
-    cheap rejects, then one matroid intersection, counted in
-    stats["intersections"].  The whole set's tree is solve's witness."""
-    if len({col for _, _, col in items}) < need:
-        return None
+    one matroid intersection, counted in stats["intersections"].  Callers
+    reject a block whose edges carry fewer than `need` colors first.  The
+    whole set's tree is solve's witness."""
     stats["intersections"] += 1
     tree = _max_common_set(items)
     if len(tree) < need:
@@ -183,7 +183,7 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
     n, r = c.n, c.r
     if n > max_n:
         raise SizeGuardError(f"n={n} exceeds solver guard {max_n}")
-    stats = {"masks": 0, "feasibility_checks": 0, "cache_hits": 0, "intersections": 0,
+    stats = {"masks": 0, "feasibility_checks": 1, "cache_hits": 0, "intersections": 0,
              "blocks_walked": 0}
     full = (1 << n) - 1
     cap = r + 1  # a block of k vertices needs k-1 distinct colors
@@ -203,8 +203,8 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
             raise RuntimeError(f"witness is not a rainbow tree partition: {why}")
         return SolveResult(count, partition, MappingProxyType(stats))
 
-    stats["feasibility_checks"] = 1
-    tree = _block_feasible(c.edges(), n - 1, stats)
+    # a valid coloring carries exactly r colors, and a tree needs n - 1
+    tree = _block_feasible(c.edges(), n - 1, stats) if r >= n - 1 else None
     if tree is not None:
         return checked(1, [Tree.make(range(n), tree)])
 
@@ -231,11 +231,12 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
         blocks are grown down from {t} depth first: the rests disjoint from
         a block cost one AND on those disjoint from its parent block.  A
         block inside no feasible block is skipped with everything grown
-        from it, none of which can be feasible; every feasible block is
-        still shifted once.  The shifts for one t fit in 2^(t+1) bits and
-        are OR-ed into one accumulator, which joins level k once."""
+        from it, none of which can be feasible.  Every feasible block is
+        still shifted once and every nonempty block inside one is walked
+        once, so solve counts both from the table, not here.  The shifts
+        for one t fit in 2^(t+1) bits and are OR-ed into one accumulator,
+        which joins level k once."""
         out = level
-        shifts = walked = n  # every {t} is feasible
         for t in range(n):
             top = 1 << t
             part = level & ((1 << top) - 1)
@@ -247,16 +248,12 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
                     grown = block | 1 << v
                     if not inside[grown]:
                         continue
-                    walked += 1
                     sub = part & keep[v]
                     if feas[grown]:
                         acc |= sub << grown
-                        shifts += 1
                     if room > 1:
                         stack.append((grown, sub, v, room - 1))
             out |= acc
-        stats["masks"] += shifts
-        stats["blocks_walked"] += walked
         return out
 
     # levels[k] marks the masks that split into at most k feasible blocks;
@@ -266,17 +263,18 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
     while not feasible & _mirror(levels[-1], n):
         levels.append(next_level(levels[-1]))
     count = len(levels)
+    stats["masks"] = (count - 1) * feas.count(1)
+    stats["blocks_walked"] = (count - 1) * (inside.count(1) - 1)  # less the empty block
 
     blocks = []
     mask = full
-    reads = 0
     for rest_level in reversed(levels):
         low = mask & -mask
         rest = mask ^ low
         sub = 0
         while True:  # ascending submasks: the first fit is the smallest mask
             block = sub | low
-            reads += 1
+            stats["cache_hits"] += 1
             if feas[block] and rest_level >> (mask ^ block) & 1:
                 break
             if sub == rest:
@@ -284,7 +282,6 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
             sub = (sub - rest) & rest
         blocks.append(block)
         mask ^= block
-    stats["cache_hits"] = reads
 
     return checked(count, map(block_tree, blocks))
 
@@ -302,10 +299,7 @@ def _set_partitions(elems: tuple):
 
 
 def solve_bruteforce(c: EdgeColoring, max_n: int = 7) -> int:
-    """Minimum over all set partitions, blocks checked by the brute oracle.
-
-    The edge guard is raised to 21 so whole blocks of K_7 are accepted.
-    """
+    """Minimum over all set partitions, blocks checked by the brute oracle."""
     require_valid(validate(c))
     n = c.n
     if n > max_n:
@@ -315,7 +309,7 @@ def solve_bruteforce(c: EdgeColoring, max_n: int = 7) -> int:
     def block_ok(block: tuple) -> bool:
         val = ok_cache.get(block)
         if val is None:
-            size = max_rainbow_forest_bruteforce(c, block, max_edges=21)
+            size = max_rainbow_forest_bruteforce(c, block)
             val = size == len(block) - 1
             ok_cache[block] = val
         return val

@@ -144,12 +144,9 @@ def _witness(kind: str, c: EdgeColoring, **fields) -> dict:
     return {"kind": kind, "n": c.n, "r": c.r, **fields, "coloring": format_coloring(c)}
 
 
-def _failure(kind: str, c: EdgeColoring | None = None, **fields) -> dict:
-    record = {"kind": kind, **fields}
-    if c is not None:
-        record["coloring"] = format_coloring(c)
-        record["repro"] = "save the coloring block to f.txt, then: rainbowtrees solve f.txt"
-    return record
+def _failure(kind: str, c: EdgeColoring, **fields) -> dict:
+    return {"kind": kind, **fields, "coloring": format_coloring(c),
+            "repro": "save the coloring block to f.txt, then: rainbowtrees solve f.txt"}
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +326,13 @@ def campaign_worstcase(max_n: int = 6, samples_per_cell: int = 100, seed: int = 
                         _failure("upper-bound", sample, n=n, r=r, observed=value, expected=expected)
                     )
             if n == 4:
-                values = [solve(sample).count for sample in iter_surjective_colorings(4, r)]
+                colorings = list(iter_surjective_colorings(4, r))
+                values = [solve(sample).count for sample in colorings]
                 report.instances += len(values)
-                if max(values) != expected:
-                    report.failures.append(_failure("exhaustive-max", None, n=4, r=r,
-                                                    observed=max(values), expected=expected))
+                top = max(values)
+                if top != expected:  # recorded with the first coloring that reaches top
+                    report.failures.append(_failure("exhaustive-max", colorings[values.index(top)],
+                                                    n=4, r=r, observed=top, expected=expected))
             report.cells.append({"n": n, "r": r, "instances": report.instances - instances,
                                  "failures": len(report.failures) - failures,
                                  "max_observed": max_observed, "expected": expected})
@@ -467,21 +466,21 @@ def campaign_constructive(max_n: int = 8, samples: int = 100, seed: int = 0) -> 
             report.witnesses.append(_witness("constructive-extremal", c, count=part.count))
         return swaps
 
-    def add_cell(n: int, mode: str, colorings) -> None:
+    def add_cell(head: dict, colorings) -> None:
         instances, failures = report.instances, len(report.failures)
         max_swaps = max(map(check, colorings), default=0)
-        report.cells.append({"n": n, "mode": mode, "instances": report.instances - instances,
+        report.cells.append({**head, "instances": report.instances - instances,
                              "failures": len(report.failures) - failures, "max_swaps": max_swaps})
 
     for n in range(3, min(max_n, 4) + 1):
         for r in range(2, comb(n, 2) + 1):
-            add_cell(n, "exhaustive", iter_surjective_colorings(n, r))
+            add_cell({"n": n, "r": r, "mode": "exhaustive"}, iter_surjective_colorings(n, r))
     if max_n >= 5:
         # pinning the first edge to color 1 keeps one coloring per color swap
-        add_cell(5, "exhaustive-r2",
+        add_cell({"n": 5, "r": 2, "mode": "exhaustive-r2"},
                  (c for c in iter_surjective_colorings(5, 2) if c.color_sequence[0] == 1))
     for n in range(6, max_n + 1):
-        add_cell(n, "random", (
+        add_cell({"n": n, "mode": "random"}, (
             random_surjective_coloring(n, rng.randint(2, comb(n, 2)), rng)
             for _ in range(samples)
         ))

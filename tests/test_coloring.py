@@ -20,8 +20,10 @@ from rainbowtrees import (
     parse_coloring,
     parse_partition,
     rainbow_complete,
+    read_coloring,
     restrict,
     validate,
+    write_coloring,
 )
 from rainbowtrees import coloring
 from rainbowtrees.coloring import edge_index, edge_pair, row_offset
@@ -162,6 +164,12 @@ def test_partition_cycle_rejected():
      "tree 0 contains vertex True, which is not an int"),
     (rainbow_complete(3), (Tree.make([0, 1, 2], [(0, 1, 1), (0, 2, 2)]), Tree.make([1.5])),
      "tree 1 contains vertex 1.5, which is not an int"),
+    # an edge end equal to a vertex of the tree, but no int: format_partition
+    # would write it as (0,True), which parse_partition rejects
+    (rainbow_complete(3), (Tree.make([0, 1, 2], [(0, True, 1), (0, 2, 2)]),),
+     "tree 0 edge (0,True) has an end that is not an int"),
+    (rainbow_complete(3), (Tree.make([0, 1, 2], [(0, 1, 1), (2.0, 0, 2)]),),
+     "tree 0 edge (2.0,0) has an end that is not an int"),
 ])
 def test_partition_check_names_each_violation(c, trees, why):
     assert is_partition_valid(c, TreePartition(trees)) == (False, why)
@@ -181,6 +189,7 @@ def test_merge_rainbow_triangle():
     merged = merge_colors(rainbow_k3(), 3, 2)
     assert merged.r == 2
     assert merged.colors == {(0, 1): 1, (0, 2): 2, (1, 2): 2}
+    assert merged.color_sequence == (1, 2, 2)  # stored as K_n, as the input is
 
 
 def test_merge_down_to_monochromatic():
@@ -188,6 +197,8 @@ def test_merge_down_to_monochromatic():
     merged = merge_colors(c, 2, 1)
     assert merged.r == 1
     assert set(merged.colors.values()) == {1}
+    sparse = merge_colors(EdgeColoring(4, 2, {(0, 1): 1, (2, 3): 2}), 2, 1)
+    assert not sparse.complete and sparse.colors == {(0, 1): 1, (2, 3): 1}
 
 
 def test_merge_renumbers_colors_above_src():
@@ -206,6 +217,8 @@ def test_merge_rejects_bad_arguments():
         merge_colors(c, 0, 1)
     with pytest.raises(ValueError):
         merge_colors(c, 1, 4)
+    with pytest.raises(KeyError):  # an edge color above r
+        merge_colors(EdgeColoring(3, 2, [1, 2, 3]), 1, 2)
 
 
 @settings(max_examples=60, derandomize=True)
@@ -296,9 +309,13 @@ def test_color_sequence_rows():
 # ------------------------------------------------------------------ file I/O
 
 
-def test_coloring_round_trip():
+def test_coloring_round_trip(tmp_path):
     c = rainbow_complete(5)
     assert parse_coloring(format_coloring(c)) == c
+    for c in (c, EdgeColoring(4, 2, {(0, 1): 1, (2, 3): 2})):
+        write_coloring(c, tmp_path / "c.txt")
+        assert (tmp_path / "c.txt").read_text() == format_coloring(c)
+        assert read_coloring(tmp_path / "c.txt") == c
 
 
 def test_coloring_format_is_deterministic():
@@ -327,6 +344,17 @@ def test_every_coloring_validate_accepts_survives_a_file_round_trip(c):
         assert parse_coloring(format_coloring(c)) == c
 
 
+def test_a_k_n_file_missing_one_edge_parses_like_its_mapping():
+    # long enough to list K_5, so its colors go to a list, which has a gap
+    lines = format_coloring(rainbow_complete(5)).splitlines(keepends=True)
+    text = "".join(lines[:4] + lines[5:])  # drops "0 4 4"
+    assert len(text) >= 5 * 10
+    colors = dict(rainbow_complete(5).colors)
+    del colors[(0, 4)]
+    c = parse_coloring(text)
+    assert not c.complete and c == EdgeColoring(5, 10, colors)
+
+
 def test_parse_coloring_comments_and_blanks():
     text = "# a comment\n\n3 2\n0 1 1\n# another\n0 2 2\n1 2 1\n"
     c = parse_coloring(text)
@@ -340,6 +368,10 @@ def test_parse_coloring_errors_carry_line_numbers():
     with pytest.raises(FileFormatError) as exc:
         parse_coloring("3 2\n0 1 1\n0 1 2\n")
     assert exc.value.line == 3
+    # too short to list the 6 edges of K_4, so its colors go to a dict
+    with pytest.raises(FileFormatError, match=r"duplicate edge \(0,1\)") as exc:
+        parse_coloring("4 2\n0 1 1\n2 3 2\n0 1 2\n")
+    assert exc.value.line == 4
     with pytest.raises(FileFormatError) as exc:
         parse_coloring("3 2\n0 1 5\n")
     assert exc.value.line == 2

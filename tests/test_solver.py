@@ -17,6 +17,7 @@ from rainbowtrees import (
     max_rainbow_forest,
     merge_colors,
     monochromatic_complete,
+    parse_coloring,
     partition_complete,
     partition_number,
     rainbow_complete,
@@ -346,6 +347,20 @@ def random_subgraph_coloring(n, r, keep, rng, isolated=()):
     kept = pairs[:max(r, round(keep * len(pairs)))]
     cols = list(range(1, r + 1)) + [rng.randint(1, r) for _ in kept[r:]]
     return EdgeColoring(n, r, dict(zip(kept, cols)))
+
+
+def test_sparse_colorings_survive_a_file_round_trip():
+    # a file too short to list K_n is read into a dict, a longer one into a
+    # list of all C(n, 2) colors that turns out to have gaps: both are met
+    rng = random.Random(2718)
+    short = long = 0
+    for n, r, keep in ((6, 3, 0.4), (9, 4, 0.5), (10, 6, 0.7), (12, 5, 0.9), (13, 8, 0.95)):
+        c = random_subgraph_coloring(n, r, keep, rng)
+        text = format_coloring(c)
+        assert not c.complete and parse_coloring(text) == c
+        short += len(text) < 5 * comb(n, 2)
+        long += len(text) >= 5 * comb(n, 2)
+    assert short and long
 
 
 def test_level_dp_matches_the_submask_dp_reference():

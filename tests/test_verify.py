@@ -239,6 +239,13 @@ def test_campaign_worstcase_cells_count_their_own_failures(monkeypatch):
         assert cell["failures"] == len(records)
     assert [(cell["n"], cell["r"]) for cell in report.cells if cell["failures"]] == [(4, 3)]
     assert sum(cell["instances"] for cell in report.cells) == report.instances
+    # every record replays: the exhaustive maximum carries the first coloring
+    # that reaches it
+    for f in report.failures:
+        c = parse_coloring(f["coloring"])
+        assert validate(c) == [] and (c.n, c.r) == (f["n"], f["r"])
+    (record,) = [f for f in report.failures if f["kind"] == "exhaustive-max"]
+    assert parse_coloring(record["coloring"]) == next(iter_surjective_colorings(4, 3))
 
 
 @pytest.mark.parametrize("campaign, kwargs, name", [
@@ -330,6 +337,10 @@ def test_campaign_constructive_small():
     assert report.passed
     modes = {cell["mode"] for cell in report.cells}
     assert modes == {"exhaustive", "exhaustive-r2", "random"}
+    # an exhaustive cell enumerates the colorings of one (n, r), and says which
+    exhaustive = [(cell["n"], cell["r"]) for cell in report.cells if cell["mode"] != "random"]
+    assert exhaustive == [(3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (4, 5), (4, 6), (5, 2)]
+    assert not any("r" in cell for cell in report.cells if cell["mode"] == "random")
     assert report.revalidate()
 
 
@@ -349,7 +360,7 @@ def test_seeded_reports_match_their_golden_digests():
         "eb0975443c7ae69abd3462ce2b52e42ad3de2605b59ac64d292082e6fa947900",
         "6d9b9b2ce70b87c1917dd7dd7c332859ce8d246ed1bc2c2eb2a1e758a65428c0",
         "765e7afdcca1816cfeefd8c6bb7e8fb184b94e0c19e13a6dd6277a52a14a018d",
-        "947d79c5172816920efbec5372bf2c77f96b890690a23c454c9eba9c2c16e30c",
+        "f34ab3bcc73c80212e6c6e449b8155e2b286e3a711ba52ac5d27f4c65ef70b5e",
     ]
 
 
