@@ -15,7 +15,7 @@ import sys
 
 from .canonical import extremal_partition, generate_canonical
 from .coloring import (
-    format_coloring,
+    _write_lines,
     merge_colors,
     read_coloring,
     require_valid,
@@ -127,7 +127,7 @@ def _cmd_canonical(args) -> int:
     if args.output:
         write_coloring(c, args.output)
     else:
-        sys.stdout.write(format_coloring(c))
+        _write_lines(c, sys.stdout)
     if args.partition:
         write_partition(extremal_partition(c, layout), args.partition)
     return EXIT_OK
@@ -157,7 +157,7 @@ def _cmd_merge(args) -> int:
     if args.output:
         write_coloring(merged, args.output)
     else:
-        sys.stdout.write(format_coloring(merged))
+        _write_lines(merged, sys.stdout)
     return EXIT_OK
 
 

@@ -35,7 +35,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from pathlib import Path
 from types import MappingProxyType
@@ -423,6 +423,14 @@ def format_coloring(c: EdgeColoring) -> str:
     return "".join(_coloring_lines(c))
 
 
+def _write_lines(c: EdgeColoring, fh) -> None:
+    """Write c's file to the text stream fh, joined 4096 lines at a time, so
+    that neither the whole text nor one write call per line is needed."""
+    lines = _coloring_lines(c)
+    while batch := "".join(islice(lines, 4096)):
+        fh.write(batch)
+
+
 def _lines(text: str):
     """The lines of text.splitlines(), split about 64 KiB at a time; each
     block ends just after a newline, where no separator can straddle it."""
@@ -497,7 +505,7 @@ def read_coloring(path) -> EdgeColoring:
 
 def write_coloring(c: EdgeColoring, path) -> None:
     with open(path, "w") as fh:
-        fh.writelines(_coloring_lines(c))
+        _write_lines(c, fh)
 
 
 def format_partition(p: TreePartition) -> str:

@@ -12,20 +12,27 @@ by leaf certificates, since every tree has a leaf: B is infeasible if no
 B - v is feasible, and feasible if some edge from v into a feasible B - v
 has a color missing from the tree kept for B - v.  The colors of v's edges
 into B are read from two tables per vertex, indexed by the low n // 2 bits
-of B and by the rest.  Only a block with neither certificate goes to the
-fallback: a reject when B's edges carry fewer than |B| - 1 colors, then one
-matroid intersection, whose tree gives the block's colors.
+of B and by the rest.  The blocks of one size are the masks of the size
+below, each extended by every vertex above its top one, which keeps them
+in lexicographic order.  Only a block with neither certificate goes to the
+fallback: a reject when B's edges carry fewer than |B| - 1 colors, then a
+reject when deleting the edges of the coloring's most frequent color
+leaves B in 3 or more components (a graph with a rainbow spanning tree
+loses at most 2 components when one color is deleted: Suzuki, Graphs
+Combin. 22 (2006)), then one matroid intersection, whose tree gives the
+block's colors.
 
 Then the partitions are counted level by level: level k is one 2^n-bit
 integer whose bit M is set iff the subset M splits into at most k feasible
-blocks.  A mask of level k + 1 is the feasible block B holding its top
-vertex t plus a rest of level k below t, so level k + 1 is level k OR-ed
-with each such B shifted onto the masks of level k that lie below t and
-miss B; for each t the walk grows the blocks down from t on level k cut to
-its first 2^t bits.  The walk skips every block lying inside no feasible
-block (read from the downward closure of the table, taken once with n
-big-int steps), since no block grown from it is feasible.  The count is
-the first level holding the full set; the test is one AND of the feasible
+blocks.  Level 1 is the feasible blocks themselves.  A mask of level k + 1
+is the feasible block B holding its top vertex t plus a rest of level k
+below t, so level k + 1 is level k OR-ed with each such B shifted onto the
+masks of level k that lie below t and miss B; for each t the walk grows
+the blocks down from t on level k cut to its first 2^t bits.  The walk
+skips every block lying inside no feasible block (read from the downward
+closure of the table, taken once with n big-int steps when a level past 1
+is needed), since no block grown from it is feasible.  The count is the
+first level holding the full set; the test is one AND of the feasible
 blocks with the level mirrored, bit M moved to bit full ^ M.  One optimal
 witness is read back from the levels, taking at each step the smallest
 block mask that contains the lowest uncovered vertex; the tree of each
@@ -39,6 +46,7 @@ forest oracle, sharing no code with the DP path.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import reduce
@@ -67,15 +75,20 @@ class SolveResult:
       feasibility_checks - blocks whose feasibility was decided: the full
         vertex set, then every block of at most r + 1 vertices;
       masks - block shifts of the level DP, one per (level, feasible block)
-        pair: (count - 1) * (feasible blocks);
-      blocks_walked - blocks the level walk visits, summed over levels: the
-        nonempty blocks lying inside some feasible block (each costs one
-        AND on the level cut below the block's top vertex t, 2^t bits), so
-        (count - 1) * (nonempty blocks inside a feasible block);
+        pair: (count - 1) * (feasible blocks), level 1 included although it
+        is read from the table with no shift;
+      blocks_walked - blocks the level walk visits, summed over the levels
+        past 1 that it builds: the nonempty blocks lying inside some
+        feasible block (each costs one AND on the level cut below the
+        block's top vertex t, 2^t bits), so (count - 2) * (nonempty blocks
+        inside a feasible block), 0 when count <= 2;
       cache_hits - feasibility table reads of the witness walk;
+      rejects - table blocks that the dominant-color test decided: after
+        both leaf certificates and the color count failed to, they fall
+        into 3 or more components once the most frequent color is deleted;
       intersections - blocks that ran a matroid intersection: the full
-        vertex set, and each table block that neither leaf certificate nor
-        a cheap reject decided (at most feasibility_checks).
+        vertex set, and each table block that no leaf certificate or reject
+        decided (intersections + rejects is at most feasibility_checks).
     For n = 1, feasibility_checks = intersections = 1 (the whole set).
     """
 
@@ -108,6 +121,35 @@ def _block_feasible(items, need: int, stats: dict) -> tuple | None:
     return tuple(items[i] for i in tree)
 
 
+def _other_neighbours(pair: list[list[int]]) -> list[int]:
+    """other[v] has bit u set iff uv is an edge whose color is not the most
+    frequent one (the smallest of those on a tie); pair[u][v] is the color
+    bit of edge uv, 0 if absent."""
+    counts = Counter(p for row in pair for p in row if p)
+    top = max(sorted(counts), key=counts.__getitem__)
+    return [sum(1 << u for u, p in enumerate(row) if p and p != top) for row in pair]
+
+
+def _splits_in_three(mask: int, other: list[int]) -> bool:
+    """Whether block `mask` falls into 3 or more components in the graph
+    whose neighbour masks are `other`: a bitmask search takes out at most
+    two components and reports whether any vertex is left."""
+    for _ in range(2):
+        comp = frontier = mask & -mask
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= other[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & mask & ~comp
+            comp |= frontier
+        mask ^= comp
+        if not mask:
+            return False
+    return True
+
+
 def _block_table(c: EdgeColoring, cap: int, stats: dict) -> tuple[bytearray, list[int]]:
     """Feasibility of every block of at most `cap` vertices short of the
     full vertex set, by increasing size, each decided from the blocks one
@@ -120,8 +162,11 @@ def _block_table(c: EdgeColoring, cap: int, stats: dict) -> tuple[bytearray, lis
     tree plus the edge spans B.  The color bits of v's edges into B are two
     table reads, lo[v] at B's low h = n // 2 bits and hi[v] at the rest.
     Only a block with neither certificate goes to _block_feasible, unless
-    its edges carry fewer than |B| - 1 colors, and its colors are read from
-    the tree it returns.  Every block counts in stats["feasibility_checks"].
+    its edges carry fewer than |B| - 1 colors or it splits into 3 or more
+    components without the most frequent color (counted in
+    stats["rejects"]; other[] is built at the first such block), and its
+    colors are read from the tree it returns.  Every block counts in
+    stats["feasibility_checks"].
     """
     n = c.n
     full = (1 << n) - 1
@@ -141,13 +186,15 @@ def _block_table(c: EdgeColoring, cap: int, stats: dict) -> tuple[bytearray, lis
     feas = bytearray(full + 1)
     colors = [0] * (full + 1)
     bit = [1 << v for v in range(n)]
+    masks = bit  # the blocks of one size in lexicographic order, as masks
     for v in range(n):
         feas[bit[v]] = 1
     stats["feasibility_checks"] += n
+    other = None  # other[v]: v's neighbours by an edge not of the most frequent color
     for size in range(2, min(cap, n - 1) + 1):
         stats["feasibility_checks"] += comb(n, size)
-        for vs in combinations(range(n), size):
-            mask = sum(map(bit.__getitem__, vs))
+        masks = [m | b for m in masks for b in bit[m.bit_length():]]  # add a vertex above the top
+        for mask, vs in zip(masks, combinations(range(n), size)):
             ml, mh = mask & low_half, mask >> h
             leaf = False  # some B - v is feasible
             for v in vs:
@@ -163,14 +210,67 @@ def _block_table(c: EdgeColoring, cap: int, stats: dict) -> tuple[bytearray, lis
                 if not leaf:
                     continue
                 inner = reduce(or_, [lo[v][ml] | hi[v][mh] for v in vs])  # colors inside B
-                if inner.bit_count() >= size - 1:
-                    items = [(u, v, pair[u][v].bit_length() - 1)
-                             for u, v in combinations(vs, 2) if pair[u][v]]
-                    tree = _block_feasible(items, size - 1, stats)
-                    if tree is not None:
-                        feas[mask] = 1
-                        colors[mask] = reduce(or_, (1 << col for _, _, col in tree))
+                if inner.bit_count() < size - 1:
+                    continue
+                if other is None:
+                    other = _other_neighbours(pair)
+                if _splits_in_three(mask, other):
+                    stats["rejects"] += 1
+                    continue
+                items = [(u, v, pair[u][v].bit_length() - 1)
+                         for u, v in combinations(vs, 2) if pair[u][v]]
+                tree = _block_feasible(items, size - 1, stats)
+                if tree is not None:
+                    feas[mask] = 1
+                    colors[mask] = reduce(or_, (1 << col for _, _, col in tree))
     return feas, colors
+
+
+def _walk_tables(feasible: int, n: int) -> tuple[list[int], bytes]:
+    """The level walk's tables.  keep[v] has bit M set iff vertex v is not
+    in M: runs of 2^v ones repeated with period 2^(v+1).  inside[M] is 1
+    iff M lies inside some feasible block (bit M of `feasible`): the
+    downward closure, taken with n big-int steps and rendered to bytes."""
+    full = (1 << n) - 1
+    every = (1 << (full + 1)) - 1
+    keep = [every // ((1 << (2 << v)) - 1) * ((1 << (1 << v)) - 1) for v in range(n)]
+    inside = feasible
+    for v in range(n):
+        inside |= (inside & ~keep[v]) >> (1 << v)
+    return keep, format(inside, f"0{full + 1}b")[::-1].encode().translate(_FLAGS)
+
+
+def _next_level(level: int, feas: bytearray, keep: list[int], inside: bytes,
+                n: int, cap: int) -> int:
+    """Level k + 1 from level k.  A mask of level k + 1 is the block B
+    holding its top vertex t plus a rest of level k lying below t, so each
+    t starts from level k truncated to its first 2^t bits, and blocks are
+    grown down from {t} depth first: the rests disjoint from a block cost
+    one AND on those disjoint from its parent block.  A block inside no
+    feasible block is skipped with everything grown from it, none of which
+    can be feasible.  Every feasible block is still shifted once and every
+    nonempty block inside one is walked once, so solve counts both from the
+    table, not here.  The shifts for one t fit in 2^(t+1) bits and are
+    OR-ed into one accumulator, which joins level k once."""
+    out = level
+    for t in range(n):
+        top = 1 << t
+        part = level & ((1 << top) - 1)
+        acc = part << top
+        stack = [(top, part, t, cap - 1)]
+        while stack:
+            block, part, low, room = stack.pop()
+            for v in range(low):
+                grown = block | 1 << v
+                if not inside[grown]:
+                    continue
+                sub = part & keep[v]
+                if feas[grown]:
+                    acc |= sub << grown
+                if room > 1:
+                    stack.append((grown, sub, v, room - 1))
+        out |= acc
+    return out
 
 
 def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
@@ -184,7 +284,7 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
     if n > max_n:
         raise SizeGuardError(f"n={n} exceeds solver guard {max_n}")
     stats = {"masks": 0, "feasibility_checks": 1, "cache_hits": 0, "intersections": 0,
-             "blocks_walked": 0}
+             "rejects": 0, "blocks_walked": 0}
     full = (1 << n) - 1
     cap = r + 1  # a block of k vertices needs k-1 distinct colors
 
@@ -208,63 +308,28 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
     if tree is not None:
         return checked(1, [Tree.make(range(n), tree)])
 
-    # feas[M] = 1 iff M is a feasible block; blocks over cap and full stay 0
+    # feas[M] = 1 iff M is a feasible block; blocks over cap and full stay 0,
+    # and bit M of feasible is feas[M]
     feas, _ = _block_table(c, cap, stats)
-
-    # keep[v] has bit M set iff vertex v is not in M: runs of 2^v ones
-    # repeated with period 2^(v+1)
-    every = (1 << (full + 1)) - 1
-    keep = [every // ((1 << (2 << v)) - 1) * ((1 << (1 << v)) - 1) for v in range(n)]
-
-    # bit M of feasible is feas[M]; inside is its downward closure, the
-    # blocks that lie inside some feasible block, rendered back to bytes
     feasible = int(feas.translate(_BITS)[::-1], 2)
-    inside = feasible
-    for v in range(n):
-        inside |= (inside & ~keep[v]) >> (1 << v)
-    inside = format(inside, f"0{full + 1}b")[::-1].encode().translate(_FLAGS)
-
-    def next_level(level: int) -> int:
-        """Level k + 1 from level k.  A mask of level k + 1 is the block B
-        holding its top vertex t plus a rest of level k lying below t, so
-        each t starts from level k truncated to its first 2^t bits, and
-        blocks are grown down from {t} depth first: the rests disjoint from
-        a block cost one AND on those disjoint from its parent block.  A
-        block inside no feasible block is skipped with everything grown
-        from it, none of which can be feasible.  Every feasible block is
-        still shifted once and every nonempty block inside one is walked
-        once, so solve counts both from the table, not here.  The shifts
-        for one t fit in 2^(t+1) bits and are OR-ed into one accumulator,
-        which joins level k once."""
-        out = level
-        for t in range(n):
-            top = 1 << t
-            part = level & ((1 << top) - 1)
-            acc = part << top
-            stack = [(top, part, t, cap - 1)]
-            while stack:
-                block, part, low, room = stack.pop()
-                for v in range(low):
-                    grown = block | 1 << v
-                    if not inside[grown]:
-                        continue
-                    sub = part & keep[v]
-                    if feas[grown]:
-                        acc |= sub << grown
-                    if room > 1:
-                        stack.append((grown, sub, v, room - 1))
-            out |= acc
-        return out
 
     # levels[k] marks the masks that split into at most k feasible blocks;
     # the full set is in level k + 1 iff some feasible block B leaves its
-    # rest full ^ B in level k, that is, B is in mirror(level k)
+    # rest full ^ B in level k, that is, B is in mirror(level k).  Walking
+    # level 0 only shifts each feasible block onto the empty set, so level 1
+    # is feasible | 1, and the walk's tables wait for level 2.
     levels = [1]
     while not feasible & _mirror(levels[-1], n):
-        levels.append(next_level(levels[-1]))
+        if len(levels) == 1:
+            levels.append(feasible | 1)
+            continue
+        if len(levels) == 2:
+            keep, inside = _walk_tables(feasible, n)
+        levels.append(_next_level(levels[-1], feas, keep, inside, n, cap))
     count = len(levels)
     stats["masks"] = (count - 1) * feas.count(1)
-    stats["blocks_walked"] = (count - 1) * (inside.count(1) - 1)  # less the empty block
+    if count > 2:  # the walk ran from level 2 on; the empty block is not walked
+        stats["blocks_walked"] = (count - 2) * (inside.count(1) - 1)
 
     blocks = []
     mask = full

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 from rainbowtrees import (
+    format_coloring,
     monochromatic_complete,
     parse_coloring,
     read_coloring,
@@ -117,6 +118,22 @@ def test_merge_command(tmp_path, capsys):
     merged = read_coloring(ofile)
     assert merged.r == 3
     assert validate(merged) == []
+
+
+def test_coloring_stdout_over_several_write_batches_is_the_formatted_text(tmp_path, capsys):
+    # K_100 has 4951 file lines, more than one batch of 4096: canonical and
+    # merge print, after their comment lines, exactly format_coloring's text
+    from rainbowtrees import generate_canonical, merge_colors
+
+    c = generate_canonical(100, 8)[0]
+    cfile = tmp_path / "c.txt"
+    write_coloring(c, cfile)
+    for argv, expected in ((("canonical", 100, 8), c),
+                           (("merge", cfile, 8, 1), merge_colors(c, 8, 1))):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        body = "".join(line for line in out.splitlines(keepends=True) if not line.startswith("#"))
+        assert body == format_coloring(expected)
 
 
 def test_merge_without_output_writes_the_coloring_to_stdout(tmp_path, capsys):

@@ -297,7 +297,7 @@ def unpruned_level_dp(c):
 
     if len(max_rainbow_forest(c, range(n))) == n - 1:
         return 1, TreePartition((tree(full),)), 0, 0
-    feas, _ = solver._block_table(c, cap, {"feasibility_checks": 0, "intersections": 0})
+    feas, _ = solver._block_table(c, cap, {"feasibility_checks": 0, "intersections": 0, "rejects": 0})
     every = (1 << (full + 1)) - 1
     keep = [every // ((1 << (2 << v)) - 1) * ((1 << (1 << v)) - 1) for v in range(n)]
     shifts = walked = 0
@@ -476,7 +476,7 @@ def assert_block_table_matches_intersections(c):
     the block, and the colors kept for a feasible block carry one of its
     rainbow spanning trees."""
     cap = c.r + 1
-    stats = {"feasibility_checks": 0, "intersections": 0}
+    stats = {"feasibility_checks": 0, "intersections": 0, "rejects": 0}
     feas, colors = solver._block_table(c, cap, stats)
     checks = 0
     for mask in range(1, (1 << c.n) - 1):
@@ -494,7 +494,8 @@ def assert_block_table_matches_intersections(c):
             assert kept.bit_count() == len(vs) - 1, (format_coloring(c), vs)
             assert len(_max_common_set(items)) == len(vs) - 1, (format_coloring(c), vs)
     assert stats["feasibility_checks"] == checks
-    assert 0 <= stats["intersections"] <= checks
+    assert 0 <= stats["intersections"] + stats["rejects"] <= checks
+    return feas, colors, stats
 
 
 def test_block_table_on_random_complete_graphs():
@@ -528,6 +529,59 @@ def test_block_table_falls_back_to_the_intersection(monkeypatch):
     assert found == [5], "block {0, 1, 2, 3, 5} was not decided by the fallback"
 
 
+def test_dominant_color_reject_decides_canonical_fallbacks(monkeypatch):
+    # a canonical coloring sends infeasible blocks past both leaf
+    # certificates and the color count; deleting its most frequent color
+    # splits each of them into 3 or more components, so the table rejects
+    # them with no intersection and every entry stays as before
+    cases = [generate_canonical(n, r)[0] for n in range(8, 12) for r in (4, 9)]
+    tables = [assert_block_table_matches_intersections(c) for c in cases]
+    monkeypatch.setattr(solver, "_splits_in_three", lambda mask, other: False)
+    for c, (feas, colors, stats) in zip(cases, tables):
+        assert stats["rejects"] > 0, format_coloring(c)
+        plain = {"feasibility_checks": 0, "intersections": 0, "rejects": 0}
+        assert solver._block_table(c, c.r + 1, plain) == (feas, colors), format_coloring(c)
+        assert plain["rejects"] == 0
+        assert plain["intersections"] == stats["intersections"] + stats["rejects"], format_coloring(c)
+
+
+def test_dominant_color_reject_keeps_a_block_with_two_components(monkeypatch):
+    # color 1 is the most frequent in this K_6; without it, block
+    # {0, 1, 2, 4, 5} splits into {0} and {1, 2, 4, 5}, two components, yet
+    # (0,1) (1,2) (1,4) (2,5) with colors 1 4 2 5 is a rainbow spanning tree
+    # that no leaf certificate shows: the reject must pass it to the fallback
+    c = EdgeColoring(6, 5, (1, 1, 3, 1, 1, 4, 4, 2, 2, 1, 5, 5, 1, 5, 1))
+    tested, found = {}, []
+    real_split, real_feasible = solver._splits_in_three, solver._block_feasible
+
+    def split(mask, other):
+        tested[mask] = real_split(mask, other)
+        return tested[mask]
+
+    def feasible(items, need, stats):
+        tree = real_feasible(items, need, stats)
+        if tree is not None:
+            found.append(sorted({x for u, v, _ in tree for x in (u, v)}))
+        return tree
+
+    monkeypatch.setattr(solver, "_splits_in_three", split)
+    monkeypatch.setattr(solver, "_block_feasible", feasible)
+    feas, _, _ = assert_block_table_matches_intersections(c)
+    assert tested[0b110111] is False and feas[0b110111] == 1
+    assert found == [[0, 1, 2, 4, 5]]
+
+
+def test_splits_in_three_counts_components_up_to_three():
+    # a path 0-1-2, a lone vertex 3 and an edge 4-5 in a graph of 6 vertices
+    other = [0b10, 0b101, 0b10, 0, 0b100000, 0b10000]
+    assert not solver._splits_in_three(0b000111, other)  # {0, 1, 2}
+    assert not solver._splits_in_three(0b110000, other)  # {4, 5}
+    assert not solver._splits_in_three(0b001111, other)  # {0, 1, 2} {3}
+    assert not solver._splits_in_three(0b111000, other)  # {3} {4, 5}
+    assert solver._splits_in_three(0b001101, other)  # {0} {2} {3}
+    assert solver._splits_in_three(0b111111, other)  # {0, 1, 2} {3} {4, 5}
+
+
 def golden_solve_cases():
     rng = random.Random(1818)
     cases = [monochromatic_complete(1), monochromatic_complete(2)]
@@ -555,18 +609,21 @@ def golden_construct_cases():
 
 
 def test_printed_output_matches_its_golden_digests():
-    # sha256 of solve's partitions and stats, partition_complete's partitions
-    # and trace records, and generate_canonical's colorings, layouts and
-    # errors over seeded inputs, recorded before the one-tree witness, the
-    # constructive base case and the canonical placement were simplified; a
-    # change that moves any of them breaks one digest
-    digest = hashlib.sha256()
+    # sha256 of solve's partitions, of solve's stats, of partition_complete's
+    # partitions and trace records, and of generate_canonical's colorings,
+    # layouts and errors over seeded inputs.  The partition, construct and
+    # canonical digests were recorded before the one-tree witness, the
+    # constructive base case and the canonical placement were simplified;
+    # the stats digest was re-pinned when the table gained the dominant-color
+    # reject and level 1 stopped being walked.  A change that moves any of
+    # them breaks one digest
+    partitions, counters = hashlib.sha256(), hashlib.sha256()
     for c in golden_solve_cases():
         res = solve(c)
-        digest.update(format_partition(res.partition).encode())
+        partitions.update(format_partition(res.partition).encode())
         if c.n >= 2:
-            digest.update(repr(sorted(res.stats.items())).encode())
-    solved = digest.hexdigest()
+            counters.update(repr(sorted(res.stats.items())).encode())
+    solved = partitions.hexdigest(), counters.hexdigest()
 
     digest = hashlib.sha256()
     for c in golden_construct_cases():
@@ -589,7 +646,8 @@ def test_printed_output_matches_its_golden_digests():
     canonical = digest.hexdigest()
 
     assert (solved, constructed, canonical) == (
-        "5683511d0582a7db2640854af3f4c781c57b6ea79d420ef19f8cb8ef968a563c",
+        ("798e9e6e53b1028d52b23c2949635da862b661542d677df8cd2438737a6b9a3c",
+         "a68788da2d0c23c7518042e4bfeef64868853f4159dcf89f07b467746259f6b3"),
         "7b1aaa6a32f611db2936180c4664ec696cf96bdcfbd2e540423132e0c54b27b2",
         "0981d829b4080aaa467b6a987577fe618a95514fec1fe363eded78f7b21b16db",
     )
