@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
 
-from .coloring import EdgeColoring, Tree, TreePartition, edge_index, matching_trees
+from .coloring import EdgeColoring, Tree, TreePartition, _is_int, edge_index, matching_trees
 from .errors import RainbowTreeMissingError
 from .formula import f_of_r
 from .rainbow import max_rainbow_forest
@@ -62,8 +62,8 @@ def generate_canonical(n: int, r: int, fill_color: int | None = None):
         if fill_color is not None:
             raise ValueError(f"fill color is forced to {r} when r = C(t+1,2)+1")
         fill = r
-    elif fill_color is not None and not 1 <= fill_color <= r:
-        raise ValueError(f"fill color {fill_color} out of range 1..{r}")
+    elif fill_color is not None and not (_is_int(fill_color) and 1 <= fill_color <= r):
+        raise ValueError(f"fill color {fill_color!r} out of range 1..{r}")
     elif len(placed) < comb(n, 2):  # some edge is left for step 3
         fill = 1 if fill_color is None else fill_color
     else:

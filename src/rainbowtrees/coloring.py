@@ -49,17 +49,26 @@ class Violation:
     """One invariant violation found by validate()."""
 
     code: str
-    info: tuple = ()
+    info: tuple
 
     def __str__(self) -> str:
-        if self.info:
-            return f"{self.code}{self.info!r}"
-        return self.code
+        return f"{self.code}{self.info!r}"
 
 
 def _is_int(x) -> bool:
     """An int that is not a bool (True == 1 folds into 1 in any set)."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _vertex_set(vertices) -> set:
+    """The set of `vertices`; ValueError for one that is not an int,
+    checked before a set folds True into 1."""
+    out = set()
+    for v in vertices:
+        if not _is_int(v):
+            raise ValueError(f"vertex {v!r} is not an int")
+        out.add(v)
+    return out
 
 
 def edge_index(n: int, u: int, v: int) -> int:
@@ -302,24 +311,26 @@ def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | N
     covered: set = set()
     uf = UnionFind(n)  # trees are disjoint and in range before their edges are read
     for i, t in enumerate(p.trees):
-        if not t.vertices:
+        # a Tree built without Tree.make may hold its vertices in a list
+        vs = t.vertices if type(t.vertices) is frozenset else frozenset(t.vertices)
+        if not vs:
             return False, f"tree {i} is empty"
-        overlap = covered & t.vertices
+        overlap = covered & vs
         if overlap:
             return False, f"vertex {min(overlap)} appears in more than one tree"
-        covered |= t.vertices
-        for v in t.vertices:
+        covered |= vs
+        for v in vs:
             if type(v) is not int and not _is_int(v):  # a plain int skips the call
                 return False, f"tree {i} contains vertex {v!r}, which is not an int"
             if not 0 <= v < n:
                 return False, f"tree {i} contains out-of-range vertex {v}"
-        if len(t.edges) != len(t.vertices) - 1:
-            return False, f"tree {i} has {len(t.edges)} edges for {len(t.vertices)} vertices"
+        if len(t.edges) != len(vs) - 1:
+            return False, f"tree {i} has {len(t.edges)} edges for {len(vs)} vertices"
         tree_colors: set = set()
         for (u, v, col) in t.edges:
             if not (type(u) is type(v) is int or _is_int(u) and _is_int(v)):
                 return False, f"tree {i} edge ({u!r},{v!r}) has an end that is not an int"
-            if u not in t.vertices or v not in t.vertices:
+            if u not in vs or v not in vs:
                 return False, f"tree {i} edge ({u},{v}) leaves its vertex set"
             if (pos := c._position(u, v)) < 0:
                 return False, f"tree {i} edge ({u},{v}) is not in the graph"
@@ -348,8 +359,8 @@ def merge_colors(c: EdgeColoring, src: int, dst: int) -> EdgeColoring:
     if src == dst:
         raise ValueError("merge_colors requires two distinct colors")
     for col in (src, dst):
-        if not 1 <= col <= c.r:
-            raise ValueError(f"color {col} out of range 1..{c.r}")
+        if not (_is_int(col) and 1 <= col <= c.r):
+            raise ValueError(f"color {col!r} out of range 1..{c.r}")
     lut = {col: col - (col > src) for col in range(1, c.r + 1)}
     lut[src] = lut[dst]
     merged = map(lut.__getitem__, c._cols)
@@ -378,7 +389,7 @@ def restrict(c: EdgeColoring, keep) -> tuple[EdgeColoring, RestrictionMaps]:
     Vertices are renumbered 0..|keep|-1 in increasing order; surviving colors
     are renumbered 1..r0 preserving their relative order.
     """
-    kept = sorted(set(keep))
+    kept = sorted(_vertex_set(keep))
     if not kept:
         raise ValueError("restrict requires a nonempty vertex set")
     if kept[0] < 0 or kept[-1] >= c.n:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from math import comb, isqrt
 
+from .coloring import _is_int
+
 
 def f_of_r(r: int) -> int:
     """The unique t >= 1 with C(t,2) + 2 <= r <= C(t+1,2) + 1."""
@@ -32,6 +34,8 @@ def r_range_for_t(t: int) -> tuple[int, int]:
 
 def partition_number(n: int, r: int) -> int:
     """Worst-case minimum rainbow tree cover size for r-edge-colored K_n."""
+    if not (_is_int(n) and _is_int(r)):
+        raise ValueError(f"n and r must be ints, got n={n!r}, r={r!r}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n == 1:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
-from .coloring import EdgeColoring
+from .coloring import EdgeColoring, _vertex_set
 from .errors import SizeGuardError
 from .unionfind import UnionFind
 
@@ -27,7 +27,7 @@ _MAX_BRUTE_EDGES = 21  # every block of K_7, so solve_bruteforce reaches n = 7
 
 
 def _induced_items(c: EdgeColoring, within) -> tuple[list[int], list[tuple[int, int, int]]]:
-    verts = sorted(set(within))
+    verts = sorted(_vertex_set(within))
     if not verts:
         raise ValueError("vertex set must be nonempty")
     if verts[0] < 0 or verts[-1] >= c.n:

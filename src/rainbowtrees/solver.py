@@ -65,6 +65,7 @@ from .coloring import (
 )
 from .errors import SizeGuardError
 from .rainbow import _max_common_set, max_rainbow_forest, max_rainbow_forest_bruteforce
+from .unionfind import mask_component
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,7 @@ class SolveResult:
 # feas bytes to binary digits and back
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+_MAX_BRUTE_N = 7  # solve_bruteforce's guard: rainbow's edge guard holds every block of K_7
 
 
 def _mirror(bits: int, n: int) -> int:
@@ -132,19 +134,10 @@ def _other_neighbours(pair: list[list[int]]) -> list[int]:
 
 def _splits_in_three(mask: int, other: list[int]) -> bool:
     """Whether block `mask` falls into 3 or more components in the graph
-    whose neighbour masks are `other`: a bitmask search takes out at most
-    two components and reports whether any vertex is left."""
+    whose neighbour masks are `other`: it takes out at most two components
+    and reports whether any vertex is left."""
     for _ in range(2):
-        comp = frontier = mask & -mask
-        while frontier:
-            grow = 0
-            while frontier:
-                low = frontier & -frontier
-                grow |= other[low.bit_length() - 1]
-                frontier ^= low
-            frontier = grow & mask & ~comp
-            comp |= frontier
-        mask ^= comp
+        mask ^= mask_component((mask & -mask).bit_length() - 1, mask, other)
         if not mask:
             return False
     return True
@@ -315,14 +308,13 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
 
     # levels[k] marks the masks that split into at most k feasible blocks;
     # the full set is in level k + 1 iff some feasible block B leaves its
-    # rest full ^ B in level k, that is, B is in mirror(level k).  Walking
-    # level 0 only shifts each feasible block onto the empty set, so level 1
-    # is feasible | 1, and the walk's tables wait for level 2.
-    levels = [1]
+    # rest full ^ B in level k, that is, B is in mirror(level k).  Level 1
+    # is feasible | 1, with no walk, and the loop starts there: level 0 would
+    # stop it only at a feasible full set, which the table never marks (the
+    # whole-set check returned every count-1 coloring).  The walk's tables
+    # wait for level 2.
+    levels = [1, feasible | 1]
     while not feasible & _mirror(levels[-1], n):
-        if len(levels) == 1:
-            levels.append(feasible | 1)
-            continue
         if len(levels) == 2:
             keep, inside = _walk_tables(feasible, n)
         levels.append(_next_level(levels[-1], feas, keep, inside, n, cap))
@@ -363,12 +355,12 @@ def _set_partitions(elems: tuple):
             yield sub[:i] + [(first,) + sub[i]] + sub[i + 1:]
 
 
-def solve_bruteforce(c: EdgeColoring, max_n: int = 7) -> int:
+def solve_bruteforce(c: EdgeColoring) -> int:
     """Minimum over all set partitions, blocks checked by the brute oracle."""
     require_valid(validate(c))
     n = c.n
-    if n > max_n:
-        raise SizeGuardError(f"n={n} exceeds brute-force guard {max_n}")
+    if n > _MAX_BRUTE_N:
+        raise SizeGuardError(f"n={n} exceeds brute-force guard {_MAX_BRUTE_N}")
     ok_cache: dict[tuple, bool] = {}
 
     def block_ok(block: tuple) -> bool:

@@ -1,4 +1,5 @@
-"""Small union-find used by the forest and component computations."""
+"""Component searches: a small union-find, and a breadth-first search on
+small graphs held as neighbour bitmasks, whose vertex sets are masks."""
 
 from __future__ import annotations
 
@@ -27,3 +28,18 @@ class UnionFind:
         self.parent[rb] = ra
         self.size[ra] += self.size[rb]
         return True
+
+
+def mask_component(start: int, within: int, adj: list[int]) -> int:
+    """Mask of the vertices of `within` that paths inside `within` join to
+    vertex `start`, which lies in `within`; adj[v] is v's neighbour mask."""
+    comp = frontier = 1 << start
+    while frontier:
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            grow |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grow & within & ~comp
+        comp |= frontier
+    return comp

@@ -30,6 +30,23 @@ from .constructive import partition_complete
 from .errors import ConstructionDefect, FileFormatError, SizeGuardError
 from .formula import partition_number
 from .solver import solve
+from .unionfind import mask_component
+
+
+def _dict_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(d, dict) for d in x)
+
+
+# what from_json accepts for each report field
+_REPORT_TYPES = {
+    "campaign": lambda x: isinstance(x, str),
+    "params": lambda x: isinstance(x, dict),
+    "instances": _is_int,
+    "failures": _dict_list,
+    "witnesses": _dict_list,
+    "cells": _dict_list,
+    "elapsed": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+}
 
 
 @dataclass
@@ -73,7 +90,8 @@ class VerificationReport:
     @classmethod
     def from_json(cls, text: str) -> "VerificationReport":
         """Read what `to_json` writes, `elapsed` optional; ValueError names
-        the missing or unknown fields of any other JSON."""
+        the missing or unknown fields of any other JSON, or the fields of a
+        wrong type."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError(f"a report is a JSON object, got {type(data).__name__}")
@@ -82,6 +100,9 @@ class VerificationReport:
         unknown = sorted(data.keys() - names)
         if missing or unknown:
             raise ValueError(f"not a report: missing fields {missing}, unknown fields {unknown}")
+        wrong = [name for name, ok in _REPORT_TYPES.items() if name in data and not ok(data[name])]
+        if wrong:
+            raise ValueError(f"not a report: fields {wrong} have the wrong type")
         return cls(**data)
 
     def revalidate(self) -> bool:
@@ -186,8 +207,8 @@ def random_surjective_coloring(n: int, r: int, rng: random.Random) -> EdgeColori
     if n < 2:
         raise ValueError("need n >= 2")
     m = comb(n, 2)
-    if not 1 <= r <= m:
-        raise ValueError(f"need 1 <= r <= {m}, got {r}")
+    if not (_is_int(r) and 1 <= r <= m):
+        raise ValueError(f"need 1 <= r <= {m}, got {r!r}")
     assignment = None
     for _ in range(50):
         cand = _uniform_colors(r, m, rng)
@@ -224,18 +245,8 @@ def iter_surjective_colorings(n: int, r: int):
 
 
 def _connected_bitadj(n: int, adj: list[int]) -> bool:
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            f ^= b
-            nxt |= adj[b.bit_length() - 1]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << n) - 1
+    full = (1 << n) - 1
+    return mask_component(0, full, adj) == full
 
 
 def _adjacency(n: int, edges) -> list[int]:
@@ -290,12 +301,16 @@ def _at_least(name: str, value: int, least: int) -> None:
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
+def _max_n_within(max_n: int, guard: int) -> None:
+    if max_n > guard:
+        raise SizeGuardError(f"campaign guard: max_n={max_n} > {guard}")
+    _at_least("max_n", max_n, 3)
+
+
 def campaign_worstcase(max_n: int = 6, samples_per_cell: int = 100, seed: int = 0) -> VerificationReport:
     """Equality on canonical instances, upper bound on random ones, and the
     exhaustive maximum over all colorings of K_4."""
-    if max_n > 10:
-        raise SizeGuardError(f"campaign guard: max_n={max_n} > 10")
-    _at_least("max_n", max_n, 3)
+    _max_n_within(max_n, 10)
     _at_least("samples_per_cell", samples_per_cell, 0)
     t0 = time.monotonic()
     rng = random.Random(seed)
@@ -383,9 +398,7 @@ def campaign_cutedge(max_n: int = 6) -> VerificationReport:
     cell, which is also its number of instances, comes from the recurrence
     for labeled connected graphs.
     """
-    if max_n > 7:
-        raise SizeGuardError(f"campaign guard: max_n={max_n} > 7")
-    _at_least("max_n", max_n, 3)
+    _max_n_within(max_n, 7)
     t0 = time.monotonic()
     report = VerificationReport("cutedge", {"max_n": max_n}, 0)
     for n in range(3, max_n + 1):
@@ -431,9 +444,7 @@ def campaign_constructive(max_n: int = 8, samples: int = 100, seed: int = 0) -> 
     cell's `max_swaps` is the most moves any of its colorings took on one
     level.  Colorings up to n = 7 are also solved exactly.
     """
-    if max_n > 12:
-        raise SizeGuardError(f"campaign guard: max_n={max_n} > 12")
-    _at_least("max_n", max_n, 3)
+    _max_n_within(max_n, 12)
     _at_least("samples", samples, 0)
     t0 = time.monotonic()
     rng = random.Random(seed)

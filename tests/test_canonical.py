@@ -94,6 +94,12 @@ def test_fill_override_rules():
         generate_canonical(5, 4, fill_color=2)  # the unused color is forced
 
 
+def test_fill_color_rejects_a_bool():
+    # True == 1 would fill with color 1 and write "3 4 True" in the file
+    with pytest.raises(ValueError, match=r"^fill color True out of range 1\.\.3$"):
+        generate_canonical(5, 3, fill_color=True)
+
+
 def test_fill_color_is_range_checked_when_no_edge_remains():
     # K_3 with r = 3 is rainbow, so step 3 has no edge to color
     c, layout = generate_canonical(3, 3, fill_color=2)

@@ -175,6 +175,17 @@ def test_partition_check_names_each_violation(c, trees, why):
     assert is_partition_valid(c, TreePartition(trees)) == (False, why)
 
 
+@pytest.mark.parametrize("kind", [list, tuple])
+def test_partition_check_reads_vertices_that_are_not_a_frozenset(kind):
+    # a Tree built without Tree.make keeps whatever container it was given
+    edges = ((0, 1, 1), (0, 2, 2))
+    assert is_partition_valid(rainbow_k3(), TreePartition((Tree(kind([0, 1, 2]), edges),))) == (
+        True, None)
+    trees = (Tree(kind([0, 1]), ((0, 1, 1),)), Tree(kind([1, 2]), ((1, 2, 3),)))
+    assert is_partition_valid(rainbow_k3(), TreePartition(trees)) == (
+        False, "vertex 1 appears in more than one tree")
+
+
 def test_partition_wrong_color_rejected():
     c = rainbow_k3()
     p = TreePartition((Tree.make([0, 1, 2], [(0, 1, 2), (0, 2, 2)]),))
@@ -219,6 +230,14 @@ def test_merge_rejects_bad_arguments():
         merge_colors(c, 1, 4)
     with pytest.raises(KeyError):  # an edge color above r
         merge_colors(EdgeColoring(3, 2, [1, 2, 3]), 1, 2)
+
+
+def test_merge_rejects_a_bool_color():
+    # True == 1, so without the type check it would merge color 1
+    with pytest.raises(ValueError, match=r"^color True out of range 1\.\.3$"):
+        merge_colors(rainbow_k3(), True, 2)
+    with pytest.raises(ValueError, match=r"^color 4 out of range 1\.\.3$"):
+        merge_colors(rainbow_k3(), 1, 4)
 
 
 @settings(max_examples=60, derandomize=True)
@@ -279,6 +298,11 @@ def test_restrict_rejects_bad_sets():
         restrict(c, [])
     with pytest.raises(ValueError):
         restrict(c, [0, 5])
+
+
+def test_restrict_rejects_a_bool_vertex():
+    with pytest.raises(ValueError, match="^vertex True is not an int$"):
+        restrict(rainbow_k3(), [True, 0])
 
 
 @settings(max_examples=40, derandomize=True)

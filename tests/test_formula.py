@@ -94,6 +94,13 @@ def test_partition_number_rejects_impossible_inputs():
         partition_number(0, 0)
 
 
+def test_partition_number_rejects_bools():
+    with pytest.raises(ValueError, match="^n and r must be ints, got n=3, r=True$"):
+        partition_number(3, True)
+    with pytest.raises(ValueError, match="^n and r must be ints, got n=True, r=0$"):
+        partition_number(True, 0)
+
+
 def test_rainbow_complete_graphs_need_one_tree():
     for n in range(2, 30):
         assert partition_number(n, comb(n, 2)) == 1

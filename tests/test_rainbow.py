@@ -136,6 +136,13 @@ def test_within_validation():
         max_rainbow_forest(c, [0, 9])
 
 
+def test_within_rejects_a_bool_vertex():
+    # a set folds True into 1, so the type is checked vertex by vertex first
+    for within in ([True, 0], [0, 1, True]):
+        with pytest.raises(ValueError, match="^vertex True is not an int$"):
+            max_rainbow_forest(rainbow_complete(3), within)
+
+
 # ------------------------------------------------- augmenting-phase reference
 
 

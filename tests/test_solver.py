@@ -3,6 +3,7 @@ import hashlib
 import random
 
 import pytest
+from itertools import combinations
 from math import comb
 
 from rainbowtrees import (
@@ -27,7 +28,7 @@ from rainbowtrees import (
 )
 from rainbowtrees import solver
 from rainbowtrees.rainbow import _max_common_set
-from rainbowtrees.unionfind import UnionFind
+from rainbowtrees.unionfind import UnionFind, mask_component
 
 
 def test_monochromatic_k3_needs_two_trees():
@@ -203,11 +204,12 @@ def test_solve_rejects_a_witness_with_the_wrong_tree_count(monkeypatch):
 
 
 def test_solve_rejects_levels_that_stop_too_early(monkeypatch):
-    # a mirror with every bit set ends the level walk at count 1, which no
-    # block but the infeasible full set can meet
+    # a mirror with every bit set ends the level loop at its first level,
+    # count 2, but a monochromatic K_6 needs 3 trees: no feasible block
+    # (a vertex or an edge) leaves a feasible rest of 4 or 5 vertices
     monkeypatch.setattr(solver, "_mirror", lambda bits, n: -1)
-    with pytest.raises(RuntimeError, match="^dp levels are inconsistent at mask 0xf$"):
-        solve(monochromatic_complete(4))
+    with pytest.raises(RuntimeError, match="^dp levels are inconsistent at mask 0x3f$"):
+        solve(monochromatic_complete(6))
 
 
 def test_solve_result_is_immutable():
@@ -580,6 +582,28 @@ def test_splits_in_three_counts_components_up_to_three():
     assert not solver._splits_in_three(0b111000, other)  # {3} {4, 5}
     assert solver._splits_in_three(0b001101, other)  # {0} {2} {3}
     assert solver._splits_in_three(0b111111, other)  # {0, 1, 2} {3} {4, 5}
+
+
+def test_mask_component_matches_union_find():
+    rng = random.Random(23)
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        density = rng.random()
+        edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < density]
+        adj = [0] * n
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        within = rng.getrandbits(n)
+        for start in range(n):
+            inside = within | 1 << start
+            uf = UnionFind(n)
+            for u, v in edges:
+                if inside >> u & inside >> v & 1:
+                    uf.union(u, v)
+            expected = sum(1 << v for v in range(n)
+                           if inside >> v & 1 and uf.find(v) == uf.find(start))
+            assert mask_component(start, inside, adj) == expected, (n, edges, inside, start)
 
 
 def golden_solve_cases():

@@ -124,6 +124,11 @@ def test_random_surjective_rejects_bad_parameters():
         random_surjective_coloring(4, 7, rng)
 
 
+def test_random_surjective_rejects_a_bool_color_count():
+    with pytest.raises(ValueError, match="^need 1 <= r <= 3, got True$"):
+        random_surjective_coloring(3, True, random.Random(0))
+
+
 def test_exhaustive_enumerations_have_known_sizes():
     assert sum(1 for _ in iter_surjective_colorings(3, 2)) == 2 ** 3 - 2
     assert sum(1 for _ in iter_surjective_colorings(3, 3)) == 6
@@ -398,6 +403,16 @@ def test_report_from_json_rejects_json_that_is_not_a_report():
     # elapsed is optional: to_json leaves it out, and a given value is kept
     data = dict(json.loads(text), elapsed=1.5)
     assert VerificationReport.from_json(json.dumps(data)).elapsed == 1.5
+    # a field of the wrong type is named, rather than crashing to_text later
+    for name, value in (("campaign", 1), ("params", ["max_n"]), ("instances", True),
+                        ("instances", 1.0), ("failures", {}), ("witnesses", [1]),
+                        ("cells", [[]]), ("elapsed", "1.5"), ("elapsed", False)):
+        data = dict(json.loads(text), **{name: value})
+        with pytest.raises(ValueError, match=re.escape(f"fields ['{name}'] have the wrong type")):
+            VerificationReport.from_json(json.dumps(data))
+    data = dict(json.loads(text), params=[], cells={})
+    with pytest.raises(ValueError, match=re.escape("fields ['params', 'cells'] have the wrong")):
+        VerificationReport.from_json(json.dumps(data))
 
 
 def test_report_text_form():
@@ -442,7 +457,10 @@ def test_a_witness_that_is_not_a_dict_is_rejected_not_raised():
         assert not revalidate_witness(w)
     report = campaign_cutedge(max_n=4)
     report.witnesses.append("x")
-    assert not VerificationReport.from_json(report.to_json()).revalidate()
+    assert not report.revalidate()
+    # read back from JSON, a witness that is not a dict is a wrong type
+    with pytest.raises(ValueError, match=re.escape("fields ['witnesses'] have the wrong type")):
+        VerificationReport.from_json(report.to_json())
 
 
 def test_cutedge_witness_must_record_the_true_bound():
