@@ -60,17 +60,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _vertex_set(vertices) -> set:
-    """The set of `vertices`; ValueError for one that is not an int,
-    checked before a set folds True into 1."""
-    out = set()
-    for v in vertices:
-        if not _is_int(v):
-            raise ValueError(f"vertex {v!r} is not an int")
-        out.add(v)
-    return out
-
-
 def edge_index(n: int, u: int, v: int) -> int:
     """Position of the edge (u, v), 0 <= u < v < n, in the lexicographic
     edge order of K_n."""
@@ -260,15 +249,17 @@ def monochromatic_complete(n: int) -> EdgeColoring:
 def validate(c: EdgeColoring) -> list[Violation]:
     """Check n, r and the colors (the constructor already checked the
     pairs), a bool counting as no int; return all violations (empty list =
-    valid)."""
-    out: list[Violation] = []
+    valid).  An n that is not an int >= 1, or an r that is not an int, is
+    the only violation reported, since every later check compares with it."""
     n, r = c.n, c.r
     if not _is_int(n) or n < 1:
-        out.append(Violation("BadVertexCount", (n,)))
-        return out
+        return [Violation("BadVertexCount", (n,))]
+    if not _is_int(r):
+        return [Violation("BadColorCount", (r,))]
+    out: list[Violation] = []
     # more colors than edges: report r once, not one MissingColor per color
     too_many = r > len(c._cols)
-    if too_many or not _is_int(r) or (r != 0 if n == 1 else r < 1):
+    if too_many or (r != 0 if n == 1 else r < 1):
         out.append(Violation("BadColorCount", (r,)))
 
     # a set folds True into 1 and 2.0 into 2, so unless every color is a
@@ -311,8 +302,14 @@ def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | N
     covered: set = set()
     uf = UnionFind(n)  # trees are disjoint and in range before their edges are read
     for i, t in enumerate(p.trees):
-        # a Tree built without Tree.make may hold its vertices in a list
-        vs = t.vertices if type(t.vertices) is frozenset else frozenset(t.vertices)
+        # a Tree built without Tree.make may hold its vertices in a list,
+        # where a repeat would vanish into the frozenset
+        vs = t.vertices
+        if type(vs) is not frozenset:
+            vs = frozenset(t.vertices)
+            if len(vs) < len(t.vertices):
+                repeated = next(v for j, v in enumerate(t.vertices) if v in t.vertices[:j])
+                return False, f"tree {i} lists vertex {repeated!r} more than once"
         if not vs:
             return False, f"tree {i} is empty"
         overlap = covered & vs
@@ -383,27 +380,41 @@ class RestrictionMaps:
         return {new: old for old, new in self.color_map.items()}
 
 
+def _induced_edges(c: EdgeColoring, within) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """The sorted vertices of `within` and the (u, v, color) edges of c
+    between them, in lexicographic order.  Each of the C(k, 2) pairs is
+    looked up by its storage position, so a block of K_n never reads the
+    other edges.  ValueError for a vertex that is not an int (checked before
+    a set folds True into 1), an empty set or a vertex out of range."""
+    seen = set()
+    for v in within:
+        if not _is_int(v):
+            raise ValueError(f"vertex {v!r} is not an int")
+        seen.add(v)
+    verts = sorted(seen)
+    if not verts:
+        raise ValueError("vertex set must be nonempty")
+    if verts[0] < 0 or verts[-1] >= c.n:
+        raise ValueError("vertex set out of range")
+    position, cols = c._position, c._cols
+    return verts, [(u, v, cols[i]) for u, v in combinations(verts, 2)
+                   if (i := position(u, v)) >= 0]
+
+
 def restrict(c: EdgeColoring, keep) -> tuple[EdgeColoring, RestrictionMaps]:
     """Induced coloring on `keep`, with vertices and colors renumbered.
 
     Vertices are renumbered 0..|keep|-1 in increasing order; surviving colors
-    are renumbered 1..r0 preserving their relative order.
+    are renumbered 1..r0 preserving their relative order.  Only the pairs
+    inside `keep` are read; ValueError for an empty or out-of-range set or a
+    vertex that is not an int.
     """
-    kept = sorted(_vertex_set(keep))
-    if not kept:
-        raise ValueError("restrict requires a nonempty vertex set")
-    if kept[0] < 0 or kept[-1] >= c.n:
-        raise ValueError("restrict vertex set out of range")
+    kept, items = _induced_edges(c, keep)
     vmap = {old: new for new, old in enumerate(kept)}
-    pairs, induced = [], []
-    for (u, v), col in zip(c._pairs_in_order(), c._cols):
-        if u in vmap and v in vmap:
-            pairs.append((vmap[u], vmap[v]))
-            induced.append(col)
-    surviving = sorted(set(induced))
+    surviving = sorted({col for _, _, col in items})
     cmap = {old: new for new, old in enumerate(surviving, start=1)}
-    recolored = [cmap[col] for col in induced]
-    sub = EdgeColoring(len(kept), len(surviving), dict(zip(pairs, recolored)))
+    sub = EdgeColoring(len(kept), len(surviving),
+                       {(vmap[u], vmap[v]): cmap[col] for u, v, col in items})
     return sub, RestrictionMaps(MappingProxyType(vmap), MappingProxyType(cmap))
 
 

@@ -19,22 +19,11 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations
 
-from .coloring import EdgeColoring, _vertex_set
+from .coloring import EdgeColoring, _induced_edges
 from .errors import SizeGuardError
 from .unionfind import UnionFind
 
 _MAX_BRUTE_EDGES = 21  # every block of K_7, so solve_bruteforce reaches n = 7
-
-
-def _induced_items(c: EdgeColoring, within) -> tuple[list[int], list[tuple[int, int, int]]]:
-    verts = sorted(_vertex_set(within))
-    if not verts:
-        raise ValueError("vertex set must be nonempty")
-    if verts[0] < 0 or verts[-1] >= c.n:
-        raise ValueError("vertex set out of range")
-    inside = set(verts)
-    items = [(u, v, col) for u, v, col in c.edges() if u in inside and v in inside]
-    return verts, items
 
 
 def _augment(ends, cols, nv, in_set) -> bool:
@@ -139,15 +128,17 @@ def max_rainbow_forest(c: EdgeColoring, within) -> tuple:
     induced by `within`, deterministic for a given input.
 
     The result is a rainbow spanning tree of `within` exactly when it has
-    |within| - 1 edges.
+    |within| - 1 edges.  Only the C(k, 2) pairs of the k vertices in
+    `within` are read; ValueError for an empty or out-of-range set or a
+    vertex that is not an int.
     """
-    _, items = _induced_items(c, within)
+    _, items = _induced_edges(c, within)
     return tuple(items[i] for i in _max_common_set(items))
 
 
 def max_rainbow_forest_bruteforce(c: EdgeColoring, within) -> int:
     """Exact maximum rainbow forest size by subset enumeration (test oracle)."""
-    verts, items = _induced_items(c, within)
+    verts, items = _induced_edges(c, within)
     m = len(items)
     if m > _MAX_BRUTE_EDGES:
         raise SizeGuardError(f"{m} induced edges exceeds brute-force guard {_MAX_BRUTE_EDGES}")

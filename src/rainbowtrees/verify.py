@@ -37,12 +37,13 @@ def _dict_list(x) -> bool:
     return isinstance(x, list) and all(isinstance(d, dict) for d in x)
 
 
-# what from_json accepts for each report field
+# what from_json accepts for each report field; to_text prints a failure's
+# coloring line by line
 _REPORT_TYPES = {
     "campaign": lambda x: isinstance(x, str),
     "params": lambda x: isinstance(x, dict),
     "instances": _is_int,
-    "failures": _dict_list,
+    "failures": lambda x: _dict_list(x) and all(isinstance(f.get("coloring", ""), str) for f in x),
     "witnesses": _dict_list,
     "cells": _dict_list,
     "elapsed": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),

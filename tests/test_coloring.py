@@ -15,6 +15,7 @@ from rainbowtrees import (
     format_coloring,
     format_partition,
     is_partition_valid,
+    max_rainbow_forest,
     merge_colors,
     monochromatic_complete,
     parse_coloring,
@@ -71,7 +72,12 @@ def test_constructor_rejects_malformed_pairs(key):
     (EdgeColoring(3, 2, [1, 2, 2.0]), ["BadColor(1, 2, 2.0)"]),
     (EdgeColoring(True, 0, []), ["BadVertexCount(True,)"]),
     (EdgeColoring(2, True, [1]), ["BadColorCount(True,)"]),
-], ids=["true-after-1", "true-before-1", "only-true", "false", "float", "bool-n", "bool-r"])
+    # an r that is not an int is reported alone, as no color can be compared with it
+    (EdgeColoring(3, 2.0, [1, 2, 1]), ["BadColorCount(2.0,)"]),
+    (EdgeColoring(3, None, [1, 2, 1]), ["BadColorCount(None,)"]),
+    (EdgeColoring(3, "a", [1, 2, 1]), ["BadColorCount('a',)"]),
+], ids=["true-after-1", "true-before-1", "only-true", "false", "float", "bool-n", "bool-r",
+        "float-r", "none-r", "str-r"])
 def test_validate_reports_each_color_that_is_not_an_int(c, found):
     # a set folds True into 1 and 2.0 into 2; every edge's color is checked
     assert [str(v) for v in validate(c)] == found
@@ -184,6 +190,10 @@ def test_partition_check_reads_vertices_that_are_not_a_frozenset(kind):
     trees = (Tree(kind([0, 1]), ((0, 1, 1),)), Tree(kind([1, 2]), ((1, 2, 3),)))
     assert is_partition_valid(rainbow_k3(), TreePartition(trees)) == (
         False, "vertex 1 appears in more than one tree")
+    # the frozenset of [0, 0, 1] has two vertices, which one edge spans
+    trees = (Tree(kind([0, 0, 1]), ((0, 1, 1),)),)
+    assert is_partition_valid(rainbow_complete(2), TreePartition(trees)) == (
+        False, "tree 0 lists vertex 0 more than once")
 
 
 def test_partition_wrong_color_rejected():
@@ -303,6 +313,43 @@ def test_restrict_rejects_bad_sets():
 def test_restrict_rejects_a_bool_vertex():
     with pytest.raises(ValueError, match="^vertex True is not an int$"):
         restrict(rainbow_k3(), [True, 0])
+
+
+def induced_edges_reference(c, within):
+    """The induced edges as a filter over every edge of c."""
+    inside = set(within)
+    return sorted(inside), [e for e in c.edges() if e[0] in inside and e[1] in inside]
+
+
+def random_sparse_coloring(rng, n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+    return EdgeColoring(n, 3, {e: rng.randint(1, 3) for e in pairs})
+
+
+def test_induced_edges_match_a_filter_over_every_edge():
+    rng = random.Random(24)
+    colorings = [EdgeColoring(n, 3, [rng.randint(1, 3) for _ in range(n * (n - 1) // 2)])
+                 for n in range(1, 10)]
+    colorings += [random_sparse_coloring(rng, n) for n in range(3, 10) for _ in range(3)]
+    assert sum(not c.complete for c in colorings) >= 15
+    for c in colorings:
+        # every vertex, one vertex, and random subsets
+        cases = [range(c.n), [rng.randrange(c.n)]]
+        cases += [rng.sample(range(c.n), rng.randint(1, c.n)) for _ in range(5)]
+        for within in cases:
+            assert coloring._induced_edges(c, within) == induced_edges_reference(c, within)
+
+
+@pytest.mark.parametrize("read", [restrict, max_rainbow_forest], ids=["restrict", "forest"])
+@pytest.mark.parametrize("within, message", [
+    ([], "vertex set must be nonempty"),
+    ([0, 5], "vertex set out of range"),
+    ([-1, 0], "vertex set out of range"),
+    ([0, True], "vertex True is not an int"),
+], ids=["empty", "above", "below", "bool"])
+def test_induced_reads_reject_bad_vertex_sets(read, within, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        read(rainbow_k3(), within)
 
 
 @settings(max_examples=40, derandomize=True)

@@ -405,7 +405,8 @@ def test_report_from_json_rejects_json_that_is_not_a_report():
     assert VerificationReport.from_json(json.dumps(data)).elapsed == 1.5
     # a field of the wrong type is named, rather than crashing to_text later
     for name, value in (("campaign", 1), ("params", ["max_n"]), ("instances", True),
-                        ("instances", 1.0), ("failures", {}), ("witnesses", [1]),
+                        ("instances", 1.0), ("failures", {}),
+                        ("failures", [{"kind": "x", "coloring": 5}]), ("witnesses", [1]),
                         ("cells", [[]]), ("elapsed", "1.5"), ("elapsed", False)):
         data = dict(json.loads(text), **{name: value})
         with pytest.raises(ValueError, match=re.escape(f"fields ['{name}'] have the wrong type")):
