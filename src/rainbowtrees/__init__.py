@@ -37,12 +37,7 @@ from .constructive import (
     initial_representatives,
     partition_complete,
 )
-from .errors import (
-    ConstructionDefect,
-    FileFormatError,
-    RainbowTreeMissingError,
-    SizeGuardError,
-)
+from .errors import ConstructionDefect, FileFormatError, SizeGuardError
 from .formula import f_of_r, partition_number, r_range_for_t
 from .rainbow import max_rainbow_forest, max_rainbow_forest_bruteforce
 from .solver import SolveResult, solve, solve_bruteforce
@@ -63,7 +58,6 @@ __all__ = [
     "ConstructionDefect",
     "EdgeColoring",
     "FileFormatError",
-    "RainbowTreeMissingError",
     "RepresentativeSubgraph",
     "RestrictionMaps",
     "SizeGuardError",

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
 
-from .coloring import EdgeColoring, Tree, TreePartition, _is_int, edge_index, matching_trees
-from .errors import RainbowTreeMissingError
+from .coloring import (EdgeColoring, Tree, TreePartition, _defect, _is_int, edge_index,
+                       matching_trees)
 from .formula import f_of_r
 from .rainbow import max_rainbow_forest
 
@@ -47,6 +47,8 @@ class CanonicalLayout:
 
 def generate_canonical(n: int, r: int, fill_color: int | None = None):
     """Build the canonical coloring; returns (EdgeColoring, CanonicalLayout)."""
+    if not (_is_int(n) and _is_int(r)):
+        raise ValueError(f"n and r must be ints, got n={n!r}, r={r!r}")
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if not 2 <= r <= comb(n, 2):
@@ -85,8 +87,6 @@ def extremal_partition(c: EdgeColoring, layout: CanonicalLayout) -> TreePartitio
         block.append(layout.extra)
     edges = max_rainbow_forest(c, block)
     if len(edges) != len(block) - 1:
-        raise RainbowTreeMissingError(
-            f"canonical core block {block} lost its guaranteed rainbow spanning tree"
-        )
+        raise _defect(f"canonical core block {block} lost its guaranteed rainbow spanning tree", c)
     rest = list(range(max(block) + 1, c.n))
     return TreePartition((Tree.make(block, edges), *matching_trees(c, rest)))

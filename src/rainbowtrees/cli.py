@@ -2,10 +2,14 @@
 
 Exit codes: 0 success or campaign pass, 1 usage or input error, 2 a
 counterexample or construction defect was found, 3 a size guard was hit.
+A failed self-check of `solve`, `construct`, `canonical --partition` or
+`verify` is a defect too: exit 2, with `defect:` and the message on
+stderr, followed there by the offending coloring as a file body.
 Every run echoes the options it was given as a `#`-prefixed line, which is
 a legal comment in the coloring file format.  An option left out is not
-echoed: `verify` then runs with the campaign's own default, and the
-report's `param` lines carry the values used.
+echoed: `solve --max-n` then takes `solve`'s own size guard, `verify` the
+campaign's own default, and the report's `param` lines carry the values
+used.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="exact minimum rainbow tree partition of a coloring file")
     p.add_argument("file")
     p.add_argument("--partition", help="write one optimal partition here")
-    p.add_argument("--max-n", type=int, default=14, help="solver size guard")
+    p.add_argument("--max-n", type=int, help="solver size guard (default: solve's own)")
 
     p = sub.add_parser("construct", help="run the polynomial constructive partition")
     p.add_argument("file")
@@ -135,7 +139,7 @@ def _cmd_canonical(args) -> int:
 
 def _cmd_solve(args) -> int:
     c = _load(args.file)
-    result = solve(c, max_n=args.max_n)
+    result = solve(c, **({} if args.max_n is None else {"max_n": args.max_n}))
     print(f"count={result.count}")
     if args.partition:
         write_partition(result.partition, args.partition)

@@ -40,7 +40,7 @@ from math import comb
 from pathlib import Path
 from types import MappingProxyType
 
-from .errors import FileFormatError
+from .errors import ConstructionDefect, FileFormatError
 from .unionfind import UnionFind
 
 
@@ -324,7 +324,11 @@ def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | N
         if len(t.edges) != len(vs) - 1:
             return False, f"tree {i} has {len(t.edges)} edges for {len(vs)} vertices"
         tree_colors: set = set()
-        for (u, v, col) in t.edges:
+        for e in t.edges:
+            try:
+                u, v, col = e
+            except (TypeError, ValueError):
+                return False, f"tree {i} edge {e!r} is not a (u, v, color) triple"
             if not (type(u) is type(v) is int or _is_int(u) and _is_int(v)):
                 return False, f"tree {i} edge ({u!r},{v!r}) has an end that is not an int"
             if u not in vs or v not in vs:
@@ -443,6 +447,11 @@ def _coloring_lines(c: EdgeColoring):
 
 def format_coloring(c: EdgeColoring) -> str:
     return "".join(_coloring_lines(c))
+
+
+def _defect(message: str, c: EdgeColoring) -> ConstructionDefect:
+    """A failed self-check of a partition producer on c, carrying c's file."""
+    return ConstructionDefect(message, instance_text=format_coloring(c))
 
 
 def _write_lines(c: EdgeColoring, fh) -> None:

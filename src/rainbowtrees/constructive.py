@@ -43,8 +43,8 @@ from .coloring import (
     EdgeColoring,
     Tree,
     TreePartition,
+    _defect,
     edge_pair,
-    format_coloring,
     is_partition_valid,
     matching_trees,
     require_valid,
@@ -52,7 +52,6 @@ from .coloring import (
     row_offset,
     validate,
 )
-from .errors import ConstructionDefect
 from .formula import f_of_r, partition_number
 from .unionfind import UnionFind
 
@@ -228,10 +227,6 @@ def apply_swap(s: RepresentativeSubgraph, move: SwapMove) -> RepresentativeSubgr
     reps = dict(s.rep_edges)
     reps[move.color] = move.new_edge
     return RepresentativeSubgraph.from_edges(reps)
-
-
-def _defect(message: str, c: EdgeColoring) -> ConstructionDefect:
-    return ConstructionDefect(message, instance_text=format_coloring(c))
 
 
 def _construct(c: EdgeColoring, trace: list) -> list[Tree]:

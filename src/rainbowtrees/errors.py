@@ -17,12 +17,10 @@ class SizeGuardError(ValueError):
     """An instance exceeds the size guard of an exact or exhaustive routine."""
 
 
-class RainbowTreeMissingError(RuntimeError):
-    """A rainbow spanning tree that is guaranteed to exist was not found."""
-
-
 class ConstructionDefect(RuntimeError):
-    """The constructive partition algorithm violated one of its contracts.
+    """A partition producer failed the check of its own output: `solve`
+    (the exact witness), `partition_complete` (the constructive partition)
+    or `extremal_partition` (the canonical coloring's optimal partition).
 
     The serialized instance is attached so the failure can be reproduced
     from a single coloring file.

@@ -19,6 +19,8 @@ from .coloring import _is_int
 
 def f_of_r(r: int) -> int:
     """The unique t >= 1 with C(t,2) + 2 <= r <= C(t+1,2) + 1."""
+    if not _is_int(r):
+        raise ValueError(f"r must be an int, got {r!r}")
     if r < 2:
         raise ValueError(f"threshold undefined for r={r}; need r >= 2")
     # C(t,2) + 2 <= r  <=>  (2t - 1)^2 <= 8r - 15; the largest such t is the one
@@ -27,6 +29,8 @@ def f_of_r(r: int) -> int:
 
 def r_range_for_t(t: int) -> tuple[int, int]:
     """Inclusive range of color counts r with f_of_r(r) == t."""
+    if not _is_int(t):
+        raise ValueError(f"t must be an int, got {t!r}")
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     return comb(t, 2) + 2, comb(t + 1, 2) + 1

@@ -59,6 +59,7 @@ from .coloring import (
     EdgeColoring,
     Tree,
     TreePartition,
+    _defect,
     is_partition_valid,
     require_valid,
     validate,
@@ -270,7 +271,8 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
     """Exact minimum rainbow tree partition with one optimal witness.
 
     The witness is checked with is_partition_valid before it is returned; a
-    failed check raises RuntimeError.
+    failed check, or levels that hold no witness, raises ConstructionDefect
+    carrying c's file.
     """
     require_valid(validate(c))
     n, r = c.n, c.r
@@ -290,10 +292,10 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
     def checked(count: int, trees) -> SolveResult:
         partition = TreePartition(tuple(trees))
         if partition.count != count:
-            raise RuntimeError(f"witness has {partition.count} trees, dp count is {count}")
+            raise _defect(f"witness has {partition.count} trees, dp count is {count}", c)
         ok, why = is_partition_valid(c, partition)
         if not ok:
-            raise RuntimeError(f"witness is not a rainbow tree partition: {why}")
+            raise _defect(f"witness is not a rainbow tree partition: {why}", c)
         return SolveResult(count, partition, MappingProxyType(stats))
 
     # a valid coloring carries exactly r colors, and a tree needs n - 1
@@ -335,7 +337,7 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
             if feas[block] and rest_level >> (mask ^ block) & 1:
                 break
             if sub == rest:
-                raise RuntimeError(f"dp levels are inconsistent at mask {mask:#x}")
+                raise _defect(f"dp levels are inconsistent at mask {mask:#x}", c)
             sub = (sub - rest) & rest
         blocks.append(block)
         mask ^= block

@@ -14,7 +14,7 @@ import random
 import struct
 import time
 from dataclasses import asdict, dataclass, field, fields
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 from .canonical import generate_canonical
@@ -272,16 +272,6 @@ def _has_bridge(n: int, adj: list[int]) -> bool:
     return False
 
 
-def _masks_with_bit_count(m: int, k: int):
-    """Every m-bit mask with k >= 1 bits set, in increasing order (Gosper's hack)."""
-    mask = (1 << k) - 1
-    while mask >> m == 0:
-        yield mask
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | ((mask ^ ripple) >> 2) // low
-
-
 def _connected_graph_count(n: int) -> int:
     """Labeled connected graphs on n vertices (OEIS A001187): all graphs on
     j vertices, less those whose vertex 0 lies in a component of k < j."""
@@ -391,8 +381,11 @@ def campaign_cutedge(max_n: int = 6) -> VerificationReport:
 
     A disconnected graph has at most C(n-1,2) edges, so only graphs with at
     least `bound` = C(n-1,2)+1 edges can break the claim, and only those are
-    walked: by edge count, then by increasing edge mask (Gosper's hack).
-    For the same reason every walked graph is connected.  Those above the
+    walked; for the same reason every walked graph is connected.  They are
+    walked by edge count, then in the order of
+    itertools.combinations(range(m), count), which picks indices into the
+    m pairs listed in lexicographic order; a failure's `mask` has bit i set
+    for each pair i of its graph.  Those above the
     bound must be bridge-free; at the bound the first bridged graph is
     recorded as the tight witness (it is the complete graph on n-1 vertices
     plus a pendant edge, up to relabeling).  The `connected` count of each
@@ -410,12 +403,13 @@ def campaign_cutedge(max_n: int = 6) -> VerificationReport:
         checked_above = 0
         witness_edges = None
         for edge_count in range(bound, m + 1):
-            for mask in _masks_with_bit_count(m, edge_count):
-                edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            for chosen in combinations(range(m), edge_count):
+                edges = [pairs[i] for i in chosen]
                 adj = _adjacency(n, edges)
                 if edge_count > bound:
                     checked_above += 1
                     if _has_bridge(n, adj):
+                        mask = sum(1 << i for i in chosen)
                         report.failures.append({"kind": "cutedge-bound", "n": n,
                                                 "edges": edge_count, "bound": bound, "mask": mask})
                 elif witness_edges is None and _has_bridge(n, adj):

@@ -5,6 +5,7 @@ captured output of a failing run).  All checks are exact; there are no
 tolerances anywhere.
 """
 
+import hashlib
 import random
 import time
 
@@ -100,6 +101,9 @@ def test_criterion_6_cut_edge_bound_exhaustive():
     t0 = time.monotonic()
     report = campaign_cutedge(max_n=7)
     assert report.passed, report.failures[:1]
+    # sha256 of to_json(): the report's bytes do not depend on the walk's order
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == (
+        "153dbae9d8664dd87b01269c83b952624277caa799e294389f014d6c0089cb27")
     assert [w["n"] for w in report.witnesses] == [3, 4, 5, 6, 7]
     for w in report.witnesses:
         n, bound = w["n"], w["bound"]

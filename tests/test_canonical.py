@@ -2,7 +2,7 @@ import pytest
 from math import comb
 
 from rainbowtrees import (
-    RainbowTreeMissingError,
+    ConstructionDefect,
     extremal_partition,
     f_of_r,
     format_coloring,
@@ -94,6 +94,12 @@ def test_fill_override_rules():
         generate_canonical(5, 4, fill_color=2)  # the unused color is forced
 
 
+@pytest.mark.parametrize("n, r", [(5.0, 3), (5, 3.0), (True, 3), (5, True)])
+def test_canonical_rejects_sizes_that_are_not_ints(n, r):
+    with pytest.raises(ValueError, match=f"^n and r must be ints, got n={n!r}, r={r!r}$"):
+        generate_canonical(n, r)
+
+
 def test_fill_color_rejects_a_bool():
     # True == 1 would fill with color 1 and write "3 4 True" in the file
     with pytest.raises(ValueError, match=r"^fill color True out of range 1\.\.3$"):
@@ -144,7 +150,7 @@ def test_extremal_partition_is_loud_when_the_core_tree_is_missing(monkeypatch):
     monkeypatch.setattr(canonical, "max_rainbow_forest", one_edge_short)
     c, layout = generate_canonical(8, 5)
     missing = r"canonical core block \[0, 1, 2, 3, 4\] lost"
-    with pytest.raises(RainbowTreeMissingError, match=missing):
+    with pytest.raises(ConstructionDefect, match=missing):
         extremal_partition(c, layout)
 
 

@@ -5,6 +5,7 @@ import sys
 
 from rainbowtrees import (
     format_coloring,
+    generate_canonical,
     monochromatic_complete,
     parse_coloring,
     read_coloring,
@@ -155,6 +156,15 @@ def test_solve_guard_exit_code(tmp_path, capsys):
     assert "guard" in err
 
 
+def test_solve_without_max_n_keeps_the_solvers_own_guard(tmp_path, capsys):
+    cfile = tmp_path / "c.txt"
+    write_coloring(monochromatic_complete(15), cfile)
+    code, out, err = run_cli(capsys, "solve", cfile)
+    assert code == 3
+    assert err == "error: n=15 exceeds solver guard 14\n"
+    assert out == f"# config solve file={cfile}\n"  # max_n left out, as it was not given
+
+
 def test_malformed_file_reports_line_number(tmp_path, capsys):
     cfile = tmp_path / "bad.txt"
     cfile.write_text("3 2\n0 1 1\n5 9 1\n")
@@ -268,6 +278,50 @@ def test_construction_defect_exit_code(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "construct", cfile)
     assert code == 2
     assert "defect" in err and "3 1" in err
+
+
+def one_edge_short(module, monkeypatch):
+    """Make module's max_rainbow_forest drop the first edge of each forest."""
+    real = module.max_rainbow_forest
+    monkeypatch.setattr(module, "max_rainbow_forest", lambda c, within: real(c, within)[1:])
+
+
+def assert_defect(code, err, message, c):
+    """Exit 2, `defect:` and the message on stderr, then c's file below it."""
+    assert code == 2
+    head, body = err.split("\n", 1)
+    assert head.startswith(f"defect: {message}")
+    assert parse_coloring(body) == c
+
+
+def test_a_failed_solve_self_check_exits_2_with_its_coloring(tmp_path, capsys, monkeypatch):
+    from rainbowtrees import solver
+
+    one_edge_short(solver, monkeypatch)
+    cfile = tmp_path / "c.txt"
+    write_coloring(monochromatic_complete(4), cfile)
+    code, _, err = run_cli(capsys, "solve", cfile)
+    assert_defect(code, err, "witness is not a rainbow tree partition", monochromatic_complete(4))
+
+
+def test_a_failed_canonical_partition_exits_2_with_its_coloring(tmp_path, capsys, monkeypatch):
+    from rainbowtrees import canonical
+
+    one_edge_short(canonical, monkeypatch)
+    code, _, err = run_cli(capsys, "canonical", 8, 5, "--partition", tmp_path / "p.txt")
+    assert_defect(code, err, "canonical core block [0, 1, 2, 3, 4] lost",
+                  generate_canonical(8, 5)[0])
+
+
+def test_a_failed_solve_in_a_campaign_exits_2_with_its_coloring(capsys, monkeypatch):
+    from rainbowtrees import solver
+
+    one_edge_short(solver, monkeypatch)
+    # K_3 is one tree from the whole-set check; K_4 with r = 2 is the
+    # first coloring whose witness trees come from max_rainbow_forest
+    code, _, err = run_cli(capsys, "verify", "worstcase", "--max-n", 4, "--samples", 0)
+    assert_defect(code, err, "witness is not a rainbow tree partition",
+                  generate_canonical(4, 2)[0])
 
 
 def test_config_echo(capsys):

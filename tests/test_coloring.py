@@ -176,6 +176,13 @@ def test_partition_cycle_rejected():
      "tree 0 edge (0,True) has an end that is not an int"),
     (rainbow_complete(3), (Tree.make([0, 1, 2], [(0, 1, 1), (2.0, 0, 2)]),),
      "tree 0 edge (2.0,0) has an end that is not an int"),
+    # an edge that does not unpack into three values
+    (rainbow_complete(3), (Tree.make([0, 1], [(0, 1)]), Tree.make([2])),
+     "tree 0 edge (0, 1) is not a (u, v, color) triple"),
+    (rainbow_complete(3), (Tree.make([0, 1], [(0, 1, 1, 1)]), Tree.make([2])),
+     "tree 0 edge (0, 1, 1, 1) is not a (u, v, color) triple"),
+    (rainbow_complete(3), (Tree((0, 1), (5,)), Tree.make([2])),
+     "tree 0 edge 5 is not a (u, v, color) triple"),
 ])
 def test_partition_check_names_each_violation(c, trees, why):
     assert is_partition_valid(c, TreePartition(trees)) == (False, why)

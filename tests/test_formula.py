@@ -30,6 +30,18 @@ def test_threshold_rejects_small_r():
         f_of_r(0)
 
 
+@pytest.mark.parametrize("r", [2.5, 3.0, True])
+def test_threshold_rejects_an_r_that_is_not_an_int(r):
+    with pytest.raises(ValueError, match=f"^r must be an int, got {r!r}$"):
+        f_of_r(r)
+
+
+@pytest.mark.parametrize("t", [1.5, 2.0, True])
+def test_r_range_rejects_a_t_that_is_not_an_int(t):
+    with pytest.raises(ValueError, match=f"^t must be an int, got {t!r}$"):
+        r_range_for_t(t)
+
+
 def test_r_range_rejects_t_below_one():
     with pytest.raises(ValueError, match="^need t >= 1, got 0$"):
         r_range_for_t(0)

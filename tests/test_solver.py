@@ -7,6 +7,7 @@ from itertools import combinations
 from math import comb
 
 from rainbowtrees import (
+    ConstructionDefect,
     EdgeColoring,
     SizeGuardError,
     Tree,
@@ -174,6 +175,12 @@ def test_stats_are_reported():
     assert 0 <= stats["intersections"] <= stats["feasibility_checks"]
 
 
+def assert_replayable(info, c):
+    """The self-check failure is a ConstructionDefect that carries c's file."""
+    assert info.type is ConstructionDefect
+    assert parse_coloring(info.value.instance_text) == c
+
+
 def test_solve_rejects_an_invalid_witness(monkeypatch):
     def wrong_color(r, tree):
         (u, v, col), *rest = tree
@@ -184,23 +191,27 @@ def test_solve_rejects_an_invalid_witness(monkeypatch):
     real_block = solver._block_feasible
     monkeypatch.setattr(solver, "_block_feasible",
                         lambda items, need, stats: wrong_color(c.r, real_block(items, need, stats)))
-    with pytest.raises(RuntimeError, match="not a rainbow tree partition"):
+    with pytest.raises(RuntimeError, match="not a rainbow tree partition") as info:
         solve(c)
+    assert_replayable(info, c)
     monkeypatch.undo()
 
     # a partition found by the subset DP, its trees read from max_rainbow_forest
     real_forest = solver.max_rainbow_forest
     monkeypatch.setattr(solver, "max_rainbow_forest",
                         lambda c, within: wrong_color(c.r, real_forest(c, within)))
-    with pytest.raises(RuntimeError, match="not a rainbow tree partition"):
-        solve(generate_canonical(6, 4)[0])
+    c = generate_canonical(6, 4)[0]
+    with pytest.raises(RuntimeError, match="not a rainbow tree partition") as info:
+        solve(c)
+    assert_replayable(info, c)
 
 
 def test_solve_rejects_a_witness_with_the_wrong_tree_count(monkeypatch):
     # monochromatic K_4 needs two trees; the witness loses its first one
     monkeypatch.setattr(solver, "TreePartition", lambda trees: TreePartition(trees[1:]))
-    with pytest.raises(RuntimeError, match="^witness has 1 trees, dp count is 2$"):
+    with pytest.raises(RuntimeError, match="^witness has 1 trees, dp count is 2$") as info:
         solve(monochromatic_complete(4))
+    assert_replayable(info, monochromatic_complete(4))
 
 
 def test_solve_rejects_levels_that_stop_too_early(monkeypatch):
@@ -208,8 +219,9 @@ def test_solve_rejects_levels_that_stop_too_early(monkeypatch):
     # count 2, but a monochromatic K_6 needs 3 trees: no feasible block
     # (a vertex or an edge) leaves a feasible rest of 4 or 5 vertices
     monkeypatch.setattr(solver, "_mirror", lambda bits, n: -1)
-    with pytest.raises(RuntimeError, match="^dp levels are inconsistent at mask 0x3f$"):
+    with pytest.raises(RuntimeError, match="^dp levels are inconsistent at mask 0x3f$") as info:
         solve(monochromatic_complete(6))
+    assert_replayable(info, monochromatic_complete(6))
 
 
 def test_solve_result_is_immutable():
