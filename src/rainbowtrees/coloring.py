@@ -88,12 +88,12 @@ class EdgeColoring:
     color tuple in that order, and any other pair set is kept as a sorted
     tuple of pairs.  The input is copied, and `colors` is a read-only dict
     (a MappingProxyType) built from the stored data on first access and
-    cached, as is the set of color types that validate() reads.  The
+    cached, as is the verdict of validate().  The
     constructor does not check n, r or the colors (type, range and
     surjectivity); use validate() for that.
     """
 
-    __slots__ = ("n", "r", "_pairs", "_cols", "_colors", "_classes", "_types")
+    __slots__ = ("n", "r", "_pairs", "_cols", "_colors", "_classes", "_verdict")
 
     def __init__(self, n: int, r: int, colors):
         m = comb(n, 2)
@@ -250,7 +250,15 @@ def validate(c: EdgeColoring) -> list[Violation]:
     """Check n, r and the colors (the constructor already checked the
     pairs), a bool counting as no int; return all violations (empty list =
     valid).  An n that is not an int >= 1, or an r that is not an int, is
-    the only violation reported, since every later check compares with it."""
+    the only violation reported, since every later check compares with it.
+    The verdict is computed once per coloring and cached; each call returns
+    a fresh list of it."""
+    if c._verdict is None:
+        object.__setattr__(c, "_verdict", tuple(_violations(c)))
+    return list(c._verdict)
+
+
+def _violations(c: EdgeColoring) -> list[Violation]:
     n, r = c.n, c.r
     if not _is_int(n) or n < 1:
         return [Violation("BadVertexCount", (n,))]
@@ -262,13 +270,10 @@ def validate(c: EdgeColoring) -> list[Violation]:
     if too_many or (r != 0 if n == 1 else r < 1):
         out.append(Violation("BadColorCount", (r,)))
 
-    # a set folds True into 1 and 2.0 into 2, so unless every color is a
-    # plain int in range, each edge's color is checked; the type scan costs
-    # more than the set, so it runs once per coloring
-    if c._types is None:
-        object.__setattr__(c, "_types", frozenset(map(type, c._cols)))
+    # a set folds True into 1 and 2.0 into 2, so unless every edge's color
+    # is a plain int and every color in range, each edge's color is checked
     used = set(c._cols)
-    if not (c._types <= {int} and all(1 <= col <= r for col in used)):
+    if not (set(map(type, c._cols)) <= {int} and all(1 <= col <= r for col in used)):
         out += [Violation("BadColor", (u, v, col))
                 for (u, v), col in zip(c._pairs_in_order(), c._cols)
                 if not (_is_int(col) and 1 <= col <= r)]

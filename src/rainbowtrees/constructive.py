@@ -7,7 +7,8 @@ increasing order, replacement edges in lexicographic order).  The search
 stops at once when the largest component already has r + 1 vertices, or
 every live one, which no r edges can exceed; otherwise one bridge pass
 over the chosen edges tells, for every color, how dropping its
-representative splits the components, and each replacement edge is judged
+representative splits the components, a color whose split leaves no two
+parts large enough is not searched, and each replacement edge is judged
 in O(1).  At a local optimum the largest component is split off as one
 rainbow tree: its edges all carry distinct colors, so any spanning tree of
 it is rainbow, and the tree taken is that component's part of the spanning
@@ -20,9 +21,10 @@ marked dead, and each color's representative at a new level is its first
 lexicographic edge with no dead end.  A cursor finds it, moving only forward
 through the color's packed class (one int u << 16 | v per edge, in
 lexicographic order, from EdgeColoring.color_classes).  The class edges of
-row u are contiguous, so a dead u lets the cursor jump past them all by
-bisection.  A level's n and r count the live vertices and the colors that
-still have a live edge.
+row u are contiguous, so a dead u lets the cursor jump by bisection to the
+row of the next live vertex, past every dead row between, or to the end of
+the class when no live vertex follows.  A level's n and r count the live
+vertices and the colors that still have a live edge.
 
 Base case: with at most one color left (r = 0 means one live vertex) a
 maximum matching plus an optional singleton is optimal.
@@ -122,9 +124,10 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
     the largest component exactly when it joins two components of total
     order above n1, and that total is then the new largest order.  The
     dropped edge itself never qualifies, as it at most rejoins its old
-    component.  A vertex on no representative edge is a singleton and
-    n1 >= 2, so a qualifying edge has an end on some representative edge:
-    only those edges are read.
+    component.  One of the two joined parts has order above n1 / 2, and
+    each part lies inside a component of s (a vertex on no representative
+    edge is a singleton part), so a qualifying edge has an end in a
+    component of order above n1 / 2: only those edges are read.
 
     Each endpoint's component and each component's order are read from
     s.components.  One depth-first pass over the representative graph gives
@@ -133,33 +136,23 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
     representative that is no bridge leaves the components as they are;
     dropping a bridge whose end away from the DFS root is x cuts off
     exactly the vertices y of that component with tin[x] <= tin[y] <
-    tout[x].  Each candidate is so judged in O(1), and a call costs
-    O(n'·|T| + r) for the set T of representative endpoints.
+    tout[x].  A color whose dropped bridge leaves no two parts of total
+    order above n1 (a bridge of the largest component, whose sides are
+    both at least as large as every other part) has no qualifying edge,
+    and none of its edges is read.  Each candidate is judged in O(1), and a
+    call costs O(n'·|B| + r) for the set B of vertices in components of
+    order above n1 / 2.
     """
     if not c.complete:
         raise ValueError("find_swap requires a complete graph")
     n1 = s.largest_size
     if n1 >= min(len(s.rep_edges) + 1, c.n if alive is None else len(alive)):
         return None
-    seq = c.color_sequence
     verts = range(c.n) if alive is None else sorted(alive)
     adj: dict = {}  # representative endpoint -> [(neighbour, color)]
     for color, (u, v) in s.rep_edges.items():
         adj.setdefault(u, []).append((v, color))
         adj.setdefault(v, []).append((u, color))
-    live_touched = [x for x in verts if x in adj]
-    # candidate edges of each color, in lexicographic order
-    cands: dict = {color: [] for color in s.rep_edges}
-    for i, u in enumerate(verts):
-        if u in adj:
-            partners = verts[i + 1:]
-        else:
-            partners = live_touched[bisect_right(live_touched, u):]
-        row = row_offset(c.n, u)  # (u, v) sits at seq[row + v]
-        for v in partners:
-            bucket = cands.get(seq[row + v])
-            if bucket is not None:
-                bucket.append((u, v))
     # each endpoint's component, and each component's order, by component id
     comp = {v: k for k, g in enumerate(s.components) for v in g}
     order = [len(g) for g in s.components]
@@ -196,6 +189,35 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
                     low[p] = min(low[p], low[x])
                     if low[x] > tin[p]:
                         child[via] = x
+    # the sides of a bridge of component 0 sum to n1, so two parts join
+    # above n1 unless the largest other part (a singleton when there is no
+    # other component, as n1 < n' leaves a live vertex outside it) is no
+    # larger than either side; any other drop leaves a part of order n1
+    other = order[1] if len(order) > 1 else 1
+    open_colors = []
+    for color in sorted(s.rep_edges):
+        x = child.get(color)
+        if x is not None and comp[x] == 0:
+            side = tout[x] - tin[x]
+            if other <= min(side, n1 - side):
+                continue
+        open_colors.append(color)
+    # candidate edges of each open color, in lexicographic order, with an
+    # end in a component of order above n1 / 2
+    big = {v for g in s.components if 2 * len(g) > n1 for v in g}
+    live_big = [x for x in verts if x in big]
+    cands: dict = {color: [] for color in open_colors}
+    seq = c.color_sequence
+    for i, u in enumerate(verts):
+        if u in big:
+            partners = verts[i + 1:]
+        else:
+            partners = live_big[bisect_right(live_big, u):]
+        row = row_offset(c.n, u)  # (u, v) sits at seq[row + v]
+        for v in partners:
+            bucket = cands.get(seq[row + v])
+            if bucket is not None:
+                bucket.append((u, v))
     cut_off = len(order)  # label of the side a dropped bridge cuts off
     cut = lo = hi = -1
 
@@ -210,7 +232,7 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
             return cut_off, hi - lo
         return k, order[k] - (hi - lo)
 
-    for color in sorted(s.rep_edges):
+    for color in open_colors:
         x = child.get(color)
         if x is None:
             cut = -1
@@ -243,8 +265,9 @@ def _construct(c: EdgeColoring, trace: list) -> list[Tree]:
             while i < end:
                 code = codes[i]
                 u, v = code >> 16, code & 0xFFFF  # edge_pair(code), inlined
-                if dead[u]:  # the rest of row u is dead too: jump past it
-                    i = bisect_left(codes, (u + 1) << 16, i + 1)
+                if dead[u]:  # jump to the row of the next live vertex
+                    j = bisect_right(live, u)
+                    i = end if j == len(live) else bisect_left(codes, live[j] << 16, i + 1)
                 elif dead[v]:
                     i += 1
                 else:

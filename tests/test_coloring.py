@@ -83,6 +83,22 @@ def test_validate_reports_each_color_that_is_not_an_int(c, found):
     assert [str(v) for v in validate(c)] == found
 
 
+@pytest.mark.parametrize("c, found", [
+    (rainbow_k3(), []),
+    (EdgeColoring(3, 2, [1, True, 2]), [Violation("BadColor", (0, 2, True))]),
+    (EdgeColoring(3, 3, {(0, 1): 1, (0, 2): 1, (1, 2): 2}), [Violation("MissingColor", (3,))]),
+], ids=["valid", "bool-color", "missing-color"])
+def test_validate_caches_its_verdict_and_returns_a_fresh_list(c, found):
+    first = validate(c)
+    assert first == found
+    first.append(Violation("BadColorCount", (-1,)))
+    second = validate(c)
+    assert second == found and second is not first
+    assert validate(c) == found and validate(c) is not second
+    restored = pickle.loads(pickle.dumps(c))
+    assert restored == c and validate(restored) == found
+
+
 def test_validate_color_out_of_range():
     c = EdgeColoring(3, 2, {(0, 1): 1, (0, 2): 2, (1, 2): 7})
     assert "BadColor" in {v.code for v in validate(c)}

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -414,6 +415,26 @@ def test_find_swap_grows_through_the_side_a_dropped_bridge_cuts_off():
     assert apply_swap(s, move).largest_size == 5
 
 
+def test_find_swap_skips_a_color_whose_dropped_bridge_leaves_no_two_parts_large_enough():
+    # the path 0-1-2-3 (colors 1, 2, 3) beside the edge (4, 5) of color 4:
+    # dropping the middle bridge (1, 2) leaves parts of order 2, 2 and 2,
+    # no two of them above n1 = 4, so color 2 is not searched, while
+    # dropping (0, 1) leaves {1, 2, 3}, which (3, 5) joins to {4, 5}
+    colors = dict.fromkeys(((u, v) for u in range(8) for v in range(u + 1, 8)), 2)
+    colors.update({(0, 1): 1, (2, 3): 3, (4, 5): 4, (0, 2): 4, (3, 5): 1})
+    c = EdgeColoring(8, 4, colors)
+    s = RepresentativeSubgraph.from_edges({1: (0, 1), 2: (1, 2), 3: (2, 3), 4: (4, 5)})
+    assert s.largest_size == 4 and [len(g) for g in s.components] == [4, 2]
+    move = find_swap(s, c)
+    assert move == SwapMove(1, (0, 1), (3, 5), 5)
+    assert move == top3_find_swap(s, c)
+    # the same path with (0, 2) as color 4's representative: (1, 2) lies on
+    # the triangle 0 1 2 and is no bridge, so dropping it splits nothing
+    cycle = RepresentativeSubgraph.from_edges({1: (0, 1), 2: (1, 2), 3: (2, 3), 4: (0, 2)})
+    assert cycle.largest_size == 4 and cycle.component_count == 1
+    assert find_swap(cycle, c) == top3_find_swap(cycle, c)
+
+
 def test_find_swap_requires_a_complete_graph():
     c = EdgeColoring(4, 2, {(0, 1): 1, (1, 2): 2, (2, 3): 1})
     s = RepresentativeSubgraph.from_edges({1: (0, 1), 2: (1, 2)})
@@ -486,6 +507,35 @@ def test_construct_matches_the_restrict_reference_on_canonical_colorings():
             _assert_matches_reference(generate_canonical(n, r)[0])
 
 
+def test_level_cursor_jumps_past_consecutive_dead_rows(monkeypatch):
+    # level 1 splits off {0, 1, 2, 3, 4, 8}; color 5 has an edge in each of
+    # the dead rows 0, 1 and 2, so its level-2 representative (7, 9) lies
+    # past three consecutive dead rows of its class
+    n = 12
+    colors = dict.fromkeys(((u, v) for u in range(n) for v in range(u + 1, n)), 1)
+    colors.update({(0, 1): 2, (1, 2): 3, (2, 3): 4, (0, 8): 5, (1, 9): 5, (2, 10): 5, (7, 9): 5})
+    c = EdgeColoring(n, 5, colors)
+    first_reps = {}
+    real = constructive.find_swap
+
+    def record(s, cc, alive=None):
+        first_reps.setdefault(len(alive), (list(alive), dict(s.rep_edges)))
+        return real(s, cc, alive)
+
+    monkeypatch.setattr(constructive, "find_swap", record)
+    trace = []
+    partition_complete(c, trace)
+    assert [level["n"] for level in trace] == [12, 6, 3]
+    live, reps = first_reps[6]
+    assert live == [5, 6, 7, 9, 10, 11]
+    assert [edge_pair(code) for code in c.color_classes()[5]] == [(0, 8), (1, 9), (2, 10), (7, 9)]
+    sub, maps = restrict(c, live)
+    vback, cback = maps.vertices_back(), maps.colors_back()
+    expected = {cback[col]: (vback[u], vback[v])
+                for col, (u, v) in initial_representatives(sub).rep_edges.items()}
+    assert reps == expected == {1: (5, 6), 5: (7, 9)}
+
+
 def test_defect_below_the_top_level_names_that_level(monkeypatch):
     c = random_surjective_coloring(16, 5, random.Random(5))
     trace = []
@@ -521,6 +571,24 @@ def test_printed_trees_match_their_golden_digest():
         digest.update(format_partition(partition_complete(c)).encode())
     assert digest.hexdigest() == (
         "a362a92e05399c248cea79e1c38f0a449fd7c39cc6ce1766fa72cc3c1f451ade"
+    )
+
+
+def test_trees_and_traces_at_r_near_n_match_their_golden_digest():
+    # sha256 of format_partition and the trace records on seeded random K_n
+    # with r = n, where every level hill-climbs over many representatives,
+    # and on canonical (150, 5000); recorded before the cursor jumped to the
+    # next live row and before find_swap skipped colors that cannot qualify
+    rng = random.Random(2026)
+    cases = [random_surjective_coloring(n, n, rng) for n in (40, 60, 100)]
+    cases.append(generate_canonical(150, 5000)[0])
+    digest = hashlib.sha256()
+    for c in cases:
+        trace = []
+        digest.update(format_partition(partition_complete(c, trace)).encode())
+        digest.update(json.dumps(trace).encode())
+    assert digest.hexdigest() == (
+        "faaaa930a0747d6d13d58f5f721befc5aa26c455f7fb94dffb2656231668e286"
     )
 
 
