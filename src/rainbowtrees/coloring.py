@@ -433,9 +433,9 @@ def matching_trees(c: EdgeColoring, vertices) -> list[Tree]:
     trees = []
     for i in range(0, len(vertices) - 1, 2):
         a, b = vertices[i], vertices[i + 1]
-        trees.append(Tree.make([a, b], [(a, b, c.color_of(a, b))]))
+        trees.append(Tree(frozenset((a, b)), ((a, b, c.color_of(a, b)),)))
     if len(vertices) % 2 == 1:
-        trees.append(Tree.make([vertices[-1]]))
+        trees.append(Tree(frozenset((vertices[-1],)), ()))
     return trees
 
 

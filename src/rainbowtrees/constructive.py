@@ -9,12 +9,19 @@ every live one, which no r edges can exceed; otherwise one bridge pass
 over the chosen edges tells, for every color, how dropping its
 representative splits the components, a color whose split leaves no two
 parts large enough is not searched, and each replacement edge is judged
-in O(1).  At a local optimum the largest component is split off as one
-rainbow tree: its edges all carry distinct colors, so any spanning tree of
-it is rainbow, and the tree taken is that component's part of the spanning
-forest the representative subgraph kept when it was built (Kruskal over the
-representatives in lexicographic order).  The next level runs on the
-complete graph induced by the remaining vertices.
+in O(1).  The candidates are the live edges with an end in a component of
+more than half the largest order: the pairs that enter that set from a
+smaller vertex are bucketed by color up front, and a color's edges in the
+set's own rows are read from its packed class only when the scan reaches
+that color, so the colors after the first move are never read.
+
+At a local optimum the largest component is split off as one rainbow tree:
+its edges all carry distinct colors, so any spanning tree of it is rainbow,
+and the tree taken is that component's part of the spanning forest the
+representative subgraph kept when it was built (Kruskal over the
+representatives in lexicographic order, in one merge pass that also yields
+the components), each edge with its representative's color.  The next
+level runs on the complete graph induced by the remaining vertices.
 
 All levels work in place on the input coloring: the split-off vertices are
 marked dead, and each color's representative at a new level is its first
@@ -55,7 +62,6 @@ from .coloring import (
     validate,
 )
 from .formula import f_of_r, partition_number
-from .unionfind import UnionFind
 
 
 @dataclass(frozen=True)
@@ -70,21 +76,30 @@ class RepresentativeSubgraph:
     def from_edges(cls, rep_edges: dict) -> "RepresentativeSubgraph":
         """The components spanned by the given color -> edge choice, and the
         spanning forest Kruskal keeps when it reads the edges in
-        lexicographic order."""
-        edges = sorted((min(e), max(e)) for e in rep_edges.values())
-        verts = sorted({x for e in edges for x in e})
-        index = {v: i for i, v in enumerate(verts)}
-        uf = UnionFind(len(verts))
-        forest = tuple(e for e in edges if uf.union(index[e[0]], index[e[1]]))
-        groups: dict[int, set] = {}
-        for v in verts:
-            groups.setdefault(uf.find(index[v]), set()).add(v)
-        comps = sorted(groups.values(), key=lambda g: (-len(g), min(g)))
-        return cls(MappingProxyType(dict(rep_edges)), tuple(frozenset(g) for g in comps), forest)
+        lexicographic order.  One pass over the sorted edges keeps each
+        endpoint's component as a list, and an edge that joins two lists
+        enters the forest and moves the smaller list into the larger."""
+        group: dict = {}  # endpoint -> the list of its component's vertices
+        forest = []
+        for u, v in sorted((min(e), max(e)) for e in rep_edges.values()):
+            a = group.setdefault(u, [u])
+            b = group.setdefault(v, [v])
+            if a is b:
+                continue
+            forest.append((u, v))
+            if len(a) < len(b):
+                a, b = b, a
+            a += b
+            for x in b:
+                group[x] = a
+        comps = sorted({id(g): g for g in group.values()}.values(), key=lambda g: (-len(g), min(g)))
+        return cls(MappingProxyType(dict(rep_edges)), tuple(frozenset(g) for g in comps),
+                   tuple(forest))
 
     @property
     def largest_size(self) -> int:
-        return len(self.components[0])
+        """Order of the largest component; 0 when no edge was chosen."""
+        return len(self.components[0]) if self.components else 0
 
     @property
     def component_count(self) -> int:
@@ -127,7 +142,17 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
     component.  One of the two joined parts has order above n1 / 2, and
     each part lies inside a component of s (a vertex on no representative
     edge is a singleton part), so a qualifying edge has an end in a
-    component of order above n1 / 2: only those edges are read.
+    component of order above n1 / 2: only those edges are read, for the
+    set B of vertices in such components (all of them in `alive`).  The
+    column pairs (u, b) with u not in B and u < b in B are bucketed by
+    color in one pass over the rows before the last vertex of B.  The row
+    edges (b, v), b in B, of a color are read from its packed class
+    (EdgeColoring.color_classes) only when the scan reaches that color: a
+    bisection finds the class's first row of B, a row not in B is jumped by
+    bisection to the next row of B, and an edge to a vertex not in `alive`
+    is passed over.  The color's first qualifying column pair (u, b), if
+    any, bounds the walk to the rows before u, so its candidates are judged
+    as one merged lexicographic sequence.
 
     Each endpoint's component and each component's order are read from
     s.components.  One depth-first pass over the representative graph gives
@@ -139,14 +164,16 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
     tout[x].  A color whose dropped bridge leaves no two parts of total
     order above n1 (a bridge of the largest component, whose sides are
     both at least as large as every other part) has no qualifying edge,
-    and none of its edges is read.  Each candidate is judged in O(1), and a
-    call costs O(n'·|B| + r) for the set B of vertices in components of
-    order above n1 / 2.
+    and none of its edges is read.  Each candidate is judged in O(1).  A
+    call costs O((n' - |B|)·|B| + r) for the buckets and the bridge pass,
+    plus, for each color the scan reaches, O(log n') bisections and one
+    step per class edge in the rows of B before the bound: a color with no
+    edge in those rows costs O(1) bisections.
     """
     if not c.complete:
         raise ValueError("find_swap requires a complete graph")
     n1 = s.largest_size
-    if n1 >= min(len(s.rep_edges) + 1, c.n if alive is None else len(alive)):
+    if n1 == 0 or n1 >= min(len(s.rep_edges) + 1, c.n if alive is None else len(alive)):
         return None
     verts = range(c.n) if alive is None else sorted(alive)
     adj: dict = {}  # representative endpoint -> [(neighbour, color)]
@@ -202,22 +229,28 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
             if other <= min(side, n1 - side):
                 continue
         open_colors.append(color)
-    # candidate edges of each open color, in lexicographic order, with an
-    # end in a component of order above n1 / 2
-    big = {v for g in s.components if 2 * len(g) > n1 for v in g}
-    live_big = [x for x in verts if x in big]
-    cands: dict = {color: [] for color in open_colors}
+    # B: the vertices in components of order above n1 / 2, every one of them
+    # alive, as every representative endpoint is.  The column pairs (u, b),
+    # u < b, u alive and not in B, of each open color, in lexicographic
+    # order; rows past the last vertex of B hold none
+    big = sorted(v for g in s.components if 2 * len(g) > n1 for v in g)
+    in_big = bytearray(c.n)
+    for b in big:
+        in_big[b] = 1
+    cols: dict = {color: [] for color in open_colors}
     seq = c.color_sequence
-    for i, u in enumerate(verts):
-        if u in big:
-            partners = verts[i + 1:]
-        else:
-            partners = live_big[bisect_right(live_big, u):]
+    for u in verts[:bisect_left(verts, big[-1])]:
+        if in_big[u]:
+            continue
         row = row_offset(c.n, u)  # (u, v) sits at seq[row + v]
-        for v in partners:
-            bucket = cands.get(seq[row + v])
+        for b in big[bisect_right(big, u):]:
+            bucket = cols.get(seq[row + b])
             if bucket is not None:
-                bucket.append((u, v))
+                bucket.append((u, b))
+    is_live = bytearray(c.n)
+    for v in verts:
+        is_live[v] = 1
+    classes = c.color_classes()
     cut_off = len(order)  # label of the side a dropped bridge cuts off
     cut = lo = hi = -1
 
@@ -232,16 +265,41 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
             return cut_off, hi - lo
         return k, order[k] - (hi - lo)
 
+    def grown(u, v):
+        """Order of the part the edge (u, v) forms, or 0 when it is no larger than n1."""
+        (a, size_a), (b, size_b) = part(u), part(v)
+        return size_a + size_b if a != b and size_a + size_b > n1 else 0
+
     for color in open_colors:
         x = child.get(color)
         if x is None:
             cut = -1
         else:
             cut, lo, hi = comp[x], tin[x], tout[x]
-        for g in cands[color]:
-            (a, size_a), (b, size_b) = part(g[0]), part(g[1])
-            if a != b and size_a + size_b > n1:
-                return SwapMove(color, s.rep_edges[color], g, size_a + size_b)
+        # the first qualifying column pair, then the first qualifying row
+        # edge (b, v) of B before its row: whichever comes first is the
+        # color's first qualifying edge in lexicographic order
+        best = None
+        for g in cols[color]:
+            if size := grown(*g):
+                best = g, size
+                break
+        codes = classes[color]
+        end = len(codes) if best is None else bisect_left(codes, best[0][0] << 16)
+        i = bisect_left(codes, big[0] << 16, 0, end)
+        while i < end:
+            code = codes[i]
+            b, v = code >> 16, code & 0xFFFF  # edge_pair(code), inlined
+            if not in_big[b]:  # jump to the row of the next vertex of B
+                j = bisect_right(big, b)
+                i = end if j == len(big) else bisect_left(codes, big[j] << 16, i + 1, end)
+                continue
+            if is_live[v] and (size := grown(b, v)):
+                best = (b, v), size
+                break
+            i += 1
+        if best is not None:
+            return SwapMove(color, s.rep_edges[color], *best)
     return None
 
 
@@ -298,7 +356,8 @@ def _construct(c: EdgeColoring, trace: list) -> list[Tree]:
         trace.append({"n": n, "r": r, "moves": moves, "largest": n1, "components": k})
 
         largest = s.components[0]
-        out.append(Tree.make(largest, [(u, v, c.color_of(u, v)) for u, v in s.forest
+        color_at = {e: color for color, e in s.rep_edges.items()}  # every edge here has u < v
+        out.append(Tree.make(largest, [(u, v, color_at[u, v]) for u, v in s.forest
                                        if u in largest]))
         for v in largest:
             dead[v] = 1

@@ -360,7 +360,11 @@ def _reads_no_edge(monkeypatch):
     def unreachable(n, u):
         raise AssertionError("find_swap read an edge row")
 
+    def no_classes(self):
+        raise AssertionError("find_swap read a color class")
+
     monkeypatch.setattr(constructive, "row_offset", unreachable)
+    monkeypatch.setattr(EdgeColoring, "color_classes", no_classes)
 
 
 def test_find_swap_returns_at_once_when_the_representatives_span_r_plus_one(monkeypatch):
@@ -395,6 +399,59 @@ def test_find_swap_returns_at_once_when_the_representatives_span_every_alive_ver
     _reads_no_edge(monkeypatch)
     assert find_swap(s, c) is None
     assert find_swap(on_alive, big, alive) is None
+
+
+def test_an_empty_representative_subgraph_has_largest_size_zero_and_no_move():
+    s = RepresentativeSubgraph.from_edges({})
+    assert s.components == () and s.forest == ()
+    assert s.largest_size == 0 and s.component_count == 0
+    c = rainbow_complete(4)
+    assert find_swap(s, c) is None
+    assert find_swap(s, c, [1, 3]) is None
+
+
+def _top3_on_alive(s, c, alive):
+    """top3_find_swap on restrict(c, alive), mapped back to c's vertices and colors."""
+    sub, maps = restrict(c, alive)
+    vmap, cmap = maps.vertex_map, maps.color_map
+    vback, cback = maps.vertices_back(), maps.colors_back()
+    sub_s = RepresentativeSubgraph.from_edges(
+        {cmap[col]: (vmap[u], vmap[v]) for col, (u, v) in s.rep_edges.items()})
+    move = top3_find_swap(sub_s, sub)
+    if move is None:
+        return None
+    (a, b), (x, y) = move.old_edge, move.new_edge
+    return SwapMove(cback[move.color], (vback[a], vback[b]), (vback[x], vback[y]),
+                    move.new_largest_size)
+
+
+@pytest.mark.parametrize("n, reps, color_1, dead, expected", [
+    # B = {3, 4, 5} (the path 3-4-5) and {6, 7}; dropping color 1's (6, 7)
+    # leaves parts {6} and {7}, so both the column pair (1, 4) and the row
+    # edge (3, 6) of B join 1 + 3 > n1 = 3: the column pair comes first
+    (9, {1: (6, 7), 2: (3, 4), 3: (4, 5)}, [(1, 4), (3, 6)], {8}, (1, 4)),
+    # row 3 of B reaches only the dead vertex 8, and the column pair (2, 4)
+    # starts at the dead vertex 2: the first live candidate is (4, 6)
+    (9, {1: (6, 7), 2: (3, 4), 3: (4, 5)}, [(2, 4), (3, 8), (4, 6)], {2, 8}, (4, 6)),
+    # B = {3, 5, 6} (the path 3-5-6) and {7, 8}; row 4 is not in B and lies
+    # between the rows 3 and 5 of B, so the class walk jumps from (4, 9) to
+    # row 5 after (3, 6), which stays inside one part
+    (11, {1: (7, 8), 2: (3, 5), 3: (5, 6)}, [(3, 6), (4, 9), (5, 7)], {10}, (5, 7)),
+], ids=["column-pair-first", "dead-ends-skipped", "row-outside-B-jumped"])
+def test_find_swap_reads_column_pairs_and_rows_of_b_in_lexicographic_order(
+        n, reps, color_1, dead, expected):
+    # color 1 holds its representative, the second component of B, and the
+    # listed edges; every other edge has color 3, which is scanned last
+    colors = dict.fromkeys(((u, v) for u in range(n) for v in range(u + 1, n)), 3)
+    colors.update({e: 1 for e in [reps[1], *color_1]})
+    colors[reps[2]] = 2
+    c = EdgeColoring(n, 3, colors)
+    s = RepresentativeSubgraph.from_edges(reps)
+    assert [len(g) for g in s.components] == [3, 2]  # n1 = 3: both are in B
+    alive = [v for v in range(n) if v not in dead]
+    move = find_swap(s, c, alive)
+    assert move == SwapMove(1, reps[1], expected, 4)
+    assert move == _top3_on_alive(s, c, alive)
 
 
 def test_find_swap_grows_through_the_side_a_dropped_bridge_cuts_off():
