@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
 
-from .coloring import (EdgeColoring, Tree, TreePartition, _defect, _is_int, edge_index,
+from .coloring import (EdgeColoring, Tree, TreePartition, _defect, _require_int, edge_index,
                        matching_trees)
 from .formula import f_of_r
 from .rainbow import max_rainbow_forest
@@ -46,13 +46,13 @@ class CanonicalLayout:
 
 
 def generate_canonical(n: int, r: int, fill_color: int | None = None):
-    """Build the canonical coloring; returns (EdgeColoring, CanonicalLayout)."""
-    if not (_is_int(n) and _is_int(r)):
-        raise ValueError(f"n and r must be ints, got n={n!r}, r={r!r}")
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    if not 2 <= r <= comb(n, 2):
-        raise ValueError(f"need 2 <= r <= C({n},2)={comb(n, 2)}, got {r}")
+    """Build the canonical coloring; returns (EdgeColoring, CanonicalLayout).
+    ValueError unless n >= 3, 2 <= r <= C(n, 2) and a given `fill_color` is
+    in 1..r, each an int; r = C(t+1,2)+1 forces fill color r and refuses any."""
+    _require_int("n", n, 3)
+    _require_int("r", r, 2, comb(n, 2))
+    if fill_color is not None:
+        _require_int("fill_color", fill_color, 1, r)
     t = f_of_r(r)
     core = tuple(range(t))
     hub = t
@@ -64,8 +64,6 @@ def generate_canonical(n: int, r: int, fill_color: int | None = None):
         if fill_color is not None:
             raise ValueError(f"fill color is forced to {r} when r = C(t+1,2)+1")
         fill = r
-    elif fill_color is not None and not (_is_int(fill_color) and 1 <= fill_color <= r):
-        raise ValueError(f"fill color {fill_color!r} out of range 1..{r}")
     elif len(placed) < comb(n, 2):  # some edge is left for step 3
         fill = 1 if fill_color is None else fill_color
     else:

@@ -60,6 +60,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _require_int(name: str, value, lo: int | None = None, hi: int | None = None) -> None:
+    """The one argument check of the public entry points: ValueError naming `name`,
+    the range and the value unless `value` is an int, not a bool, in lo..hi (None: open)."""
+    if not (_is_int(value) and (lo is None or lo <= value) and (hi is None or value <= hi)):
+        wanted = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+        raise ValueError(f"{name} must be an int{wanted}, got {value!r}")
+
+
 def edge_index(n: int, u: int, v: int) -> int:
     """Position of the edge (u, v), 0 <= u < v < n, in the lexicographic
     edge order of K_n."""
@@ -88,9 +96,9 @@ class EdgeColoring:
     color tuple in that order, and any other pair set is kept as a sorted
     tuple of pairs.  The input is copied, and `colors` is a read-only dict
     (a MappingProxyType) built from the stored data on first access and
-    cached, as is the verdict of validate().  The
-    constructor does not check n, r or the colors (type, range and
-    surjectivity); use validate() for that.
+    cached, as is the verdict of validate().  The constructor leaves n, r
+    and the colors (type, range and surjectivity) to validate(), which
+    reports each of them as a violation.
     """
 
     __slots__ = ("n", "r", "_pairs", "_cols", "_colors", "_classes", "_verdict")
@@ -236,13 +244,15 @@ class TreePartition:
 
 
 def rainbow_complete(n: int) -> EdgeColoring:
-    """K_n with every edge its own color, in lexicographic edge order."""
+    """K_n with every edge its own color, in lexicographic edge order; n is an int >= 1."""
+    _require_int("n", n, 1)
     m = comb(n, 2)
     return EdgeColoring(n, m, range(1, m + 1))
 
 
 def monochromatic_complete(n: int) -> EdgeColoring:
-    """K_n with every edge colored 1 (r = 0 for the single-vertex graph)."""
+    """K_n with every edge colored 1 (r = 0 for n = 1); n is an int >= 1."""
+    _require_int("n", n, 1)
     return EdgeColoring(n, 1 if n >= 2 else 0, (1,) * comb(n, 2))
 
 
@@ -336,6 +346,8 @@ def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | N
                 return False, f"tree {i} edge {e!r} is not a (u, v, color) triple"
             if not (type(u) is type(v) is int or _is_int(u) and _is_int(v)):
                 return False, f"tree {i} edge ({u!r},{v!r}) has an end that is not an int"
+            if type(col) is not int and not _is_int(col):  # a plain int skips the call
+                return False, f"tree {i} edge ({u},{v}) has color {col!r}, which is not an int"
             if u not in vs or v not in vs:
                 return False, f"tree {i} edge ({u},{v}) leaves its vertex set"
             if (pos := c._position(u, v)) < 0:
@@ -359,14 +371,14 @@ def merge_colors(c: EdgeColoring, src: int, dst: int) -> EdgeColoring:
     Colors above `src` shift down by one, so the result is a valid
     (r-1)-edge-coloring: `dst` only gains edges, every other color keeps its
     edges, and no color index is left unused.  The result is stored as c
-    is (a K_n coloring as its color sequence), and an edge color outside
-    1..r raises KeyError.
+    is (a K_n coloring as its color sequence).  `src` and `dst` are
+    distinct ints in 1..r, else ValueError; an edge color outside 1..r
+    raises KeyError.
     """
+    _require_int("src", src, 1, c.r)
+    _require_int("dst", dst, 1, c.r)
     if src == dst:
         raise ValueError("merge_colors requires two distinct colors")
-    for col in (src, dst):
-        if not (_is_int(col) and 1 <= col <= c.r):
-            raise ValueError(f"color {col!r} out of range 1..{c.r}")
     lut = {col: col - (col > src) for col in range(1, c.r + 1)}
     lut[src] = lut[dst]
     merged = map(lut.__getitem__, c._cols)

@@ -60,6 +60,7 @@ from .coloring import (
     Tree,
     TreePartition,
     _defect,
+    _require_int,
     is_partition_valid,
     require_valid,
     validate,
@@ -272,8 +273,9 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
 
     The witness is checked with is_partition_valid before it is returned; a
     failed check, or levels that hold no witness, raises ConstructionDefect
-    carrying c's file.
+    carrying c's file.  max_n is an int >= 1; n > max_n raises SizeGuardError.
     """
+    _require_int("max_n", max_n, 1)
     require_valid(validate(c))
     n, r = c.n, c.r
     if n > max_n:

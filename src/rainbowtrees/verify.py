@@ -21,6 +21,7 @@ from .canonical import generate_canonical
 from .coloring import (
     EdgeColoring,
     _is_int,
+    _require_int,
     format_coloring,
     merge_colors,
     parse_coloring,
@@ -28,7 +29,7 @@ from .coloring import (
 )
 from .constructive import partition_complete
 from .errors import ConstructionDefect, FileFormatError, SizeGuardError
-from .formula import partition_number
+from .formula import _require_kn_colors, partition_number
 from .solver import solve
 from .unionfind import mask_component
 
@@ -203,13 +204,12 @@ def random_surjective_coloring(n: int, r: int, rng: random.Random) -> EdgeColori
     path always returns a surjective coloring, but not a uniform one: it
     favours colorings in which the repaired colors are rare.  The output is
     a mixture of the two, so it is exactly uniform only when every draw is
-    surjective (r = 1).
+    surjective (r = 1).  n is an int >= 2 and r an int in 1..m, else
+    ValueError.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    _require_int("n", n, 2)
     m = comb(n, 2)
-    if not (_is_int(r) and 1 <= r <= m):
-        raise ValueError(f"need 1 <= r <= {m}, got {r!r}")
+    _require_int("r", r, 1, m)
     assignment = None
     for _ in range(50):
         cand = _uniform_colors(r, m, rng)
@@ -236,9 +236,9 @@ def random_surjective_coloring(n: int, r: int, rng: random.Random) -> EdgeColori
 
 def iter_surjective_colorings(n: int, r: int):
     """All r-edge-colorings of K_n (every color used); exhaustive, desk scale."""
-    for assignment in product(range(1, r + 1), repeat=comb(n, 2)):
-        if len(set(assignment)) == r:
-            yield EdgeColoring(n, r, assignment)
+    _require_kn_colors(n, r)  # as partition_number does, on the call, not at the first next()
+    return (EdgeColoring(n, r, a) for a in product(range(1, r + 1), repeat=comb(n, 2))
+            if len(set(a)) == r)
 
 
 # ---------------------------------------------------------------------------
@@ -284,25 +284,23 @@ def _connected_graph_count(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# campaigns
-
-
-def _at_least(name: str, value: int, least: int) -> None:
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
+# campaigns: max_n is an int >= 3, samples and samples_per_cell ints >= 0,
+# trials an int >= 1 and seed an int, else ValueError; a max_n above the
+# campaign's guard raises SizeGuardError
 
 
 def _max_n_within(max_n: int, guard: int) -> None:
+    _require_int("max_n", max_n, 3)
     if max_n > guard:
         raise SizeGuardError(f"campaign guard: max_n={max_n} > {guard}")
-    _at_least("max_n", max_n, 3)
 
 
 def campaign_worstcase(max_n: int = 6, samples_per_cell: int = 100, seed: int = 0) -> VerificationReport:
     """Equality on canonical instances, upper bound on random ones, and the
-    exhaustive maximum over all colorings of K_4."""
+    exhaustive maximum over all colorings of K_4 (max_n <= 10)."""
     _max_n_within(max_n, 10)
-    _at_least("samples_per_cell", samples_per_cell, 0)
+    _require_int("samples_per_cell", samples_per_cell, 0)
+    _require_int("seed", seed)
     t0 = time.monotonic()
     rng = random.Random(seed)
     report = VerificationReport(
@@ -348,7 +346,8 @@ def campaign_worstcase(max_n: int = 6, samples_per_cell: int = 100, seed: int = 
 
 def campaign_monotonicity(trials: int = 1000, seed: int = 0) -> VerificationReport:
     """Merging two colors never lowers the exact partition number."""
-    _at_least("trials", trials, 1)
+    _require_int("trials", trials, 1)
+    _require_int("seed", seed)
     t0 = time.monotonic()
     rng = random.Random(seed)
     report = VerificationReport("monotonicity", {"trials": trials, "seed": seed}, 0)
@@ -390,7 +389,7 @@ def campaign_cutedge(max_n: int = 6) -> VerificationReport:
     recorded as the tight witness (it is the complete graph on n-1 vertices
     plus a pendant edge, up to relabeling).  The `connected` count of each
     cell, which is also its number of instances, comes from the recurrence
-    for labeled connected graphs.
+    for labeled connected graphs (max_n <= 7).
     """
     _max_n_within(max_n, 7)
     t0 = time.monotonic()
@@ -437,10 +436,11 @@ def campaign_constructive(max_n: int = 8, samples: int = 100, seed: int = 0) -> 
     ConstructionDefect when one fails (the swap budget as soon as a level
     passes n-2 moves), which is recorded as `construction-defect`; each
     cell's `max_swaps` is the most moves any of its colorings took on one
-    level.  Colorings up to n = 7 are also solved exactly.
+    level.  Colorings up to n = 7 are also solved exactly (max_n <= 12).
     """
     _max_n_within(max_n, 12)
-    _at_least("samples", samples, 0)
+    _require_int("samples", samples, 0)
+    _require_int("seed", seed)
     t0 = time.monotonic()
     rng = random.Random(seed)
     report = VerificationReport(

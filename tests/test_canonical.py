@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from math import comb
 
@@ -96,13 +98,18 @@ def test_fill_override_rules():
 
 @pytest.mark.parametrize("n, r", [(5.0, 3), (5, 3.0), (True, 3), (5, True)])
 def test_canonical_rejects_sizes_that_are_not_ints(n, r):
-    with pytest.raises(ValueError, match=f"^n and r must be ints, got n={n!r}, r={r!r}$"):
+    # n is checked first; r's range for n = 5 is 2..C(5, 2)
+    if type(n) is int:
+        message = f"r must be an int in 2..10, got {r!r}"
+    else:
+        message = f"n must be an int >= 3, got {n!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         generate_canonical(n, r)
 
 
 def test_fill_color_rejects_a_bool():
     # True == 1 would fill with color 1 and write "3 4 True" in the file
-    with pytest.raises(ValueError, match=r"^fill color True out of range 1\.\.3$"):
+    with pytest.raises(ValueError, match=r"^fill_color must be an int in 1\.\.3, got True$"):
         generate_canonical(5, 3, fill_color=True)
 
 
@@ -110,7 +117,7 @@ def test_fill_color_is_range_checked_when_no_edge_remains():
     # K_3 with r = 3 is rainbow, so step 3 has no edge to color
     c, layout = generate_canonical(3, 3, fill_color=2)
     assert layout.fill_color is None
-    with pytest.raises(ValueError, match="fill color 99 out of range 1..3"):
+    with pytest.raises(ValueError, match=r"^fill_color must be an int in 1\.\.3, got 99$"):
         generate_canonical(3, 3, fill_color=99)
 
 

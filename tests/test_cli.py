@@ -74,7 +74,7 @@ def test_canonical_rejects_an_out_of_range_fill_color(capsys):
     for n in (3, 4):
         code, _, err = run_cli(capsys, "canonical", n, 3, "--fill", 99)
         assert code == 1
-        assert "fill color 99 out of range 1..3" in err
+        assert err == "error: fill_color must be an int in 1..3, got 99\n"
 
 
 def test_canonical_partition_output(tmp_path, capsys):
@@ -154,6 +154,16 @@ def test_solve_guard_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "solve", cfile, "--max-n", 5)
     assert code == 3
     assert "guard" in err
+
+
+def test_solve_rejects_a_guard_no_input_can_pass(tmp_path, capsys):
+    # --max-n 0 is a usage error, as a verify size that runs nothing is,
+    # not a guard hit
+    cfile = tmp_path / "c.txt"
+    write_coloring(monochromatic_complete(4), cfile)
+    code, _, err = run_cli(capsys, "solve", cfile, "--max-n", 0)
+    assert code == 1
+    assert err == "error: max_n must be an int >= 1, got 0\n"
 
 
 def test_solve_without_max_n_keeps_the_solvers_own_guard(tmp_path, capsys):
@@ -245,7 +255,7 @@ def test_verify_cutedge_rejects_seed(capsys):
 def test_verify_rejects_a_size_that_runs_nothing(capsys):
     code, _, err = run_cli(capsys, "verify", "worstcase", "--max-n", 0)
     assert code == 1
-    assert "max_n must be at least 3, got 0" in err
+    assert err == "error: max_n must be an int >= 3, got 0\n"
 
 
 def test_verify_guard_exit(capsys):

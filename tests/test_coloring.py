@@ -199,6 +199,11 @@ def test_partition_cycle_rejected():
      "tree 0 edge (0, 1, 1, 1) is not a (u, v, color) triple"),
     (rainbow_complete(3), (Tree((0, 1), (5,)), Tree.make([2])),
      "tree 0 edge 5 is not a (u, v, color) triple"),
+    # a recorded color equal to the edge's color, but no int
+    (rainbow_complete(2), (Tree.make([0, 1], [(0, 1, True)]),),
+     "tree 0 edge (0,1) has color True, which is not an int"),
+    (rainbow_complete(3), (Tree.make([0, 1, 2], [(0, 1, 1), (1, 2, 3.0)]),),
+     "tree 0 edge (1,2) has color 3.0, which is not an int"),
 ])
 def test_partition_check_names_each_violation(c, trees, why):
     assert is_partition_valid(c, TreePartition(trees)) == (False, why)
@@ -267,9 +272,9 @@ def test_merge_rejects_bad_arguments():
 
 def test_merge_rejects_a_bool_color():
     # True == 1, so without the type check it would merge color 1
-    with pytest.raises(ValueError, match=r"^color True out of range 1\.\.3$"):
+    with pytest.raises(ValueError, match=r"^src must be an int in 1\.\.3, got True$"):
         merge_colors(rainbow_k3(), True, 2)
-    with pytest.raises(ValueError, match=r"^color 4 out of range 1\.\.3$"):
+    with pytest.raises(ValueError, match=r"^dst must be an int in 1\.\.3, got 4$"):
         merge_colors(rainbow_k3(), 1, 4)
 
 
