@@ -41,7 +41,6 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .errors import ConstructionDefect, FileFormatError
-from .unionfind import UnionFind
 
 
 @dataclass(frozen=True)
@@ -98,22 +97,25 @@ class EdgeColoring:
     (a MappingProxyType) built from the stored data on first access and
     cached, as is the verdict of validate().  The constructor leaves n, r
     and the colors (type, range and surjectivity) to validate(), which
-    reports each of them as a violation.
+    reports each of them as a violation.  An n that is not an int >= 0 has
+    no pair count, so neither the sequence length nor the pairs' upper end
+    is checked against it.
     """
 
     __slots__ = ("n", "r", "_pairs", "_cols", "_colors", "_classes", "_verdict")
 
     def __init__(self, n: int, r: int, colors):
-        m = comb(n, 2)
+        m = comb(n, 2) if isinstance(n, int) and n >= 0 else None  # a bool n counts as 0 or 1
         if not isinstance(colors, Mapping):
             cols = tuple(colors)
-            if len(cols) != m:
+            if m is not None and len(cols) != m:
                 raise ValueError(f"a color sequence for K_{n} needs {m} colors, got {len(cols)}")
             pairs = None
         else:
             for key in colors:
                 if not (isinstance(key, tuple) and len(key) == 2 and _is_int(key[0])
-                        and _is_int(key[1]) and 0 <= key[0] < key[1] < n):
+                        and _is_int(key[1]) and 0 <= key[0] < key[1]
+                        and (m is None or key[1] < n)):
                     raise ValueError(f"edge {key!r} is not a pair (u, v) of ints with "
                                      f"0 <= u < v < {n}")
             if len(colors) == m:
@@ -314,8 +316,11 @@ def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | N
     if not p.trees:
         return False, "partition has no trees"
     n = c.n
+    cols, complete = c._cols, c._pairs is None
     covered: set = set()
-    uf = UnionFind(n)  # trees are disjoint and in range before their edges are read
+    # union-find forest over all trees, which are disjoint and in range
+    # before their edges are read
+    parent = list(range(n))
     for i, t in enumerate(p.trees):
         # a Tree built without Tree.make may hold its vertices in a list,
         # where a repeat would vanish into the frozenset
@@ -350,15 +355,26 @@ def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | N
                 return False, f"tree {i} edge ({u},{v}) has color {col!r}, which is not an int"
             if u not in vs or v not in vs:
                 return False, f"tree {i} edge ({u},{v}) leaves its vertex set"
-            if (pos := c._position(u, v)) < 0:
+            if complete:  # every pair but a loop is an edge; edge_index, inlined
+                a, b = (u, v) if u < v else (v, u)
+                pos = a * (2 * n - a - 3) // 2 + b - 1 if a != b else -1
+            else:
+                pos = c._position(u, v)
+            if pos < 0:
                 return False, f"tree {i} edge ({u},{v}) is not in the graph"
-            if c._cols[pos] != col:
+            if cols[pos] != col:
                 return False, f"tree {i} edge ({u},{v}) recorded with wrong color {col}"
             if col in tree_colors:
                 return False, f"tree {i} repeats color {col}"
             tree_colors.add(col)
-            if not uf.union(u, v):
+            a, b = u, v  # their roots, found with path halving
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a == b:
                 return False, f"tree {i} contains a cycle through ({u},{v})"
+            parent[a] = b
     if covered != set(range(n)):
         missing = min(set(range(n)) - covered)
         return False, f"vertex {missing} is not covered"
@@ -372,9 +388,10 @@ def merge_colors(c: EdgeColoring, src: int, dst: int) -> EdgeColoring:
     (r-1)-edge-coloring: `dst` only gains edges, every other color keeps its
     edges, and no color index is left unused.  The result is stored as c
     is (a K_n coloring as its color sequence).  `src` and `dst` are
-    distinct ints in 1..r, else ValueError; an edge color outside 1..r
-    raises KeyError.
+    distinct ints in 1..r, else ValueError, as is an r that is not an int;
+    an edge color outside 1..r raises KeyError.
     """
+    _require_int("r", c.r)
     _require_int("src", src, 1, c.r)
     _require_int("dst", dst, 1, c.r)
     if src == dst:
@@ -441,11 +458,14 @@ def restrict(c: EdgeColoring, keep) -> tuple[EdgeColoring, RestrictionMaps]:
 
 def matching_trees(c: EdgeColoring, vertices) -> list[Tree]:
     """Consecutive vertices paired into one-edge trees, plus a single-vertex
-    tree for the last vertex when their number is odd."""
+    tree for the last vertex when their number is odd.  c is a coloring of
+    K_n, and each pair's color is read from its color sequence."""
+    cols, n = c.color_sequence, c.n
     trees = []
     for i in range(0, len(vertices) - 1, 2):
         a, b = vertices[i], vertices[i + 1]
-        trees.append(Tree(frozenset((a, b)), ((a, b, c.color_of(a, b)),)))
+        lo, hi = (a, b) if a < b else (b, a)
+        trees.append(Tree(frozenset((a, b)), ((a, b, cols[lo * (2 * n - lo - 3) // 2 + hi - 1]),)))
     if len(vertices) % 2 == 1:
         trees.append(Tree(frozenset((vertices[-1],)), ()))
     return trees

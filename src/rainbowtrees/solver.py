@@ -14,7 +14,8 @@ has a color missing from the tree kept for B - v.  The colors of v's edges
 into B are read from two tables per vertex, indexed by the low n // 2 bits
 of B and by the rest.  The blocks of one size are the masks of the size
 below, each extended by every vertex above its top one, which keeps them
-in lexicographic order.  Only a block with neither certificate goes to the
+in lexicographic order; they depend on n alone, so they are built once per
+(n, size) and kept.  Only a block with neither certificate goes to the
 fallback: a reject when B's edges carry fewer than |B| - 1 colors, then a
 reject when deleting the edges of the coloring's most frequent color
 leaves B in 3 or more components (a graph with a rainbow spanning tree
@@ -31,12 +32,13 @@ masks of level k that lie below t and miss B; for each t the walk grows
 the blocks down from t on level k cut to its first 2^t bits.  The walk
 skips every block lying inside no feasible block (read from the downward
 closure of the table, taken once with n big-int steps when a level past 1
-is needed), since no block grown from it is feasible.  The count is the
-first level holding the full set; the test is one AND of the feasible
-blocks with the level mirrored, bit M moved to bit full ^ M.  One optimal
-witness is read back from the levels, taking at each step the smallest
-block mask that contains the lowest uncovered vertex; the tree of each
-block with an edge is read from max_rainbow_forest.  Desk scale only
+is needed; the n patterns of those steps are built once per n), since no
+block grown from it is feasible.  The count is the first level holding the
+full set.  The feasible blocks are mirrored once per solve, bit M moved
+to bit full ^ M, and the test is one AND of that mirror with the level.
+One optimal witness is read back from the levels, taking at each step the
+smallest block mask that contains the lowest uncovered vertex; the tree of
+each block with an edge is read from max_rainbow_forest.  Desk scale only
 (n <= 14 by default).
 
 solve_bruteforce() is the independent oracle: it enumerates all set
@@ -46,10 +48,11 @@ forest oracle, sharing no code with the DP path.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations
 from math import comb
 from operator import or_
@@ -125,6 +128,25 @@ def _block_feasible(items, need: int, stats: dict) -> tuple | None:
     return tuple(items[i] for i in tree)
 
 
+@cache
+def _block_masks(n: int, size: int) -> array:
+    """The blocks of `size` vertices out of n, as masks in lexicographic
+    order: those of size - 1, each extended by every vertex above its top
+    one.  Built once per (n, size) and shared, so callers only read it."""
+    bit = [1 << v for v in range(n)]
+    if size == 1:
+        return array("I", bit)
+    return array("I", [m | b for m in _block_masks(n, size - 1) for b in bit[m.bit_length():]])
+
+
+@cache
+def _keep_patterns(n: int) -> tuple[int, ...]:
+    """keep[v] has bit M set, for the 2^n masks M, iff vertex v is not in M:
+    runs of 2^v ones repeated with period 2^(v+1).  Built once per n."""
+    every = (1 << (1 << n)) - 1
+    return tuple(every // ((1 << (2 << v)) - 1) * ((1 << (1 << v)) - 1) for v in range(n))
+
+
 def _other_neighbours(pair: list[list[int]]) -> list[int]:
     """other[v] has bit u set iff uv is an edge whose color is not the most
     frequent one (the smallest of those on a tie); pair[u][v] is the color
@@ -181,15 +203,13 @@ def _block_table(c: EdgeColoring, cap: int, stats: dict) -> tuple[bytearray, lis
     feas = bytearray(full + 1)
     colors = [0] * (full + 1)
     bit = [1 << v for v in range(n)]
-    masks = bit  # the blocks of one size in lexicographic order, as masks
     for v in range(n):
         feas[bit[v]] = 1
     stats["feasibility_checks"] += n
     other = None  # other[v]: v's neighbours by an edge not of the most frequent color
     for size in range(2, min(cap, n - 1) + 1):
         stats["feasibility_checks"] += comb(n, size)
-        masks = [m | b for m in masks for b in bit[m.bit_length():]]  # add a vertex above the top
-        for mask, vs in zip(masks, combinations(range(n), size)):
+        for mask, vs in zip(_block_masks(n, size), combinations(range(n), size)):
             ml, mh = mask & low_half, mask >> h
             leaf = False  # some B - v is feasible
             for v in vs:
@@ -221,21 +241,18 @@ def _block_table(c: EdgeColoring, cap: int, stats: dict) -> tuple[bytearray, lis
     return feas, colors
 
 
-def _walk_tables(feasible: int, n: int) -> tuple[list[int], bytes]:
-    """The level walk's tables.  keep[v] has bit M set iff vertex v is not
-    in M: runs of 2^v ones repeated with period 2^(v+1).  inside[M] is 1
+def _walk_tables(feasible: int, n: int) -> tuple[tuple[int, ...], bytes]:
+    """The level walk's tables: keep = _keep_patterns(n), and inside[M] is 1
     iff M lies inside some feasible block (bit M of `feasible`): the
     downward closure, taken with n big-int steps and rendered to bytes."""
-    full = (1 << n) - 1
-    every = (1 << (full + 1)) - 1
-    keep = [every // ((1 << (2 << v)) - 1) * ((1 << (1 << v)) - 1) for v in range(n)]
+    keep = _keep_patterns(n)
     inside = feasible
     for v in range(n):
         inside |= (inside & ~keep[v]) >> (1 << v)
-    return keep, format(inside, f"0{full + 1}b")[::-1].encode().translate(_FLAGS)
+    return keep, format(inside, f"0{1 << n}b")[::-1].encode().translate(_FLAGS)
 
 
-def _next_level(level: int, feas: bytearray, keep: list[int], inside: bytes,
+def _next_level(level: int, feas: bytearray, keep: tuple[int, ...], inside: bytes,
                 n: int, cap: int) -> int:
     """Level k + 1 from level k.  A mask of level k + 1 is the block B
     holding its top vertex t plus a rest of level k lying below t, so each
@@ -306,19 +323,20 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
         return checked(1, [Tree.make(range(n), tree)])
 
     # feas[M] = 1 iff M is a feasible block; blocks over cap and full stay 0,
-    # and bit M of feasible is feas[M]
+    # bit M of feasible is feas[M], and bit full ^ M of ends is feas[M]
     feas, _ = _block_table(c, cap, stats)
     feasible = int(feas.translate(_BITS)[::-1], 2)
+    ends = _mirror(feasible, n)
 
     # levels[k] marks the masks that split into at most k feasible blocks;
     # the full set is in level k + 1 iff some feasible block B leaves its
-    # rest full ^ B in level k, that is, B is in mirror(level k).  Level 1
-    # is feasible | 1, with no walk, and the loop starts there: level 0 would
+    # rest full ^ B in level k, that is, level k meets ends.  Level 1 is
+    # feasible | 1, with no walk, and the loop starts there: level 0 would
     # stop it only at a feasible full set, which the table never marks (the
     # whole-set check returned every count-1 coloring).  The walk's tables
     # wait for level 2.
     levels = [1, feasible | 1]
-    while not feasible & _mirror(levels[-1], n):
+    while not ends & levels[-1]:
         if len(levels) == 2:
             keep, inside = _walk_tables(feasible, n)
         levels.append(_next_level(levels[-1], feas, keep, inside, n, cap))

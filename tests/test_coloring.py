@@ -20,14 +20,18 @@ from rainbowtrees import (
     monochromatic_complete,
     parse_coloring,
     parse_partition,
+    partition_complete,
     rainbow_complete,
+    random_surjective_coloring,
     read_coloring,
     restrict,
+    solve,
     validate,
     write_coloring,
 )
 from rainbowtrees import coloring
-from rainbowtrees.coloring import edge_index, edge_pair, row_offset
+from rainbowtrees.coloring import _is_int, edge_index, edge_pair, matching_trees, row_offset
+from rainbowtrees.unionfind import UnionFind
 
 
 def rainbow_k3():
@@ -81,6 +85,18 @@ def test_constructor_rejects_malformed_pairs(key):
 def test_validate_reports_each_color_that_is_not_an_int(c, found):
     # a set folds True into 1 and 2.0 into 2; every edge's color is checked
     assert [str(v) for v in validate(c)] == found
+
+
+@pytest.mark.parametrize("n, r, colors", [(2.0, 1, [1]), ("3", 1, {}), ("3", 1, {(0, 1): 1}),
+                                           (-1, 0, []), (-1, 1, {(0, 1): 1})],
+                         ids=["float-n", "str-n", "str-n-pairs", "negative-n", "negative-n-pairs"])
+def test_an_n_with_no_pair_count_is_left_to_validate(n, r, colors):
+    # the constructor builds C(n, 2) only from an int n >= 0; validate()
+    # reports any other n, and solve raises its ValueError
+    c = EdgeColoring(n, r, colors)
+    assert validate(c) == [Violation("BadVertexCount", (n,))]
+    with pytest.raises(ValueError, match=re.escape(f"invalid coloring: BadVertexCount({n!r},)")):
+        solve(c)
 
 
 @pytest.mark.parametrize("c, found", [
@@ -231,6 +247,171 @@ def test_partition_wrong_color_rejected():
     assert not ok
 
 
+def reference_is_partition_valid(c, p):
+    """is_partition_valid as it read every edge through c._position and
+    joined trees with UnionFind calls, kept as a reference: the same checks
+    in the same order, with the same messages."""
+    if not p.trees:
+        return False, "partition has no trees"
+    n = c.n
+    covered: set = set()
+    uf = UnionFind(n)
+    for i, t in enumerate(p.trees):
+        vs = t.vertices
+        if type(vs) is not frozenset:
+            vs = frozenset(t.vertices)
+            if len(vs) < len(t.vertices):
+                repeated = next(v for j, v in enumerate(t.vertices) if v in t.vertices[:j])
+                return False, f"tree {i} lists vertex {repeated!r} more than once"
+        if not vs:
+            return False, f"tree {i} is empty"
+        overlap = covered & vs
+        if overlap:
+            return False, f"vertex {min(overlap)} appears in more than one tree"
+        covered |= vs
+        for v in vs:
+            if not _is_int(v):
+                return False, f"tree {i} contains vertex {v!r}, which is not an int"
+            if not 0 <= v < n:
+                return False, f"tree {i} contains out-of-range vertex {v}"
+        if len(t.edges) != len(vs) - 1:
+            return False, f"tree {i} has {len(t.edges)} edges for {len(vs)} vertices"
+        tree_colors: set = set()
+        for e in t.edges:
+            try:
+                u, v, col = e
+            except (TypeError, ValueError):
+                return False, f"tree {i} edge {e!r} is not a (u, v, color) triple"
+            if not (_is_int(u) and _is_int(v)):
+                return False, f"tree {i} edge ({u!r},{v!r}) has an end that is not an int"
+            if not _is_int(col):
+                return False, f"tree {i} edge ({u},{v}) has color {col!r}, which is not an int"
+            if u not in vs or v not in vs:
+                return False, f"tree {i} edge ({u},{v}) leaves its vertex set"
+            if (pos := c._position(u, v)) < 0:
+                return False, f"tree {i} edge ({u},{v}) is not in the graph"
+            if c._cols[pos] != col:
+                return False, f"tree {i} edge ({u},{v}) recorded with wrong color {col}"
+            if col in tree_colors:
+                return False, f"tree {i} repeats color {col}"
+            tree_colors.add(col)
+            if not uf.union(u, v):
+                return False, f"tree {i} contains a cycle through ({u},{v})"
+    if covered != set(range(n)):
+        missing = min(set(range(n)) - covered)
+        return False, f"vertex {missing} is not covered"
+    return True, None
+
+
+def sparse_coloring(n, r, keep, rng):
+    """A surjective r-coloring of a random subgraph of K_n with about a
+    `keep` share of the edges (at least r of them)."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    kept = pairs[:max(r, round(keep * len(pairs)))]
+    cols = [*range(1, r + 1), *(rng.randint(1, r) for _ in kept[r:])]
+    return EdgeColoring(n, r, dict(zip(kept, cols)))
+
+
+def corrupted_partitions(c, p, rng):
+    """(kind, partition) pairs: p itself, and seeded corruptions of it."""
+    trees = p.trees
+
+    def swap(i, vertices, edges):
+        return TreePartition(trees[:i] + (Tree(frozenset(vertices), tuple(edges)),) + trees[i + 1:])
+
+    out = [("valid", p)]
+    if len(trees) >= 2:  # a vertex moved to another tree, its edges left behind
+        i, j = rng.sample(range(len(trees)), 2)
+        v = rng.choice(sorted(trees[i].vertices))
+        moved = list(trees)
+        moved[i] = Tree(trees[i].vertices - {v}, trees[i].edges)
+        moved[j] = Tree(trees[j].vertices | {v}, trees[j].edges)
+        out.append(("moved vertex", TreePartition(tuple(moved))))
+        moved[i] = trees[i]
+        out.append(("shared vertex", TreePartition(tuple(moved))))
+        out.append(("dropped tree", TreePartition(trees[:i] + trees[i + 1:])))
+    for i, t in enumerate(trees):
+        if not t.edges:
+            continue
+        vs, edges, k = t.vertices, list(t.edges), rng.randrange(len(t.edges))
+        u, v, col = edges[k]
+        if c.r >= 2:
+            other = rng.choice([x for x in range(1, c.r + 1) if x != col])
+            out.append(("recolored edge", swap(i, vs, edges[:k] + [(u, v, other)] + edges[k + 1:])))
+        if len(edges) >= 2:
+            out.append(("repeated color", swap(i, vs, [edges[0], (*edges[1][:2], edges[0][2]),
+                                                       *edges[2:]])))
+        out.append(("reversed edge", swap(i, vs, edges[:k] + [(v, u, col)] + edges[k + 1:])))
+        out.append(("loop", swap(i, vs, edges[:k] + [(u, u, col)] + edges[k + 1:])))
+        if 1 in vs:  # vertex 1 written as True, in the vertex set or at one edge end
+            out.append(("bool vertex", swap(i, vs - {1} | {True}, edges)))
+            j = next(j for j, e in enumerate(edges) if 1 in e[:2])
+            a, b, x = edges[j]
+            out.append(("bool end", swap(i, vs, edges[:j] + [(a == 1 or a, b == 1 or b, x)]
+                                         + edges[j + 1:])))
+        out.append(("out-of-range end", swap(i, vs, edges[:k] + [(u, c.n, col)] + edges[k + 1:])))
+        out.append(("out-of-range end", swap(i, vs | {c.n}, edges[:k] + [(u, c.n, col)]
+                                             + edges[k + 1:])))
+        # a cycle: edge k replaced by a pair that the other edges already join
+        rest = edges[:k] + edges[k + 1:]
+        uf = UnionFind(c.n)
+        for a, b, _ in rest:
+            uf.union(a, b)
+        chords = [(a, b) for a in sorted(vs) for b in sorted(vs)
+                  if a < b and uf.find(a) == uf.find(b) and c.has_edge(a, b)
+                  and not any({a, b} == {x, y} for x, y, _ in rest)]
+        if chords:
+            a, b = rng.choice(chords)
+            out.append(("cycle", swap(i, vs, rest + [(a, b, c.color_of(a, b))])))
+        absent = [(a, b) for a in sorted(vs) for b in sorted(vs) if a < b and not c.has_edge(a, b)]
+        if absent:
+            a, b = rng.choice(absent)
+            out.append(("absent edge", swap(i, vs, edges[:k] + [(a, b, col)] + edges[k + 1:])))
+    return out
+
+
+def test_partition_check_matches_the_reference_on_valid_and_corrupted_partitions():
+    rng = random.Random(3131)
+    cases = [(c, solve(c).partition) for c in
+             [rainbow_complete(n) for n in (3, 5, 7)]
+             + [random_surjective_coloring(n, r, rng) for n in (4, 6, 8, 9) for r in (2, 3, 5)]
+             + [sparse_coloring(n, r, keep, rng) for n in (5, 7, 9) for r in (2, 4)
+                for keep in (0.4, 0.8)]]
+    cases += [(c, partition_complete(c)) for c in
+              [random_surjective_coloring(n, r, rng) for n in (20, 40) for r in (3, 8, 20)]]
+    seen: dict = {}
+    for c, p in cases:
+        for kind, q in corrupted_partitions(c, p, rng):
+            expected = reference_is_partition_valid(c, q)
+            assert is_partition_valid(c, q) == expected, (kind, format_coloring(c), q)
+            seen.setdefault((kind, c.complete), set()).add(expected[1])
+    # every corruption was met on both kinds of coloring and was caught
+    for kind in ("moved vertex", "shared vertex", "dropped tree", "recolored edge",
+                 "repeated color", "loop", "bool vertex", "bool end", "out-of-range end",
+                 "cycle"):
+        for complete in (True, False):
+            assert None not in seen[kind, complete], (kind, complete)
+    assert seen["valid", True] == seen["valid", False] == seen["reversed edge", True] == {None}
+    assert None not in seen["absent edge", False]
+    messages = " ".join(m for found in seen.values() for m in found if m)
+    for fragment in ("appears in more than one tree", "is not covered", "edges for",
+                     "recorded with wrong color", "repeats color", "is not in the graph",
+                     "which is not an int", "has an end that is not an int",
+                     "leaves its vertex set", "out-of-range vertex", "contains a cycle"):
+        assert fragment in messages, fragment
+
+
+def test_matching_trees_read_each_pair_from_the_color_sequence():
+    c = random_surjective_coloring(9, 6, random.Random(77))
+    vertices = [0, 3, 5, 4, 8, 1, 2]  # the pair (5, 4) is read in either order
+    trees = matching_trees(c, vertices)
+    assert trees == [Tree(frozenset((a, b)), ((a, b, c.color_of(a, b)),))
+                     for a, b in zip(vertices[::2], vertices[1::2])] + [Tree(frozenset((2,)), ())]
+    with pytest.raises(ValueError, match="requires a coloring stored as K_n"):
+        matching_trees(EdgeColoring(3, 1, {(0, 1): 1}), [0, 1])
+
+
 # ------------------------------------------------------------ merge_colors
 
 
@@ -268,6 +449,11 @@ def test_merge_rejects_bad_arguments():
         merge_colors(c, 1, 4)
     with pytest.raises(KeyError):  # an edge color above r
         merge_colors(EdgeColoring(3, 2, [1, 2, 3]), 1, 2)
+
+
+def test_merge_rejects_a_coloring_whose_r_is_not_an_int():
+    with pytest.raises(ValueError, match=r"^r must be an int, got 2\.0$"):
+        merge_colors(EdgeColoring(3, 2.0, [1, 2, 1]), 1, 2)
 
 
 def test_merge_rejects_a_bool_color():

@@ -485,6 +485,52 @@ def test_mirror_moves_bit_m_to_bit_full_xor_m():
         assert solver._mirror(0, n) == 0
 
 
+def test_block_masks_are_the_combinations_in_order():
+    for n in range(1, 11):
+        for size in range(1, n + 1):
+            masks = solver._block_masks(n, size)
+            assert masks.typecode == "I"
+            assert list(masks) == [sum(1 << v for v in vs)
+                                   for vs in combinations(range(n), size)], (n, size)
+            assert solver._block_masks(n, size) is masks  # built once per (n, size)
+
+
+def test_keep_patterns_mark_the_masks_that_miss_each_vertex():
+    for n in range(1, 8):
+        keep = solver._keep_patterns(n)
+        assert len(keep) == n and solver._keep_patterns(n) is keep
+        for v in range(n):
+            assert keep[v] == sum(1 << m for m in range(1 << n) if not m >> v & 1), (n, v)
+
+
+def test_cold_and_warm_tables_give_the_same_answers():
+    # the n-only tables are built on first use; a sequence that switches n
+    # gives the same partitions and stats whether they are rebuilt before
+    # every solve or kept from the solves before
+    rng = random.Random(2929)
+    cases = []
+    for n in (13, 6, 12, 13, 6):
+        cases += [random_surjective_coloring(n, r, rng) for r in (2, 3, 5)]
+        cases += [generate_canonical(n, 4)[0], monochromatic_complete(n)]
+
+    def answers(cold):
+        out = []
+        for c in cases:
+            if cold:
+                solver._block_masks.cache_clear()
+                solver._keep_patterns.cache_clear()
+            res = solve(c)
+            out.append((res.count, format_partition(res.partition), dict(res.stats)))
+        return out
+
+    cold = answers(cold=True)
+    warm = answers(cold=False)
+    assert solver._block_masks.cache_info().hits > 0
+    assert solver._keep_patterns.cache_info().hits > 0
+    assert cold == warm
+    assert max(count for count, _, _ in warm) >= 3  # the walk and its patterns ran
+
+
 def assert_block_table_matches_intersections(c):
     """Every entry of solve()'s block table equals a matroid intersection on
     the block, and the colors kept for a feasible block carry one of its
