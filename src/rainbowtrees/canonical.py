@@ -28,8 +28,8 @@ from math import comb
 from types import MappingProxyType
 
 from .coloring import (EdgeColoring, Tree, TreePartition, _defect, _require_int, edge_index,
-                       matching_trees)
-from .formula import f_of_r
+                       is_partition_valid, matching_trees)
+from .formula import f_of_r, partition_number
 from .rainbow import max_rainbow_forest
 
 
@@ -79,12 +79,20 @@ def generate_canonical(n: int, r: int, fill_color: int | None = None):
 
 
 def extremal_partition(c: EdgeColoring, layout: CanonicalLayout) -> TreePartition:
-    """The optimal partition of a canonical coloring: ceil((n-t)/2) trees."""
+    """The optimal partition of a canonical coloring: ceil((n-t)/2) trees.
+
+    The partition is checked with is_partition_valid and its count against
+    partition_number(n, r) before it is returned; a failed check raises
+    ConstructionDefect carrying c's file."""
     block = list(layout.core) + [layout.hub]
     if layout.extra is not None:
         block.append(layout.extra)
-    edges = max_rainbow_forest(c, block)
-    if len(edges) != len(block) - 1:
-        raise _defect(f"canonical core block {block} lost its guaranteed rainbow spanning tree", c)
-    rest = list(range(max(block) + 1, c.n))
-    return TreePartition((Tree.make(block, edges), *matching_trees(c, rest)))
+    core = Tree.make(block, [(u, v) for u, v, _ in max_rainbow_forest(c, block)])
+    p = TreePartition((core, *matching_trees(range(max(block) + 1, c.n))))
+    ok, why = is_partition_valid(c, p)
+    if not ok:
+        raise _defect(f"canonical partition is invalid: {why}", c)
+    bound = partition_number(c.n, c.r)
+    if p.count != bound:
+        raise _defect(f"canonical partition has {p.count} trees, not {bound} (n={c.n}, r={c.r})", c)
+    return p

@@ -25,8 +25,9 @@ Partition file: one line per tree, for example::
     tree 0 2 3 ; edges (0,2) (2,3)
     tree 4 ; edges
 
-Edge colors are not stored in partition files; they are looked up from the
-accompanying coloring when the file is read back.
+Edge colors are stored neither in partition files nor in a Tree, whose
+edges are (u, v) pairs with u < v; each edge's color is read from the
+coloring.
 """
 
 from __future__ import annotations
@@ -150,7 +151,11 @@ class EdgeColoring:
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"EdgeColoring(n={self.n}, r={self.r}, colors={dict(self.colors)!r})"
+        try:
+            colors = dict(self.colors)
+        except ValueError:  # an n that names no pairs: the stored colors, in order
+            colors = self._cols
+        return f"EdgeColoring(n={self.n!r}, r={self.r!r}, colors={colors!r})"
 
     @property
     def complete(self) -> bool:
@@ -167,8 +172,12 @@ class EdgeColoring:
         return self._colors
 
     def _pairs_in_order(self):
+        """The stored pairs in order; ValueError naming n when c is stored as
+        K_n with an n that is not an int >= 0, which names no pairs."""
         if self._pairs is not None:
             return self._pairs
+        if not (isinstance(self.n, int) and self.n >= 0):
+            raise ValueError(f"n={self.n!r} is not an int >= 0, so the colors name no pairs")
         return combinations(range(self.n), 2)
 
     def _position(self, u, v) -> int:
@@ -210,11 +219,12 @@ class EdgeColoring:
         can have, since the C(n, 2) colors of K_65537 do not fit in memory.
         """
         if self._classes is None:
+            pairs = self._pairs_in_order()
             if self.n > 0x10000:
                 raise ValueError(f"color_classes packs vertices in 16 bits; n={self.n} > 65536")
             cols = self._cols
             classes = {c: array("I") for c in dict.fromkeys(cols)}
-            for (u, v), c in zip(self._pairs_in_order(), cols):
+            for (u, v), c in zip(pairs, cols):
                 classes[c].append(u << 16 | v)
             frozen = MappingProxyType(
                 {c: memoryview(codes.tobytes()).cast("I") for c, codes in classes.items()})
@@ -224,7 +234,9 @@ class EdgeColoring:
 
 @dataclass(frozen=True)
 class Tree:
-    """One tree of a partition: a vertex set plus colored edges."""
+    """One tree of a partition: a vertex set plus its edges, a sorted tuple
+    of (u, v) pairs with u < v.  An edge's color is read from the coloring
+    (c.color_of(u, v)), as partition files are read back."""
 
     vertices: frozenset
     edges: tuple
@@ -311,6 +323,8 @@ def require_valid(violations: list[Violation], path=None) -> None:
 def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | None]:
     """True iff p is a family of vertex-disjoint rainbow trees covering c.
 
+    Each tree edge is a (u, v) pair of c, and its color is read from c at
+    that pair's position, so a tree that repeats a color is rejected.
     Returns (ok, first_violation_message).
     """
     if not p.trees:
@@ -346,13 +360,11 @@ def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | N
         tree_colors: set = set()
         for e in t.edges:
             try:
-                u, v, col = e
+                u, v = e
             except (TypeError, ValueError):
-                return False, f"tree {i} edge {e!r} is not a (u, v, color) triple"
+                return False, f"tree {i} edge {e!r} is not a (u, v) pair"
             if not (type(u) is type(v) is int or _is_int(u) and _is_int(v)):
                 return False, f"tree {i} edge ({u!r},{v!r}) has an end that is not an int"
-            if type(col) is not int and not _is_int(col):  # a plain int skips the call
-                return False, f"tree {i} edge ({u},{v}) has color {col!r}, which is not an int"
             if u not in vs or v not in vs:
                 return False, f"tree {i} edge ({u},{v}) leaves its vertex set"
             if complete:  # every pair but a loop is an edge; edge_index, inlined
@@ -362,8 +374,7 @@ def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | N
                 pos = c._position(u, v)
             if pos < 0:
                 return False, f"tree {i} edge ({u},{v}) is not in the graph"
-            if cols[pos] != col:
-                return False, f"tree {i} edge ({u},{v}) recorded with wrong color {col}"
+            col = cols[pos]
             if col in tree_colors:
                 return False, f"tree {i} repeats color {col}"
             tree_colors.add(col)
@@ -456,16 +467,13 @@ def restrict(c: EdgeColoring, keep) -> tuple[EdgeColoring, RestrictionMaps]:
     return sub, RestrictionMaps(MappingProxyType(vmap), MappingProxyType(cmap))
 
 
-def matching_trees(c: EdgeColoring, vertices) -> list[Tree]:
+def matching_trees(vertices) -> list[Tree]:
     """Consecutive vertices paired into one-edge trees, plus a single-vertex
-    tree for the last vertex when their number is odd.  c is a coloring of
-    K_n, and each pair's color is read from its color sequence."""
-    cols, n = c.color_sequence, c.n
-    trees = []
-    for i in range(0, len(vertices) - 1, 2):
-        a, b = vertices[i], vertices[i + 1]
-        lo, hi = (a, b) if a < b else (b, a)
-        trees.append(Tree(frozenset((a, b)), ((a, b, cols[lo * (2 * n - lo - 3) // 2 + hi - 1]),)))
+    tree for the last vertex when their number is odd.  Each edge is the
+    pair (u, v), u < v, which K_n always has; its color is read from the
+    coloring."""
+    trees = [Tree(frozenset((a, b)), ((a, b) if a < b else (b, a),))
+             for a, b in zip(vertices[::2], vertices[1::2])]
     if len(vertices) % 2 == 1:
         trees.append(Tree(frozenset((vertices[-1],)), ()))
     return trees
@@ -477,8 +485,9 @@ def matching_trees(c: EdgeColoring, vertices) -> list[Tree]:
 
 def _coloring_lines(c: EdgeColoring):
     """The lines of c's file, newline included, read straight from its storage."""
+    pairs = c._pairs_in_order()  # an n with no pairs raises before the header
     yield f"{c.n} {c.r}\n"
-    for (u, v), col in zip(c._pairs_in_order(), c._cols):
+    for (u, v), col in zip(pairs, c._cols):
         yield f"{u} {v} {col}\n"
 
 
@@ -580,7 +589,7 @@ def format_partition(p: TreePartition) -> str:
     lines = []
     for t in p.trees:
         verts = " ".join(str(v) for v in sorted(t.vertices))
-        edge_part = " ".join(f"({u},{v})" for u, v, _ in sorted(t.edges))
+        edge_part = " ".join(f"({u},{v})" for u, v in sorted(t.edges))
         line = f"tree {verts} ; edges"
         if edge_part:
             line += " " + edge_part
@@ -620,9 +629,9 @@ def parse_partition(text: str, c: EdgeColoring) -> TreePartition:
                 u, v = (int(x) for x in token[1:-1].split(","))
             except ValueError:
                 raise FileFormatError(f"bad edge token {token!r}", lineno) from None
-            if (pos := c._position(u, v)) < 0:
+            if not c.has_edge(u, v):
                 raise FileFormatError(f"edge ({u},{v}) not present in the coloring", lineno)
-            edges.append((min(u, v), max(u, v), c._cols[pos]))
+            edges.append((min(u, v), max(u, v)))
         trees.append(Tree.make(verts, edges))
     return TreePartition(tuple(trees))
 

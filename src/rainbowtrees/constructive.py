@@ -20,8 +20,8 @@ its edges all carry distinct colors, so any spanning tree of it is rainbow,
 and the tree taken is that component's part of the spanning forest the
 representative subgraph kept when it was built (Kruskal over the
 representatives in lexicographic order, in one merge pass that also yields
-the components), each edge with its representative's color.  The next
-level runs on the complete graph induced by the remaining vertices.
+the components).  The next level runs on the complete graph induced by the
+remaining vertices.
 
 All levels work in place on the input coloring: the split-off vertices are
 marked dead, and each color's representative at a new level is its first
@@ -132,7 +132,9 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
     colors are scanned in increasing order, each color's edges in
     lexicographic order.  The r representatives never span a component of
     more than r + 1 vertices, nor of more than the n' vertices in `alive`,
-    so a largest component of that order returns None at once.
+    so a largest component of that order returns None at once.  Past that,
+    a vertex of `alive` outside 0..n-1, or a representative endpoint not in
+    `alive`, raises ValueError.
 
     Dropping one representative only splits a component, so every component
     left has order at most n1 = s.largest_size: a replacement edge grows
@@ -172,12 +174,19 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
     """
     if not c.complete:
         raise ValueError("find_swap requires a complete graph")
-    n1 = s.largest_size
-    if n1 == 0 or n1 >= min(len(s.rep_edges) + 1, c.n if alive is None else len(alive)):
+    n, n1 = c.n, s.largest_size
+    if n1 == 0 or n1 >= min(len(s.rep_edges) + 1, n if alive is None else len(alive)):
         return None
-    verts = range(c.n) if alive is None else sorted(alive)
+    verts = range(n) if alive is None else sorted(alive)
+    if verts[0] < 0 or verts[-1] >= n:
+        raise ValueError(f"alive holds a vertex outside 0..{n - 1}")
+    is_live = bytearray(n)
+    for v in verts:
+        is_live[v] = 1
     adj: dict = {}  # representative endpoint -> [(neighbour, color)]
     for color, (u, v) in s.rep_edges.items():
+        if not (0 <= u < n and 0 <= v < n and is_live[u] and is_live[v]):
+            raise ValueError(f"representative edge ({u}, {v}) of color {color} leaves alive")
         adj.setdefault(u, []).append((v, color))
         adj.setdefault(v, []).append((u, color))
     # each endpoint's component, and each component's order, by component id
@@ -234,7 +243,7 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
     # u < b, u alive and not in B, of each open color, in lexicographic
     # order; rows past the last vertex of B hold none
     big = sorted(v for g in s.components if 2 * len(g) > n1 for v in g)
-    in_big = bytearray(c.n)
+    in_big = bytearray(n)
     for b in big:
         in_big[b] = 1
     cols: dict = {color: [] for color in open_colors}
@@ -242,14 +251,11 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
     for u in verts[:bisect_left(verts, big[-1])]:
         if in_big[u]:
             continue
-        row = row_offset(c.n, u)  # (u, v) sits at seq[row + v]
+        row = row_offset(n, u)  # (u, v) sits at seq[row + v]
         for b in big[bisect_right(big, u):]:
             bucket = cols.get(seq[row + b])
             if bucket is not None:
                 bucket.append((u, b))
-    is_live = bytearray(c.n)
-    for v in verts:
-        is_live[v] = 1
     classes = c.color_classes()
     cut_off = len(order)  # label of the side a dropped bridge cuts off
     cut = lo = hi = -1
@@ -335,7 +341,7 @@ def _construct(c: EdgeColoring, trace: list) -> list[Tree]:
         n, r = len(live), len(reps)
         if r <= 1:  # one live vertex (r = 0) or one color
             trace.append({"n": n, "r": r, "moves": 0, "largest": min(n, 2), "components": 0})
-            return out + matching_trees(c, live)
+            return out + matching_trees(live)
 
         s = RepresentativeSubgraph.from_edges(reps)
         moves = 0
@@ -355,10 +361,8 @@ def _construct(c: EdgeColoring, trace: list) -> list[Tree]:
             )
         trace.append({"n": n, "r": r, "moves": moves, "largest": n1, "components": k})
 
-        largest = s.components[0]
-        color_at = {e: color for color, e in s.rep_edges.items()}  # every edge here has u < v
-        out.append(Tree.make(largest, [(u, v, color_at[u, v]) for u, v in s.forest
-                                       if u in largest]))
+        largest = s.components[0]  # its forest edges, u < v, are in lexicographic order
+        out.append(Tree(largest, tuple(e for e in s.forest if e[0] in largest)))
         for v in largest:
             dead[v] = 1
         live = [v for v in live if not dead[v]]

@@ -21,6 +21,8 @@ class ConstructionDefect(RuntimeError):
     """A partition producer failed the check of its own output: `solve`
     (the exact witness), `partition_complete` (the constructive partition)
     or `extremal_partition` (the canonical coloring's optimal partition).
+    Each checks its partition with is_partition_valid, which reads every
+    tree edge's color from the coloring at its (u, v) pair.
 
     The serialized instance is attached so the failure can be reproduced
     from a single coloring file.

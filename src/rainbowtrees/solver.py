@@ -306,7 +306,7 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
         vs = [i for i in range(n) if mask >> i & 1]
         if len(vs) == 1:
             return Tree.make(vs)
-        return Tree.make(vs, max_rainbow_forest(c, vs))
+        return Tree.make(vs, [(u, v) for u, v, _ in max_rainbow_forest(c, vs)])
 
     def checked(count: int, trees) -> SolveResult:
         partition = TreePartition(tuple(trees))
@@ -320,7 +320,7 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
     # a valid coloring carries exactly r colors, and a tree needs n - 1
     tree = _block_feasible(c.edges(), n - 1, stats) if r >= n - 1 else None
     if tree is not None:
-        return checked(1, [Tree.make(range(n), tree)])
+        return checked(1, [Tree.make(range(n), [(u, v) for u, v, _ in tree])])
 
     # feas[M] = 1 iff M is a feasible block; blocks over cap and full stay 0,
     # bit M of feasible is feas[M], and bit full ^ M of ends is feas[M]

@@ -5,6 +5,7 @@ from math import comb
 
 from rainbowtrees import (
     ConstructionDefect,
+    Tree,
     extremal_partition,
     f_of_r,
     format_coloring,
@@ -135,7 +136,7 @@ def test_extremal_partition_4_3_single_tree():
     c, layout = generate_canonical(4, 3)
     p = extremal_partition(c, layout)
     assert p.count == 1
-    colors = {col for _, _, col in p.trees[0].edges}
+    colors = {c.color_of(u, v) for u, v in p.trees[0].edges}
     assert colors == {1, 2, 3}
 
 
@@ -156,9 +157,30 @@ def test_extremal_partition_is_loud_when_the_core_tree_is_missing(monkeypatch):
 
     monkeypatch.setattr(canonical, "max_rainbow_forest", one_edge_short)
     c, layout = generate_canonical(8, 5)
-    missing = r"canonical core block \[0, 1, 2, 3, 4\] lost"
+    missing = r"^canonical partition is invalid: tree 0 has 3 edges for 5 vertices$"
     with pytest.raises(ConstructionDefect, match=missing):
         extremal_partition(c, layout)
+
+
+def test_extremal_partition_is_loud_when_a_matching_tree_is_dropped(monkeypatch):
+    real = canonical.matching_trees
+    monkeypatch.setattr(canonical, "matching_trees", lambda *args: real(*args)[:-1])
+    c, layout = generate_canonical(8, 5)
+    with pytest.raises(ConstructionDefect,
+                       match="^canonical partition is invalid: vertex 7 is not covered$") as info:
+        extremal_partition(c, layout)
+    assert info.value.instance_text == format_coloring(c)
+
+
+def test_extremal_partition_is_loud_when_its_count_misses_the_formula(monkeypatch):
+    # every leftover vertex a singleton: a valid partition, one tree too many
+    monkeypatch.setattr(canonical, "matching_trees",
+                        lambda *args: [Tree.make([v]) for v in args[-1]])
+    c, layout = generate_canonical(8, 5)
+    with pytest.raises(ConstructionDefect,
+                       match=r"^canonical partition has 4 trees, not 3 \(n=8, r=5\)$") as info:
+        extremal_partition(c, layout)
+    assert info.value.instance_text == format_coloring(c)
 
 
 def test_extremal_partition_matches_formula_everywhere():

@@ -319,7 +319,7 @@ def test_a_failed_canonical_partition_exits_2_with_its_coloring(tmp_path, capsys
 
     one_edge_short(canonical, monkeypatch)
     code, _, err = run_cli(capsys, "canonical", 8, 5, "--partition", tmp_path / "p.txt")
-    assert_defect(code, err, "canonical core block [0, 1, 2, 3, 4] lost",
+    assert_defect(code, err, "canonical partition is invalid: tree 0 has 3 edges for 5 vertices",
                   generate_canonical(8, 5)[0])
 
 

@@ -1,6 +1,7 @@
 import pickle
 import random
 import re
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,8 +13,10 @@ from rainbowtrees import (
     Tree,
     TreePartition,
     Violation,
+    extremal_partition,
     format_coloring,
     format_partition,
+    generate_canonical,
     is_partition_valid,
     max_rainbow_forest,
     merge_colors,
@@ -99,6 +102,20 @@ def test_an_n_with_no_pair_count_is_left_to_validate(n, r, colors):
         solve(c)
 
 
+@pytest.mark.parametrize("n, colors", [(2.0, [1]), (-1, [])], ids=["float-n", "negative-n"])
+def test_an_n_with_no_pairs_is_named_by_the_pair_readers(n, colors):
+    # a K_n color sequence names its pairs through range(n), which raises
+    # TypeError for 2.0 and reads no pair for -1: repr shows the stored
+    # colors, and every reader that names pairs raises ValueError naming n
+    c = EdgeColoring(n, 1, colors)
+    assert validate(c) == [Violation("BadVertexCount", (n,))]
+    assert repr(c) == f"EdgeColoring(n={n!r}, r=1, colors={tuple(colors)!r})"
+    for read in (format_coloring, EdgeColoring.edges, EdgeColoring.color_classes,
+                 lambda c: c.colors):
+        with pytest.raises(ValueError, match=re.escape(f"n={n!r} is not an int >= 0")):
+            read(c)
+
+
 @pytest.mark.parametrize("c, found", [
     (rainbow_k3(), []),
     (EdgeColoring(3, 2, [1, True, 2]), [Violation("BadColor", (0, 2, True))]),
@@ -147,14 +164,14 @@ def test_color_of_an_absent_edge_raises_and_other_types_are_unequal():
 
 def test_partition_spanning_star_on_rainbow_triangle():
     c = rainbow_k3()
-    p = TreePartition((Tree.make([0, 1, 2], [(0, 1, 1), (0, 2, 2)]),))
+    p = TreePartition((Tree.make([0, 1, 2], [(0, 1), (0, 2)]),))
     ok, why = is_partition_valid(c, p)
     assert ok and why is None
 
 
 def test_partition_repeated_color_rejected():
     c = monochromatic_complete(3)
-    p = TreePartition((Tree.make([0, 1, 2], [(0, 1, 1), (1, 2, 1)]),))
+    p = TreePartition((Tree.make([0, 1, 2], [(0, 1), (1, 2)]),))
     ok, why = is_partition_valid(c, p)
     assert not ok
     assert "repeats color" in why
@@ -164,8 +181,8 @@ def test_partition_vertex_reuse_rejected():
     c = rainbow_complete(4)
     p = TreePartition(
         (
-            Tree.make([0, 1], [(0, 1, 1)]),
-            Tree.make([1, 2, 3], [(1, 2, 4), (2, 3, 6)]),
+            Tree.make([0, 1], [(0, 1)]),
+            Tree.make([1, 2, 3], [(1, 2), (2, 3)]),
         )
     )
     ok, why = is_partition_valid(c, p)
@@ -175,7 +192,7 @@ def test_partition_vertex_reuse_rejected():
 
 def test_partition_must_cover_everything():
     c = rainbow_k3()
-    p = TreePartition((Tree.make([0, 1], [(0, 1, 1)]),))
+    p = TreePartition((Tree.make([0, 1], [(0, 1)]),))
     ok, why = is_partition_valid(c, p)
     assert not ok and "not covered" in why
 
@@ -183,43 +200,38 @@ def test_partition_must_cover_everything():
 def test_partition_cycle_rejected():
     # |E| = |V| - 1, so the edge count passes: a triangle plus an isolated vertex
     c = rainbow_complete(4)
-    p = TreePartition((Tree.make([0, 1, 2, 3], [(0, 1, 1), (0, 2, 2), (1, 2, 4)]),))
+    p = TreePartition((Tree.make([0, 1, 2, 3], [(0, 1), (0, 2), (1, 2)]),))
     assert is_partition_valid(c, p) == (False, "tree 0 contains a cycle through (1,2)")
 
 
 @pytest.mark.parametrize("c, trees, why", [
     (rainbow_k3(), (), "partition has no trees"),
     (rainbow_k3(), (Tree.make([]),), "tree 0 is empty"),
-    (rainbow_k3(), (Tree.make([0, 1, 2], [(0, 1, 1), (0, 2, 2)]), Tree.make([3])),
+    (rainbow_k3(), (Tree.make([0, 1, 2], [(0, 1), (0, 2)]), Tree.make([3])),
      "tree 1 contains out-of-range vertex 3"),
-    (rainbow_k3(), (Tree.make([0, 1], [(1, 2, 3)]), Tree.make([2])),
+    (rainbow_k3(), (Tree.make([0, 1], [(1, 2)]), Tree.make([2])),
      "tree 0 edge (1,2) leaves its vertex set"),
-    (EdgeColoring(3, 2, {(0, 1): 1, (1, 2): 2}), (Tree.make([0, 1, 2], [(0, 1, 1), (0, 2, 2)]),),
+    (EdgeColoring(3, 2, {(0, 1): 1, (1, 2): 2}), (Tree.make([0, 1, 2], [(0, 1), (0, 2)]),),
      "tree 0 edge (0,2) is not in the graph"),
-    (rainbow_k3(), (Tree.make([0, 1, 2], [(0, 1, 1)]),), "tree 0 has 1 edges for 3 vertices"),
+    (rainbow_k3(), (Tree.make([0, 1, 2], [(0, 1)]),), "tree 0 has 1 edges for 3 vertices"),
     # True == 1 and hashes like 1, so a set of vertices cannot tell them apart
-    (rainbow_complete(3), (Tree.make([0, True, 2], [(0, True, 1), (0, 2, 2)]),),
+    (rainbow_complete(3), (Tree.make([0, True, 2], [(0, True), (0, 2)]),),
      "tree 0 contains vertex True, which is not an int"),
-    (rainbow_complete(3), (Tree.make([0, 1, 2], [(0, 1, 1), (0, 2, 2)]), Tree.make([1.5])),
+    (rainbow_complete(3), (Tree.make([0, 1, 2], [(0, 1), (0, 2)]), Tree.make([1.5])),
      "tree 1 contains vertex 1.5, which is not an int"),
     # an edge end equal to a vertex of the tree, but no int: format_partition
     # would write it as (0,True), which parse_partition rejects
-    (rainbow_complete(3), (Tree.make([0, 1, 2], [(0, True, 1), (0, 2, 2)]),),
+    (rainbow_complete(3), (Tree.make([0, 1, 2], [(0, True), (0, 2)]),),
      "tree 0 edge (0,True) has an end that is not an int"),
-    (rainbow_complete(3), (Tree.make([0, 1, 2], [(0, 1, 1), (2.0, 0, 2)]),),
+    (rainbow_complete(3), (Tree.make([0, 1, 2], [(0, 1), (2.0, 0)]),),
      "tree 0 edge (2.0,0) has an end that is not an int"),
-    # an edge that does not unpack into three values
-    (rainbow_complete(3), (Tree.make([0, 1], [(0, 1)]), Tree.make([2])),
-     "tree 0 edge (0, 1) is not a (u, v, color) triple"),
+    # an edge that does not unpack into two values, such as a (u, v, color) triple
+    (rainbow_complete(3), (Tree.make([0, 1], [(0, 1, 1)]), Tree.make([2])),
+     "tree 0 edge (0, 1, 1) is not a (u, v) pair"),
     (rainbow_complete(3), (Tree.make([0, 1], [(0, 1, 1, 1)]), Tree.make([2])),
-     "tree 0 edge (0, 1, 1, 1) is not a (u, v, color) triple"),
+     "tree 0 edge (0, 1, 1, 1) is not a (u, v) pair"),
     (rainbow_complete(3), (Tree((0, 1), (5,)), Tree.make([2])),
-     "tree 0 edge 5 is not a (u, v, color) triple"),
-    # a recorded color equal to the edge's color, but no int
-    (rainbow_complete(2), (Tree.make([0, 1], [(0, 1, True)]),),
-     "tree 0 edge (0,1) has color True, which is not an int"),
-    (rainbow_complete(3), (Tree.make([0, 1, 2], [(0, 1, 1), (1, 2, 3.0)]),),
-     "tree 0 edge (1,2) has color 3.0, which is not an int"),
+     "tree 0 edge 5 is not a (u, v) pair"),
 ])
 def test_partition_check_names_each_violation(c, trees, why):
     assert is_partition_valid(c, TreePartition(trees)) == (False, why)
@@ -228,29 +240,23 @@ def test_partition_check_names_each_violation(c, trees, why):
 @pytest.mark.parametrize("kind", [list, tuple])
 def test_partition_check_reads_vertices_that_are_not_a_frozenset(kind):
     # a Tree built without Tree.make keeps whatever container it was given
-    edges = ((0, 1, 1), (0, 2, 2))
+    edges = ((0, 1), (0, 2))
     assert is_partition_valid(rainbow_k3(), TreePartition((Tree(kind([0, 1, 2]), edges),))) == (
         True, None)
-    trees = (Tree(kind([0, 1]), ((0, 1, 1),)), Tree(kind([1, 2]), ((1, 2, 3),)))
+    trees = (Tree(kind([0, 1]), ((0, 1),)), Tree(kind([1, 2]), ((1, 2),)))
     assert is_partition_valid(rainbow_k3(), TreePartition(trees)) == (
         False, "vertex 1 appears in more than one tree")
     # the frozenset of [0, 0, 1] has two vertices, which one edge spans
-    trees = (Tree(kind([0, 0, 1]), ((0, 1, 1),)),)
+    trees = (Tree(kind([0, 0, 1]), ((0, 1),)),)
     assert is_partition_valid(rainbow_complete(2), TreePartition(trees)) == (
         False, "tree 0 lists vertex 0 more than once")
-
-
-def test_partition_wrong_color_rejected():
-    c = rainbow_k3()
-    p = TreePartition((Tree.make([0, 1, 2], [(0, 1, 2), (0, 2, 2)]),))
-    ok, _ = is_partition_valid(c, p)
-    assert not ok
 
 
 def reference_is_partition_valid(c, p):
     """is_partition_valid as it read every edge through c._position and
     joined trees with UnionFind calls, kept as a reference: the same checks
-    in the same order, with the same messages."""
+    in the same order, with the same messages, each edge's color read from
+    c."""
     if not p.trees:
         return False, "partition has no trees"
     n = c.n
@@ -279,19 +285,16 @@ def reference_is_partition_valid(c, p):
         tree_colors: set = set()
         for e in t.edges:
             try:
-                u, v, col = e
+                u, v = e
             except (TypeError, ValueError):
-                return False, f"tree {i} edge {e!r} is not a (u, v, color) triple"
+                return False, f"tree {i} edge {e!r} is not a (u, v) pair"
             if not (_is_int(u) and _is_int(v)):
                 return False, f"tree {i} edge ({u!r},{v!r}) has an end that is not an int"
-            if not _is_int(col):
-                return False, f"tree {i} edge ({u},{v}) has color {col!r}, which is not an int"
             if u not in vs or v not in vs:
                 return False, f"tree {i} edge ({u},{v}) leaves its vertex set"
             if (pos := c._position(u, v)) < 0:
                 return False, f"tree {i} edge ({u},{v}) is not in the graph"
-            if c._cols[pos] != col:
-                return False, f"tree {i} edge ({u},{v}) recorded with wrong color {col}"
+            col = c._cols[pos]
             if col in tree_colors:
                 return False, f"tree {i} repeats color {col}"
             tree_colors.add(col)
@@ -335,39 +338,37 @@ def corrupted_partitions(c, p, rng):
         if not t.edges:
             continue
         vs, edges, k = t.vertices, list(t.edges), rng.randrange(len(t.edges))
-        u, v, col = edges[k]
-        if c.r >= 2:
-            other = rng.choice([x for x in range(1, c.r + 1) if x != col])
-            out.append(("recolored edge", swap(i, vs, edges[:k] + [(u, v, other)] + edges[k + 1:])))
-        if len(edges) >= 2:
-            out.append(("repeated color", swap(i, vs, [edges[0], (*edges[1][:2], edges[0][2]),
-                                                       *edges[2:]])))
-        out.append(("reversed edge", swap(i, vs, edges[:k] + [(v, u, col)] + edges[k + 1:])))
-        out.append(("loop", swap(i, vs, edges[:k] + [(u, u, col)] + edges[k + 1:])))
+        u, v = edges[k]
+        # a repeated color: edge 1 replaced by another pair of edge 0's color
+        same = [(a, b) for a in sorted(vs) for b in sorted(vs)
+                if a < b and c.has_edge(a, b) and (a, b) not in edges
+                and c.color_of(a, b) == c.color_of(*edges[0])]
+        if len(edges) >= 2 and same:
+            out.append(("repeated color", swap(i, vs, [edges[0], rng.choice(same), *edges[2:]])))
+        out.append(("reversed edge", swap(i, vs, edges[:k] + [(v, u)] + edges[k + 1:])))
+        out.append(("loop", swap(i, vs, edges[:k] + [(u, u)] + edges[k + 1:])))
         if 1 in vs:  # vertex 1 written as True, in the vertex set or at one edge end
             out.append(("bool vertex", swap(i, vs - {1} | {True}, edges)))
-            j = next(j for j, e in enumerate(edges) if 1 in e[:2])
-            a, b, x = edges[j]
-            out.append(("bool end", swap(i, vs, edges[:j] + [(a == 1 or a, b == 1 or b, x)]
+            j = next(j for j, e in enumerate(edges) if 1 in e)
+            a, b = edges[j]
+            out.append(("bool end", swap(i, vs, edges[:j] + [(a == 1 or a, b == 1 or b)]
                                          + edges[j + 1:])))
-        out.append(("out-of-range end", swap(i, vs, edges[:k] + [(u, c.n, col)] + edges[k + 1:])))
-        out.append(("out-of-range end", swap(i, vs | {c.n}, edges[:k] + [(u, c.n, col)]
+        out.append(("out-of-range end", swap(i, vs, edges[:k] + [(u, c.n)] + edges[k + 1:])))
+        out.append(("out-of-range end", swap(i, vs | {c.n}, edges[:k] + [(u, c.n)]
                                              + edges[k + 1:])))
         # a cycle: edge k replaced by a pair that the other edges already join
         rest = edges[:k] + edges[k + 1:]
         uf = UnionFind(c.n)
-        for a, b, _ in rest:
+        for a, b in rest:
             uf.union(a, b)
         chords = [(a, b) for a in sorted(vs) for b in sorted(vs)
                   if a < b and uf.find(a) == uf.find(b) and c.has_edge(a, b)
-                  and not any({a, b} == {x, y} for x, y, _ in rest)]
+                  and not any({a, b} == {x, y} for x, y in rest)]
         if chords:
-            a, b = rng.choice(chords)
-            out.append(("cycle", swap(i, vs, rest + [(a, b, c.color_of(a, b))])))
+            out.append(("cycle", swap(i, vs, rest + [rng.choice(chords)])))
         absent = [(a, b) for a in sorted(vs) for b in sorted(vs) if a < b and not c.has_edge(a, b)]
         if absent:
-            a, b = rng.choice(absent)
-            out.append(("absent edge", swap(i, vs, edges[:k] + [(a, b, col)] + edges[k + 1:])))
+            out.append(("absent edge", swap(i, vs, edges[:k] + [rng.choice(absent)] + edges[k + 1:])))
     return out
 
 
@@ -387,8 +388,7 @@ def test_partition_check_matches_the_reference_on_valid_and_corrupted_partitions
             assert is_partition_valid(c, q) == expected, (kind, format_coloring(c), q)
             seen.setdefault((kind, c.complete), set()).add(expected[1])
     # every corruption was met on both kinds of coloring and was caught
-    for kind in ("moved vertex", "shared vertex", "dropped tree", "recolored edge",
-                 "repeated color", "loop", "bool vertex", "bool end", "out-of-range end",
+    for kind in ("moved vertex", "shared vertex", "dropped tree", "repeated color", "loop", "bool vertex", "bool end", "out-of-range end",
                  "cycle"):
         for complete in (True, False):
             assert None not in seen[kind, complete], (kind, complete)
@@ -396,20 +396,18 @@ def test_partition_check_matches_the_reference_on_valid_and_corrupted_partitions
     assert None not in seen["absent edge", False]
     messages = " ".join(m for found in seen.values() for m in found if m)
     for fragment in ("appears in more than one tree", "is not covered", "edges for",
-                     "recorded with wrong color", "repeats color", "is not in the graph",
+                     "repeats color", "is not in the graph",
                      "which is not an int", "has an end that is not an int",
                      "leaves its vertex set", "out-of-range vertex", "contains a cycle"):
         assert fragment in messages, fragment
 
 
-def test_matching_trees_read_each_pair_from_the_color_sequence():
-    c = random_surjective_coloring(9, 6, random.Random(77))
-    vertices = [0, 3, 5, 4, 8, 1, 2]  # the pair (5, 4) is read in either order
-    trees = matching_trees(c, vertices)
-    assert trees == [Tree(frozenset((a, b)), ((a, b, c.color_of(a, b)),))
+def test_matching_trees_pair_consecutive_vertices_as_sorted_edges():
+    vertices = [0, 3, 5, 4, 8, 1, 2]  # the pair (5, 4) is written as (4, 5)
+    trees = matching_trees(vertices)
+    assert trees == [Tree(frozenset((a, b)), ((min(a, b), max(a, b)),))
                      for a, b in zip(vertices[::2], vertices[1::2])] + [Tree(frozenset((2,)), ())]
-    with pytest.raises(ValueError, match="requires a coloring stored as K_n"):
-        matching_trees(EdgeColoring(3, 1, {(0, 1): 1}), [0, 1])
+    assert matching_trees(range(4, 8)) == [Tree.make([4, 5], [(4, 5)]), Tree.make([6, 7], [(6, 7)])]
 
 
 # ------------------------------------------------------------ merge_colors
@@ -671,12 +669,31 @@ def test_partition_round_trip():
     c = rainbow_complete(5)
     p = TreePartition(
         (
-            Tree.make([0, 1, 2], [(0, 1, 1), (1, 2, 5)]),
-            Tree.make([3, 4], [(3, 4, 10)]),
+            Tree.make([0, 1, 2], [(0, 1), (1, 2)]),
+            Tree.make([3, 4], [(3, 4)]),
         )
     )
     text = format_partition(p)
     assert parse_partition(text, c) == p
+
+
+def test_every_producer_writes_trees_that_read_back_and_check_out():
+    # solve, partition_complete and extremal_partition on seeded colorings:
+    # each tree's edges read back equal only when they are (u, v) pairs,
+    # u < v, in sorted order, as parse_partition builds them
+    rng = random.Random(3030)
+    cases = [(c, solve(c).partition) for c in
+             [random_surjective_coloring(n, r, rng) for n in range(2, 9)
+              for r in range(1, min(comb(n, 2), 12) + 1) for _ in range(3)]]
+    cases += [(c, partition_complete(c)) for c in
+              [random_surjective_coloring(n, r, rng) for n in (9, 20, 40) for r in (1, 3, 8, 20)
+               if r <= comb(n, 2)]
+              + [generate_canonical(n, r)[0] for n in (9, 30) for r in (2, 5, 12, 30)]]
+    cases += [(c, extremal_partition(c, layout)) for c, layout in
+              [generate_canonical(n, r) for n in range(3, 10) for r in range(2, comb(n, 2) + 1, 3)]]
+    for c, p in cases:
+        assert parse_partition(format_partition(p), c) == p, format_coloring(c)
+        assert is_partition_valid(c, p) == (True, None), format_coloring(c)
 
 
 def test_partition_format_single_vertex():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from math import comb
@@ -401,6 +402,19 @@ def test_find_swap_returns_at_once_when_the_representatives_span_every_alive_ver
     assert find_swap(on_alive, big, alive) is None
 
 
+@pytest.mark.parametrize("alive, why", [
+    (range(1, 8), "representative edge (0, 1) of color 1 leaves alive"),
+    ([-1, *range(7)], "alive holds a vertex outside 0..7"),
+    ([*range(8), 9], "alive holds a vertex outside 0..7"),
+], ids=["dead-representative-end", "negative-vertex", "vertex-past-n"])
+def test_find_swap_rejects_an_alive_that_misses_a_representative_or_leaves_the_range(alive, why):
+    c, _ = generate_canonical(8, 5)
+    s = initial_representatives(c)  # spans {0, 1, 2, 3}: the search runs
+    assert find_swap(s, c, range(8)) == find_swap(s, c) is not None
+    with pytest.raises(ValueError, match=f"^{re.escape(why)}$"):
+        find_swap(s, c, alive)
+
+
 def test_an_empty_representative_subgraph_has_largest_size_zero_and_no_move():
     s = RepresentativeSubgraph.from_edges({})
     assert s.components == () and s.forest == ()
@@ -504,7 +518,7 @@ def _rep_tree(c, s):
     inside = sorted((min(e), max(e)) for e in s.rep_edges.values() if e[0] in comp and e[1] in comp)
     index = {v: i for i, v in enumerate(sorted(comp))}
     uf = UnionFind(len(comp))
-    picked = [(u, v, c.color_of(u, v)) for u, v in inside if uf.union(index[u], index[v])]
+    picked = [(u, v) for u, v in inside if uf.union(index[u], index[v])]
     return Tree.make(comp, picked)
 
 
@@ -518,7 +532,7 @@ def restrict_construct_reference(c, trace):
         return [Tree.make([0])]
     if r == 1:
         trace.append({"n": n, "r": r, "moves": 0, "largest": 2, "components": 0})
-        return matching_trees(c, range(n))
+        return matching_trees(range(n))
     s = initial_representatives(c)
     moves = 0
     while (move := top3_find_swap(s, c)) is not None:
@@ -531,10 +545,9 @@ def restrict_construct_reference(c, trace):
     if not leftover:
         return out
     sub, maps = restrict(c, leftover)
-    vback, cback = maps.vertices_back(), maps.colors_back()
+    vback = maps.vertices_back()
     for tree in restrict_construct_reference(sub, trace):
-        edges = [(min(vback[u], vback[v]), max(vback[u], vback[v]), cback[col])
-                 for u, v, col in tree.edges]
+        edges = [(min(vback[u], vback[v]), max(vback[u], vback[v])) for u, v in tree.edges]
         out.append(Tree.make([vback[v] for v in tree.vertices], edges))
     return out
 
