@@ -176,15 +176,18 @@ class EdgeColoring:
         K_n with an n that is not an int >= 0, which names no pairs."""
         if self._pairs is not None:
             return self._pairs
-        if not (isinstance(self.n, int) and self.n >= 0):
-            raise ValueError(f"n={self.n!r} is not an int >= 0, so the colors name no pairs")
+        _require_int("n", self.n, 0)
         return combinations(range(self.n), 2)
 
     def _position(self, u, v) -> int:
-        """Storage index of the edge joining u and v, in either order, or -1."""
+        """Storage index of the edge joining u and v, in either order, or -1;
+        ValueError naming n, as the pair readers raise it, when c is stored
+        as K_n with an n that is not an int >= 0."""
         if u > v:
             u, v = v, u
         if self._pairs is None:
+            if type(self.n) is not int or self.n < 0:  # no pair count, as in _pairs_in_order
+                _require_int("n", self.n, 0)
             return edge_index(self.n, u, v) if 0 <= u < v < self.n else -1
         i = bisect_left(self._pairs, (u, v))
         return i if i < len(self._pairs) and self._pairs[i] == (u, v) else -1

@@ -8,6 +8,8 @@ lexicographic order, finds a maximum common independent set, and every query
 here reads its result: a maximum rainbow forest, deterministic for a given
 input.  Each augmenting phase roots the chosen forest once and reads every
 exchange arc from it, by climbing to where the two ends of an edge meet.
+No phase runs when the greedy set already spans its vertices or holds one
+edge of every color, since neither can grow.
 
 Spanning-tree existence is a length check on that one result: an acyclic
 edge set of size |W| - 1 on the vertex set W has exactly one component, so
@@ -118,8 +120,10 @@ def _max_common_set(items) -> list[int]:
         if cols[i] not in used and uf.union(a, b):
             used.add(cols[i])
             in_set[i] = True
-    while _augment(ends, cols, nv, in_set):
-        pass
+    # a spanning tree, or one edge of every color, cannot grow
+    if len(used) < nv - 1 and len(used) < len(set(cols)):
+        while _augment(ends, cols, nv, in_set):
+            pass
     return [i for i in range(m) if in_set[i]]
 
 

@@ -23,23 +23,29 @@ loses at most 2 components when one color is deleted: Suzuki, Graphs
 Combin. 22 (2006)), then one matroid intersection, whose tree gives the
 block's colors.
 
-Then the partitions are counted level by level: level k is one 2^n-bit
-integer whose bit M is set iff the subset M splits into at most k feasible
-blocks.  Level 1 is the feasible blocks themselves.  A mask of level k + 1
-is the feasible block B holding its top vertex t plus a rest of level k
-below t, so level k + 1 is level k OR-ed with each such B shifted onto the
-masks of level k that lie below t and miss B; for each t the walk grows
-the blocks down from t on level k cut to its first 2^t bits.  The walk
-skips every block lying inside no feasible block (read from the downward
-closure of the table, taken once with n big-int steps when a level past 1
-is needed; the n patterns of those steps are built once per n), since no
-block grown from it is feasible.  The count is the first level holding the
-full set.  The feasible blocks are mirrored once per solve, bit M moved
-to bit full ^ M, and the test is one AND of that mirror with the level.
-One optimal witness is read back from the levels, taking at each step the
-smallest block mask that contains the lowest uncovered vertex; the tree of
-each block with an edge is read from max_rainbow_forest.  Desk scale only
-(n <= 14 by default).
+Then the partitions are counted level by level.  Every partition has one
+block holding vertex 0, and its other blocks avoid vertex 0, so the levels
+run on vertices 1..n-1: level k is one 2^(n-1)-bit integer whose bit M' is
+set iff the subset M = M' << 1 splits into at most k feasible blocks, and
+its blocks are the even half feas[0::2] of the table.  Level 1 is those
+blocks themselves.  A mask of level k + 1 is the feasible block B holding
+its top vertex t plus a rest of level k below t, so level k + 1 is level k
+OR-ed with each such B shifted onto the masks of level k that lie below t
+and miss B; for each t the walk grows the blocks down from t on level k
+cut to its first 2^t bits.  The walk skips every block lying inside no
+feasible block (read from the downward closure of the even half, taken
+once with n - 1 big-int steps when a level past 1 is needed; the patterns
+of those steps are built once per n), since no block grown from it is
+feasible.  The count is k + 1 for the first level k that holds the rest
+full ^ B of a feasible block B holding vertex 0.  Those blocks, the odd
+half feas[1::2], are mirrored once per solve over the n - 1 vertices, bit
+B >> 1 moved to bit (full ^ B) >> 1, and the test is one AND of that
+mirror with the level.  One optimal witness is read back from the levels,
+taking at each step the smallest block mask that contains the lowest
+uncovered vertex: the first holds vertex 0, so every rest read back is a
+level mask M' = rest >> 1.  The tree of each block with an edge is read
+from max_rainbow_forest.  Desk scale only (n <= 14 by default, and max_n
+at most 24, where the table's 2^n bytes and 2^n-entry list still fit).
 
 solve_bruteforce() is the independent oracle: it enumerates all set
 partitions of the vertices and checks each block with the subset-enumeration
@@ -80,14 +86,14 @@ class SolveResult:
     stats keys:
       feasibility_checks - blocks whose feasibility was decided: the full
         vertex set, then every block of at most r + 1 vertices;
-      masks - block shifts of the level DP, one per (level, feasible block)
-        pair: (count - 1) * (feasible blocks), level 1 included although it
-        is read from the table with no shift;
-      blocks_walked - blocks the level walk visits, summed over the levels
-        past 1 that it builds: the nonempty blocks lying inside some
-        feasible block (each costs one AND on the level cut below the
-        block's top vertex t, 2^t bits), so (count - 2) * (nonempty blocks
-        inside a feasible block), 0 when count <= 2;
+      masks - (level, feasible block) pairs of the level DP: (count - 1) *
+        (feasible blocks of the table), level 1 included; the walk shifts
+        only the blocks avoiding vertex 0, and the stop test reads the rest;
+      blocks_walked - blocks the level walk on vertices 1..n-1 visits,
+        summed over the levels past 1 that it builds: the nonempty blocks
+        avoiding vertex 0 that lie inside some feasible block (each costs
+        one AND on the level cut below the block's top vertex t, 2^(t-1)
+        bits), so (count - 2) * (such blocks), 0 when count <= 2;
       cache_hits - feasibility table reads of the witness walk;
       rejects - table blocks that the dominant-color test decided: after
         both leaf certificates and the color count failed to, they fall
@@ -107,6 +113,10 @@ class SolveResult:
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
 _FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 _MAX_BRUTE_N = 7  # solve_bruteforce's guard: rainbow's edge guard holds every block of K_7
+# solve's ceiling on max_n: the block table takes 2^n bytes and a 2^n-entry
+# colors list, 16 MiB and 128 MiB of pointers at n = 24 (canonical K_22 with
+# r = 3 peaks at 69 MiB); every n past it doubles both
+_MAX_N_CEILING = 24
 
 
 def _mirror(bits: int, n: int) -> int:
@@ -290,9 +300,10 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
 
     The witness is checked with is_partition_valid before it is returned; a
     failed check, or levels that hold no witness, raises ConstructionDefect
-    carrying c's file.  max_n is an int >= 1; n > max_n raises SizeGuardError.
+    carrying c's file.  max_n is an int in 1..24 (_MAX_N_CEILING), checked
+    before any table is built; n > max_n raises SizeGuardError.
     """
-    _require_int("max_n", max_n, 1)
+    _require_int("max_n", max_n, 1, _MAX_N_CEILING)
     require_valid(validate(c))
     n, r = c.n, c.r
     if n > max_n:
@@ -322,29 +333,33 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
     if tree is not None:
         return checked(1, [Tree.make(range(n), [(u, v) for u, v, _ in tree])])
 
-    # feas[M] = 1 iff M is a feasible block; blocks over cap and full stay 0,
-    # bit M of feasible is feas[M], and bit full ^ M of ends is feas[M]
+    # feas[M] = 1 iff M is a feasible block; blocks over cap and full stay 0.
+    # The block holding vertex 0 comes first, so the levels run on vertices
+    # 1..n-1, mask M' = M >> 1: rests[M'] = feas[M' << 1], bit M' of
+    # feasible is rests[M'], and bit (full >> 1) ^ M' of ends is feas[M' << 1 | 1]
     feas, _ = _block_table(c, cap, stats)
-    feasible = int(feas.translate(_BITS)[::-1], 2)
-    ends = _mirror(feasible, n)
+    rests = feas[0::2]
+    feasible = int(rests.translate(_BITS)[::-1], 2)
+    ends = _mirror(int(feas[1::2].translate(_BITS)[::-1], 2), n - 1)
 
     # levels[k] marks the masks that split into at most k feasible blocks;
-    # the full set is in level k + 1 iff some feasible block B leaves its
-    # rest full ^ B in level k, that is, level k meets ends.  Level 1 is
-    # feasible | 1, with no walk, and the loop starts there: level 0 would
-    # stop it only at a feasible full set, which the table never marks (the
-    # whole-set check returned every count-1 coloring).  The walk's tables
-    # wait for level 2.
+    # the full set is in level k + 1 iff some feasible block B holding
+    # vertex 0 leaves its rest full ^ B in level k, that is, level k meets
+    # ends.  Level 1 is feasible | 1, with no walk, and the loop starts
+    # there: level 0 would stop it only at a feasible full set, which the
+    # table never marks (the whole-set check returned every count-1
+    # coloring).  The walk's tables wait for level 2.
     levels = [1, feasible | 1]
     while not ends & levels[-1]:
         if len(levels) == 2:
-            keep, inside = _walk_tables(feasible, n)
-        levels.append(_next_level(levels[-1], feas, keep, inside, n, cap))
+            keep, inside = _walk_tables(feasible, n - 1)
+        levels.append(_next_level(levels[-1], rests, keep, inside, n - 1, cap))
     count = len(levels)
     stats["masks"] = (count - 1) * feas.count(1)
     if count > 2:  # the walk ran from level 2 on; the empty block is not walked
         stats["blocks_walked"] = (count - 2) * (inside.count(1) - 1)
 
+    # the first block taken holds vertex 0, so every rest read avoids it
     blocks = []
     mask = full
     for rest_level in reversed(levels):
@@ -354,7 +369,7 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
         while True:  # ascending submasks: the first fit is the smallest mask
             block = sub | low
             stats["cache_hits"] += 1
-            if feas[block] and rest_level >> (mask ^ block) & 1:
+            if feas[block] and rest_level >> ((mask ^ block) >> 1) & 1:
                 break
             if sub == rest:
                 raise _defect(f"dp levels are inconsistent at mask {mask:#x}", c)

@@ -15,6 +15,7 @@ from rainbowtrees import (
     validate,
     write_coloring,
 )
+from rainbowtrees import solver
 from rainbowtrees.cli import main
 
 
@@ -163,7 +164,22 @@ def test_solve_rejects_a_guard_no_input_can_pass(tmp_path, capsys):
     write_coloring(monochromatic_complete(4), cfile)
     code, _, err = run_cli(capsys, "solve", cfile, "--max-n", 0)
     assert code == 1
-    assert err == "error: max_n must be an int >= 1, got 0\n"
+    assert err == "error: max_n must be an int in 1..24, got 0\n"
+
+
+def test_solve_rejects_a_max_n_above_the_ceiling_before_any_table(tmp_path, capsys, monkeypatch):
+    # K_40 would need a 2^40-byte block table: one usage error line, no
+    # traceback, and the table is never built
+    def no_table(c, cap, stats):
+        raise MemoryError("the block table was built")
+
+    monkeypatch.setattr(solver, "_block_table", no_table)
+    cfile = tmp_path / "k40.txt"
+    write_coloring(generate_canonical(40, 12)[0], cfile)
+    code, out, err = run_cli(capsys, "solve", cfile, "--max-n", 40)
+    assert code == 1
+    assert err == "error: max_n must be an int in 1..24, got 40\n"
+    assert out == f"# config solve file={cfile} max_n=40\n"
 
 
 def test_solve_without_max_n_keeps_the_solvers_own_guard(tmp_path, capsys):

@@ -112,7 +112,7 @@ def test_an_n_with_no_pairs_is_named_by_the_pair_readers(n, colors):
     assert repr(c) == f"EdgeColoring(n={n!r}, r=1, colors={tuple(colors)!r})"
     for read in (format_coloring, EdgeColoring.edges, EdgeColoring.color_classes,
                  lambda c: c.colors):
-        with pytest.raises(ValueError, match=re.escape(f"n={n!r} is not an int >= 0")):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an int >= 0, got {n!r}")):
             read(c)
 
 

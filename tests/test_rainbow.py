@@ -12,6 +12,7 @@ from rainbowtrees import (
     monochromatic_complete,
     rainbow_complete,
 )
+from rainbowtrees import rainbow
 from rainbowtrees.rainbow import _max_common_set
 from rainbowtrees.unionfind import UnionFind
 
@@ -286,3 +287,40 @@ def test_max_common_set_matches_the_bfs_augment_reference():
     # 45 and 184 of the 660 lists at this seed
     assert multi_phase >= 20
     assert disconnected >= 50
+
+
+def test_a_maximal_greedy_pass_runs_no_augmenting_phase(monkeypatch):
+    # a greedy pass that spans its vertices, or that holds one edge of every
+    # color, cannot grow: the result is the greedy set, as the reference has it
+    def no_phase(ends, cols, nv, in_set):
+        raise AssertionError("an augmenting phase ran")
+
+    monkeypatch.setattr(rainbow, "_augment", no_phase)
+    spanning = rainbow_complete(6).edges()
+    every_color = [
+        monochromatic_complete(5).edges(),
+        [(0, 1, 1), (1, 2, 1), (2, 3, 2), (0, 3, 2)],  # a 4-cycle in two colors
+        [(0, 1, 1), (2, 3, 1), (4, 5, 2)],  # a forest of two edges on six vertices
+        [],
+    ]
+    for items in [spanning] + every_color:
+        ref, phases = reference_common_set(items)
+        assert phases == 0 and _max_common_set(items) == ref, items
+    assert [len(_max_common_set(items)) for items in [spanning] + every_color] == [5, 1, 2, 2, 0]
+
+
+def test_a_greedy_pass_short_of_both_still_augments(monkeypatch):
+    # the greedy pass takes (0, 2) and (0, 3), which close the cycle through
+    # (2, 3) and hold color 1 of (1, 2): 2 edges of 3 colors on 4 vertices
+    items = [(0, 2, 2), (0, 3, 1), (1, 2, 1), (2, 3, 3)]
+    phases = []
+    real = rainbow._augment
+
+    def spy(ends, cols, nv, in_set):
+        phases.append(real(ends, cols, nv, in_set))
+        return phases[-1]
+
+    monkeypatch.setattr(rainbow, "_augment", spy)
+    ref, ref_phases = reference_common_set(items)
+    assert _max_common_set(items) == ref == [0, 2, 3]
+    assert phases == [True, False] and ref_phases == 1

@@ -167,6 +167,22 @@ def test_reconstruction_prefers_smallest_block_masks():
     assert [sorted(t.vertices) for t in res.partition.trees] == [[0, 1], [2, 3]]
 
 
+def test_max_n_has_a_ceiling_checked_before_the_block_table(monkeypatch):
+    # max_n above the ceiling is a bad argument and n above max_n a guard
+    # hit; neither builds the 2^n-byte table
+    def no_table(c, cap, stats):
+        raise MemoryError("the block table was built")
+
+    monkeypatch.setattr(solver, "_block_table", no_table)
+    ceiling = solver._MAX_N_CEILING
+    c = generate_canonical(40, 12)[0]
+    for max_n in (ceiling + 1, 40):
+        with pytest.raises(ValueError, match=f"^max_n must be an int in 1..{ceiling}, got {max_n}$"):
+            solve(c, max_n=max_n)
+    with pytest.raises(SizeGuardError, match=f"^n=40 exceeds solver guard {ceiling}$"):
+        solve(c, max_n=ceiling)
+
+
 def test_stats_are_reported():
     stats = solve(generate_canonical(6, 3)[0]).stats
     assert stats["feasibility_checks"] > 0
@@ -435,7 +451,10 @@ def test_solve_matches_both_oracles_at_the_half_split_and_the_top_vertex():
     # the block table reads each vertex's colors from two tables split at
     # h = n // 2, and each level is walked truncated below a top vertex t:
     # an isolated vertex n - 1, h - 1 or h leaves its rows all zero, n = 2
-    # and 3 have h = 1, and n = 14 has the widest tables
+    # and 3 have h = 1, and n = 14 has the widest tables.  The levels run on
+    # vertices 1..n-1 and the first block holds vertex 0, so an isolated
+    # vertex 0 is a first block of one vertex (n = 2 has no such coloring:
+    # its one edge is at vertex 0, and K_2 is one tree before any level)
     rng = random.Random(4242)
     cases = [monochromatic_complete(2), monochromatic_complete(3), rainbow_complete(3)]
     cases += [EdgeColoring(3, 1, {e: 1}) for e in ((0, 1), (0, 2), (1, 2))]
@@ -445,6 +464,10 @@ def test_solve_matches_both_oracles_at_the_half_split_and_the_top_vertex():
             for r, keep in ((2, 0.5), (4, 0.8)):
                 cases.append(random_subgraph_coloring(n, r, keep, rng, isolated=(x,)))
     cases.append(random_subgraph_coloring(14, 3, 0.6, rng, isolated=(7,)))
+    for n in range(3, 12):
+        for r, keep in ((2, 0.5), (4, 0.8)):
+            cases.append(random_subgraph_coloring(n, min(r, comb(n - 1, 2)), keep, rng,
+                                                  isolated=(0,)))
     for c in cases:
         if c.n <= 12:
             assert_block_table_matches_intersections(c)
@@ -696,7 +719,8 @@ def test_printed_output_matches_its_golden_digests():
     # canonical digests were recorded before the one-tree witness, the
     # constructive base case and the canonical placement were simplified;
     # the stats digest was re-pinned when the table gained the dominant-color
-    # reject and level 1 stopped being walked; the canonical digest was
+    # reject and level 1 stopped being walked, and again when the walk
+    # moved to vertices 1..n-1 (blocks_walked alone); the canonical digest was
     # re-pinned when its error lines took the one argument-check message,
     # with its colorings and layouts unchanged.  A change that moves any of
     # them breaks one digest
@@ -730,7 +754,7 @@ def test_printed_output_matches_its_golden_digests():
 
     assert (solved, constructed, canonical) == (
         ("798e9e6e53b1028d52b23c2949635da862b661542d677df8cd2438737a6b9a3c",
-         "a68788da2d0c23c7518042e4bfeef64868853f4159dcf89f07b467746259f6b3"),
+         "54b7b5918f8849374979488a56c42a233bbdcc2c5bc9d238e75cd00a4a41cb11"),
         "7b1aaa6a32f611db2936180c4664ec696cf96bdcfbd2e540423132e0c54b27b2",
         "510267add7fe1802ef4cb46cf2540ae072ed0ef86bc9a12707fc97ffe9149588",
     )
