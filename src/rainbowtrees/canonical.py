@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
 
-from .coloring import (EdgeColoring, Tree, TreePartition, _defect, _require_int, edge_index,
-                       is_partition_valid, matching_trees)
+from .coloring import (EdgeColoring, Tree, TreePartition, _color_buffer, _defect, _require_int,
+                       edge_index, is_partition_valid, matching_trees)
 from .formula import f_of_r, partition_number
 from .rainbow import max_rainbow_forest
 
@@ -68,7 +68,7 @@ def generate_canonical(n: int, r: int, fill_color: int | None = None):
         fill = 1 if fill_color is None else fill_color
     else:
         fill = None
-    cols = [fill] * comb(n, 2)
+    cols = _color_buffer(comb(n, 2), r, fill or 0)  # no fill when every edge is placed
     for col, (u, v) in enumerate(placed, 1):
         cols[edge_index(n, u, v)] = col
     hub_edges = dict(enumerate(placed[comb(t, 2):], comb(t, 2) + 1))

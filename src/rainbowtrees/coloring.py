@@ -8,9 +8,13 @@ single-vertex graph, which has r = 0.
 
 Values are immutable and all operations here are pure functions, so they
 are safe to share across concurrent workers.  A coloring of K_n stores its
-edge colors as one tuple in lexicographic edge order; the `colors` dict and
-the packed color classes are derived from that storage on first use and
-cached.
+edge colors as one sequence in lexicographic edge order, and any other
+coloring stores its pairs in order beside one.  That sequence is `bytes`,
+one byte per edge, whenever every color is a plain int in 0..255, which
+every coloring this package makes with r <= 255 satisfies; any other colors
+are kept in a tuple.  Readers see the same ints either way.  The `colors`
+dict and the packed color classes are derived from that storage on first
+use and cached.
 
 File formats
 ------------
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
@@ -68,6 +72,30 @@ def _require_int(name: str, value, lo: int | None = None, hi: int | None = None)
         raise ValueError(f"{name} must be an int{wanted}, got {value!r}")
 
 
+def _byte_colors(cols: tuple):
+    """cols as bytes when every color is a plain int (not a bool, which
+    bytes() would take as 0 or 1) in 0..255, else cols itself."""
+    if set(map(type, cols)) <= {int}:
+        try:
+            return bytes(cols)
+        except ValueError:  # a color outside 0..255
+            pass
+    return cols
+
+
+def _color_buffer(m: int, r: int, fill: int = 0):
+    """m slots for colors in 1..r, each set to `fill`: a bytearray when r <=
+    255, else a list.  The constructor copies either into its stored form."""
+    return bytearray((fill,)) * m if r <= 255 else [fill] * m
+
+
+def _as_stored(cols, r: int):
+    """Colors that a producer made, ints in 1..r, in the form the constructor
+    stores: bytes when r <= 255, else a tuple.  EdgeColoring keeps bytes as
+    they are, so a producer that passes these pays for no scan at r <= 255."""
+    return bytes(cols) if r <= 255 else tuple(cols)
+
+
 def edge_index(n: int, u: int, v: int) -> int:
     """Position of the edge (u, v), 0 <= u < v < n, in the lexicographic
     edge order of K_n."""
@@ -93,14 +121,18 @@ class EdgeColoring:
     mapping key must be a pair (u, v) of ints, not bools, with 0 <= u < v <
     n, and a sequence must have exactly C(n, 2) colors; anything else raises
     ValueError.  A coloring whose pairs are exactly those of K_n stores one
-    color tuple in that order, and any other pair set is kept as a sorted
-    tuple of pairs.  The input is copied, and `colors` is a read-only dict
-    (a MappingProxyType) built from the stored data on first access and
-    cached, as is the verdict of validate().  The constructor leaves n, r
-    and the colors (type, range and surjectivity) to validate(), which
-    reports each of them as a violation.  An n that is not an int >= 0 has
-    no pair count, so neither the sequence length nor the pairs' upper end
-    is checked against it.
+    color sequence in that order, and any other pair set is kept as a sorted
+    tuple of pairs beside the colors in that order.  The colors are stored
+    as bytes when every one is a plain int, not a bool, in 0..255, and as a
+    tuple otherwise: a `bytes` input is kept as it is, and any other input
+    is copied and scanned once.  Every reader returns the same ints from
+    either storage.  `colors` is a read-only dict (a MappingProxyType)
+    built from the stored data on first access and cached, as is the
+    verdict of validate().  The constructor leaves n, r and the colors
+    (type, range and surjectivity) to validate(), which reports each of
+    them as a violation.  An n that is not an int >= 0 has no pair count,
+    so neither the sequence length nor the pairs' upper end is checked
+    against it.
     """
 
     __slots__ = ("n", "r", "_pairs", "_cols", "_colors", "_classes", "_verdict")
@@ -108,7 +140,9 @@ class EdgeColoring:
     def __init__(self, n: int, r: int, colors):
         m = comb(n, 2) if isinstance(n, int) and n >= 0 else None  # a bool n counts as 0 or 1
         if not isinstance(colors, Mapping):
-            cols = tuple(colors)
+            # a bytes input as it is, a bytearray copied, any other sequence scanned
+            cols = (bytes(colors) if isinstance(colors, (bytes, bytearray))
+                    else _byte_colors(tuple(colors)))
             if m is not None and len(cols) != m:
                 raise ValueError(f"a color sequence for K_{n} needs {m} colors, got {len(cols)}")
             pairs = None
@@ -123,13 +157,25 @@ class EdgeColoring:
                 placed = [None] * m
                 for (u, v), col in colors.items():
                     placed[edge_index(n, u, v)] = col
-                cols, pairs = tuple(placed), None
+                cols, pairs = _byte_colors(tuple(placed)), None
             else:
                 items = sorted(colors.items())
                 pairs = tuple(e for e, _ in items)
-                cols = tuple(col for _, col in items)
+                cols = _byte_colors(tuple(col for _, col in items))
+        self._hold(n, r, pairs, cols)
+
+    def _hold(self, n, r, pairs, cols) -> None:
         for name, value in zip(self.__slots__, (n, r, pairs, cols, None, None, None)):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _stored(cls, n: int, r: int, pairs, cols) -> "EdgeColoring":
+        """A coloring that holds `pairs` (None for K_n) and `cols` as given,
+        unchecked: the path of a producer whose output is already in stored
+        form, with its pairs sorted and its colors from _as_stored()."""
+        c = object.__new__(cls)
+        c._hold(n, r, pairs, cols)
+        return c
 
     def __setattr__(self, name, value):
         raise AttributeError(f"EdgeColoring is immutable; cannot set {name!r}")
@@ -138,15 +184,15 @@ class EdgeColoring:
         raise AttributeError(f"EdgeColoring is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
-        if self._pairs is None:
-            return EdgeColoring, (self.n, self.r, self._cols)
-        return EdgeColoring, (self.n, self.r, dict(zip(self._pairs, self._cols)))
+        return EdgeColoring._stored, (self.n, self.r, self._pairs, self._cols)
 
     def __eq__(self, other):
         if not isinstance(other, EdgeColoring):
             return NotImplemented
-        return (self.n, self.r, self._pairs, self._cols) == (
-            other.n, other.r, other._pairs, other._cols)
+        mine, theirs = self._cols, other._cols
+        if type(mine) is not type(theirs):  # bytes and a tuple: compare the color values
+            mine, theirs = tuple(mine), tuple(theirs)
+        return (self.n, self.r, self._pairs, mine) == (other.n, other.r, other._pairs, theirs)
 
     __hash__ = None
 
@@ -154,7 +200,7 @@ class EdgeColoring:
         try:
             colors = dict(self.colors)
         except ValueError:  # an n that names no pairs: the stored colors, in order
-            colors = self._cols
+            colors = tuple(self._cols)
         return f"EdgeColoring(n={self.n!r}, r={self.r!r}, colors={colors!r})"
 
     @property
@@ -202,9 +248,11 @@ class EdgeColoring:
         return self._cols[i]
 
     @property
-    def color_sequence(self) -> tuple[int, ...]:
+    def color_sequence(self) -> Sequence[int]:
         """The C(n, 2) edge colors in lexicographic edge order, as the
-        constructor takes them for K_n; ValueError for any other storage."""
+        constructor takes them for K_n: the stored sequence itself, read-only,
+        whose items are ints (bytes or a tuple, see EdgeColoring).
+        ValueError for any other storage."""
         if self._pairs is not None:
             raise ValueError("color_sequence requires a coloring stored as K_n")
         return self._cols
@@ -264,22 +312,23 @@ def rainbow_complete(n: int) -> EdgeColoring:
     """K_n with every edge its own color, in lexicographic edge order; n is an int >= 1."""
     _require_int("n", n, 1)
     m = comb(n, 2)
-    return EdgeColoring(n, m, range(1, m + 1))
+    return EdgeColoring(n, m, _as_stored(range(1, m + 1), m))
 
 
 def monochromatic_complete(n: int) -> EdgeColoring:
     """K_n with every edge colored 1 (r = 0 for n = 1); n is an int >= 1."""
     _require_int("n", n, 1)
-    return EdgeColoring(n, 1 if n >= 2 else 0, (1,) * comb(n, 2))
+    return EdgeColoring(n, 1 if n >= 2 else 0, b"\x01" * comb(n, 2))
 
 
 def validate(c: EdgeColoring) -> list[Violation]:
     """Check n, r and the colors (the constructor already checked the
     pairs), a bool counting as no int; return all violations (empty list =
-    valid).  An n that is not an int >= 1, or an r that is not an int, is
-    the only violation reported, since every later check compares with it.
-    The verdict is computed once per coloring and cached; each call returns
-    a fresh list of it."""
+    valid).  Colors stored as bytes are plain ints already, so only their
+    range and surjectivity are checked.  An n that is not an int >= 1, or
+    an r that is not an int, is the only violation reported, since every
+    later check compares with it.  The verdict is computed once per
+    coloring and cached; each call returns a fresh list of it."""
     if c._verdict is None:
         object.__setattr__(c, "_verdict", tuple(_violations(c)))
     return list(c._verdict)
@@ -300,7 +349,8 @@ def _violations(c: EdgeColoring) -> list[Violation]:
     # a set folds True into 1 and 2.0 into 2, so unless every edge's color
     # is a plain int and every color in range, each edge's color is checked
     used = set(c._cols)
-    if not (set(map(type, c._cols)) <= {int} and all(1 <= col <= r for col in used)):
+    plain = type(c._cols) is bytes or set(map(type, c._cols)) <= {int}
+    if not (plain and all(1 <= col <= r for col in used)):
         out += [Violation("BadColor", (u, v, col))
                 for (u, v), col in zip(c._pairs_in_order(), c._cols)
                 if not (_is_int(col) and 1 <= col <= r)]
@@ -401,9 +451,10 @@ def merge_colors(c: EdgeColoring, src: int, dst: int) -> EdgeColoring:
     Colors above `src` shift down by one, so the result is a valid
     (r-1)-edge-coloring: `dst` only gains edges, every other color keeps its
     edges, and no color index is left unused.  The result is stored as c
-    is (a K_n coloring as its color sequence).  `src` and `dst` are
-    distinct ints in 1..r, else ValueError, as is an r that is not an int;
-    an edge color outside 1..r raises KeyError.
+    is (a K_n coloring as its color sequence), its colors as bytes when
+    r - 1 <= 255.  `src` and `dst` are distinct ints in 1..r, else
+    ValueError, as is an r that is not an int; an edge color outside 1..r
+    raises KeyError.
     """
     _require_int("r", c.r)
     _require_int("src", src, 1, c.r)
@@ -412,10 +463,8 @@ def merge_colors(c: EdgeColoring, src: int, dst: int) -> EdgeColoring:
         raise ValueError("merge_colors requires two distinct colors")
     lut = {col: col - (col > src) for col in range(1, c.r + 1)}
     lut[src] = lut[dst]
-    merged = map(lut.__getitem__, c._cols)
-    if c._pairs is not None:
-        merged = dict(zip(c._pairs, merged))
-    return EdgeColoring(c.n, c.r - 1, merged)
+    merged = _as_stored(map(lut.__getitem__, c._cols), c.r - 1)
+    return EdgeColoring._stored(c.n, c.r - 1, c._pairs, merged)
 
 
 @dataclass(frozen=True)
@@ -465,8 +514,11 @@ def restrict(c: EdgeColoring, keep) -> tuple[EdgeColoring, RestrictionMaps]:
     vmap = {old: new for new, old in enumerate(kept)}
     surviving = sorted({col for _, _, col in items})
     cmap = {old: new for new, old in enumerate(surviving, start=1)}
-    sub = EdgeColoring(len(kept), len(surviving),
-                       {(vmap[u], vmap[v]): cmap[col] for u, v, col in items})
+    # items are in lexicographic order, which the increasing renumbering keeps
+    pairs = (None if len(items) == comb(len(kept), 2)
+             else tuple((vmap[u], vmap[v]) for u, v, _ in items))
+    sub = EdgeColoring._stored(len(kept), len(surviving), pairs,
+                               _as_stored([cmap[col] for _, _, col in items], len(surviving)))
     return sub, RestrictionMaps(MappingProxyType(vmap), MappingProxyType(cmap))
 
 
@@ -530,12 +582,14 @@ def _data_lines(text: str):
 
 
 def parse_coloring(text: str) -> EdgeColoring:
-    """Read a coloring file body.  Colors are placed in one list in
-    lexicographic edge order when the text is long enough to list every
-    edge of K_n (each edge line takes at least 5 characters), else kept in
-    a dict, as they are when the file turns out to miss an edge."""
+    """Read a coloring file body.  Colors are placed in lexicographic edge
+    order when the text is long enough to list every edge of K_n (each edge
+    line takes at least 5 characters), else kept in a dict, as they are
+    when the file turns out to miss an edge.  They are placed in one byte
+    each when r <= 255, and 0, which is no color, marks an edge not listed
+    yet."""
     n = r = None
-    placed: list | None = None
+    placed: bytearray | list | None = None
     colors: dict = {}
     for lineno, line in _data_lines(text):
         parts = line.split()
@@ -549,7 +603,7 @@ def parse_coloring(text: str) -> EdgeColoring:
             if n < 1 or r < 0:
                 raise FileFormatError(f"bad header n={n} r={r}", lineno)
             if 5 * comb(n, 2) <= len(text):
-                placed = [None] * comb(n, 2)
+                placed = _color_buffer(comb(n, 2), r)
             continue
         if len(parts) != 3:
             raise FileFormatError("expected edge line `u v c`", lineno)
@@ -566,16 +620,16 @@ def parse_coloring(text: str) -> EdgeColoring:
             colors[(u, v)] = col
         else:
             i = edge_index(n, u, v)
-            duplicate = placed[i] is not None
+            duplicate = placed[i] != 0
             placed[i] = col
         if duplicate:
             raise FileFormatError(f"duplicate edge ({u},{v})", lineno)
     if n is None:
         raise FileFormatError("empty coloring file")
     if placed is not None:
-        if None not in placed:
+        if 0 not in placed:
             return EdgeColoring(n, r, placed)
-        colors = {e: col for e, col in zip(combinations(range(n), 2), placed) if col is not None}
+        colors = {e: col for e, col in zip(combinations(range(n), 2), placed) if col != 0}
     return EdgeColoring(n, r, colors)
 
 

@@ -20,6 +20,7 @@ from math import comb
 from .canonical import generate_canonical
 from .coloring import (
     EdgeColoring,
+    _as_stored,
     _is_int,
     _require_int,
     format_coloring,
@@ -231,14 +232,14 @@ def random_surjective_coloring(n: int, r: int, rng: random.Random) -> EdgeColori
             for col in range(1, r + 1):
                 cand[order[col - 1]] = col
         assignment = cand
-    return EdgeColoring(n, r, assignment)
+    return EdgeColoring(n, r, _as_stored(assignment, r))
 
 
 def iter_surjective_colorings(n: int, r: int):
     """All r-edge-colorings of K_n (every color used); exhaustive, desk scale."""
     _require_kn_colors(n, r)  # as partition_number does, on the call, not at the first next()
-    return (EdgeColoring(n, r, a) for a in product(range(1, r + 1), repeat=comb(n, 2))
-            if len(set(a)) == r)
+    return (EdgeColoring(n, r, _as_stored(a, r))
+            for a in product(range(1, r + 1), repeat=comb(n, 2)) if len(set(a)) == r)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import random
 import re
@@ -18,6 +19,7 @@ from rainbowtrees import (
     format_partition,
     generate_canonical,
     is_partition_valid,
+    iter_surjective_colorings,
     max_rainbow_forest,
     merge_colors,
     monochromatic_complete,
@@ -417,7 +419,7 @@ def test_merge_rainbow_triangle():
     merged = merge_colors(rainbow_k3(), 3, 2)
     assert merged.r == 2
     assert merged.colors == {(0, 1): 1, (0, 2): 2, (1, 2): 2}
-    assert merged.color_sequence == (1, 2, 2)  # stored as K_n, as the input is
+    assert tuple(merged.color_sequence) == (1, 2, 2)  # stored as K_n, as the input is
 
 
 def test_merge_down_to_monochromatic():
@@ -580,7 +582,7 @@ def test_restrict_composes(n, data):
 def test_color_sequence_rows():
     n = 7
     c = EdgeColoring(n, 21, range(1, 22))
-    assert c.color_sequence == tuple(range(1, 22))
+    assert tuple(c.color_sequence) == tuple(range(1, 22))
     for u in range(n):
         for v in range(u + 1, n):
             assert row_offset(n, u) + v == edge_index(n, u, v)
@@ -950,3 +952,129 @@ def test_colors_is_one_cached_read_only_dict():
 def test_color_sequence_must_cover_every_pair():
     with pytest.raises(ValueError):
         EdgeColoring(3, 2, [1, 2])
+
+
+# ------------------------------------------------------------- byte storage
+
+
+def tuple_twin(c):
+    """c with its colors held in a tuple, as every coloring was before byte storage."""
+    return EdgeColoring._stored(c.n, c.r, c._pairs, tuple(c._cols))
+
+
+def _file(n, r, lines):
+    return f"{n} {r}\n" + "".join(f"{u} {v} {col}\n" for u, v, col in lines)
+
+
+def reference_text(c):
+    """c's file, written from a tuple of its colors."""
+    pairs = c._pairs if c._pairs is not None else itertools.combinations(range(c.n), 2)
+    return _file(c.n, c.r, [(u, v, col) for (u, v), col in zip(pairs, tuple(c._cols))])
+
+
+_sparse = EdgeColoring(5, 3, {(0, 1): 1, (1, 2): 2, (3, 4): 3, (0, 4): 3})
+_producers = [
+    ("canonical", lambda: generate_canonical(9, 20)[0], lambda: generate_canonical(25, 256)[0]),
+    ("canonical-every-edge-placed", lambda: generate_canonical(5, 10)[0],
+     lambda: generate_canonical(24, 276)[0]),
+    ("random", lambda: random_surjective_coloring(9, 12, random.Random(3)),
+     lambda: random_surjective_coloring(24, 260, random.Random(3))),
+    ("rainbow", lambda: rainbow_complete(23), lambda: rainbow_complete(24)),
+    ("merge", lambda: merge_colors(rainbow_complete(23), 4, 9),
+     lambda: merge_colors(rainbow_complete(24), 4, 9)),
+    ("merge-sparse", lambda: merge_colors(_sparse, 1, 3), None),
+    ("restrict", lambda: restrict(rainbow_complete(24), range(1, 24))[0],
+     lambda: restrict(rainbow_complete(25), range(1, 25))[0]),
+    ("restrict-sparse", lambda: restrict(_sparse, [0, 1, 2, 4])[0], None),
+    ("monochromatic", lambda: monochromatic_complete(7), None),
+    ("exhaustive", lambda: list(iter_surjective_colorings(4, 3))[-1], None),
+    ("parse", lambda: parse_coloring(format_coloring(generate_canonical(9, 20)[0])),
+     lambda: parse_coloring(format_coloring(rainbow_complete(24)))),
+]
+
+
+@pytest.mark.parametrize("small, large", [p[1:] for p in _producers],
+                         ids=[p[0] for p in _producers])
+def test_every_producer_stores_bytes_up_to_r_255_and_a_tuple_above(small, large):
+    for make, kind in ((small, bytes), (large, tuple)):
+        if make is None:
+            continue
+        c = make()
+        assert (c.r <= 255) == (kind is bytes)
+        assert type(c._cols) is kind
+        assert validate(c) == []
+        assert c == tuple_twin(c) and tuple_twin(c) == c
+        assert format_coloring(c) == reference_text(c)
+        assert all(type(col) is int for col in c._cols)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, -1, 256], ids=["bool", "float", "negative", "256"])
+def test_colors_that_do_not_fit_a_byte_keep_a_tuple(bad):
+    # bytes([True]) is b"\x01": a bool must not pass as the color 1
+    for c, edge in ((EdgeColoring(3, 2, [1, 2, bad]), (1, 2)),
+                    (EdgeColoring(4, 2, {(0, 1): 1, (1, 2): 2, (2, 3): bad}), (2, 3))):
+        assert type(c._cols) is tuple
+        assert Violation("BadColor", (*edge, bad)) in validate(c)
+        assert c.color_of(*edge) is bad
+
+
+def test_equal_colorings_are_equal_across_storages():
+    c = EdgeColoring(4, 2, [1, 2, 1, 2, 1, 1])
+    assert type(c._cols) is bytes and c == tuple_twin(c) and tuple_twin(c) == c
+    other = EdgeColoring._stored(4, 2, None, (1, 2, 1, 2, 1, 2))
+    assert c != other and other != c
+    assert _sparse == tuple_twin(_sparse) and type(_sparse._cols) is bytes
+    assert EdgeColoring(3, 2, b"\x01\x02\x02") == EdgeColoring(3, 2, (1, 2, 2))
+
+
+def test_pickling_keeps_byte_storage_and_builds_no_colors_dict():
+    for c in (generate_canonical(20, 12)[0], _sparse):
+        restored = pickle.loads(pickle.dumps(c))
+        assert type(restored._cols) is bytes and restored == c
+        assert c._colors is None and restored._colors is None
+
+
+def test_a_bytes_input_is_kept_and_a_bytearray_copied():
+    given_colors = b"\x01\x02\x02"
+    assert EdgeColoring(3, 2, given_colors).color_sequence is given_colors
+    buffer = bytearray(given_colors)
+    c = EdgeColoring(3, 2, buffer)
+    buffer[0] = 2
+    assert type(c._cols) is bytes and tuple(c.color_sequence) == (1, 2, 2)
+    assert validate(c) == []
+
+
+@settings(max_examples=150, derandomize=True)
+@given(st.integers(2, 8), st.sampled_from(["complete", "missing", "r300", "duplicate"]),
+       st.randoms(use_true_random=False))
+def test_dense_and_dict_parses_agree(n, case, rnd):
+    # a file long enough to list K_n is read into one bytearray (r <= 255)
+    # or list (r = 300); a shorter one, and a file that misses an edge, is
+    # read into a dict, whose coloring the constructor builds
+    m = comb(n, 2)
+    r = 300 if case == "r300" else rnd.randint(1, m)
+    lines = [(u, v, rnd.randint(1, r)) for u, v in itertools.combinations(range(n), 2)]
+    if case == "r300":  # one color above a byte keeps the whole sequence in a tuple
+        i = rnd.randrange(m)
+        lines[i] = lines[i][:2] + (300,)
+    rnd.shuffle(lines)
+    if case == "missing":
+        del lines[rnd.randrange(m)]
+    if case == "duplicate":
+        at = rnd.randrange(m)
+        again = rnd.randrange(at + 1, m + 1)
+        lines.insert(again, lines[at][:2] + (rnd.randint(1, r),))
+        u, v, _ = lines[at]
+        for text in (_file(n, r, lines), _file(n, r, lines[:again + 1])):  # dense, often dict
+            message = re.escape(f"duplicate edge ({u},{v})")
+            with pytest.raises(FileFormatError, match=message) as exc:
+                parse_coloring(text)
+            assert exc.value.line == again + 2
+        return
+    text = _file(n, r, lines)
+    assert 5 * m <= len(text) or m == 1 and case == "missing"  # the dense path
+    c = parse_coloring(text)
+    assert c == EdgeColoring(n, r, {(u, v): col for u, v, col in lines})
+    assert c.complete == (case != "missing")
+    assert type(c._cols) is (tuple if case == "r300" else bytes)
+    assert format_coloring(c) == _file(n, r, sorted(lines))
