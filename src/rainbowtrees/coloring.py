@@ -7,12 +7,14 @@ whose edge set is all C(n, 2) pairs.  The one degenerate case is the
 single-vertex graph, which has r = 0.
 
 Values are immutable and all operations here are pure functions, so they
-are safe to share across concurrent workers.  A coloring of K_n stores its
-edge colors as one sequence in lexicographic edge order, and any other
-coloring stores its pairs in order beside one.  That sequence is `bytes`,
-one byte per edge, whenever every color is a plain int in 0..255, which
-every coloring this package makes with r <= 255 satisfies; any other colors
-are kept in a tuple.  Readers see the same ints either way.  The `colors`
+are safe to share across concurrent workers.  A coloring checks its n and
+r when it is built, and validate() reports its colors and r's range.  A
+coloring of K_n stores its edge colors as one sequence in lexicographic
+edge order, and any other coloring stores its pairs in order beside one.
+That sequence is `bytes`, one byte per edge, whenever every color is a
+plain int in 0..255, which every coloring this package makes with r <= 255
+satisfies; any other colors are kept in a tuple.  This module alone
+applies that rule.  Readers see the same ints either way.  The `colors`
 dict and the packed color classes are derived from that storage on first
 use and cached.
 
@@ -38,9 +40,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb
 from pathlib import Path
 from types import MappingProxyType
@@ -89,13 +92,6 @@ def _color_buffer(m: int, r: int, fill: int = 0):
     return bytearray((fill,)) * m if r <= 255 else [fill] * m
 
 
-def _as_stored(cols, r: int):
-    """Colors that a producer made, ints in 1..r, in the form the constructor
-    stores: bytes when r <= 255, else a tuple.  EdgeColoring keeps bytes as
-    they are, so a producer that passes these pays for no scan at r <= 255."""
-    return bytes(cols) if r <= 255 else tuple(cols)
-
-
 def edge_index(n: int, u: int, v: int) -> int:
     """Position of the edge (u, v), 0 <= u < v < n, in the lexicographic
     edge order of K_n."""
@@ -117,40 +113,39 @@ class EdgeColoring:
     """An immutable edge-colored simple graph.
 
     `colors` is either a mapping from vertex pairs to colors or, for K_n, a
-    sequence of the C(n, 2) edge colors in lexicographic edge order.  Every
-    mapping key must be a pair (u, v) of ints, not bools, with 0 <= u < v <
-    n, and a sequence must have exactly C(n, 2) colors; anything else raises
-    ValueError.  A coloring whose pairs are exactly those of K_n stores one
-    color sequence in that order, and any other pair set is kept as a sorted
-    tuple of pairs beside the colors in that order.  The colors are stored
-    as bytes when every one is a plain int, not a bool, in 0..255, and as a
-    tuple otherwise: a `bytes` input is kept as it is, and any other input
-    is copied and scanned once.  Every reader returns the same ints from
-    either storage.  `colors` is a read-only dict (a MappingProxyType)
-    built from the stored data on first access and cached, as is the
-    verdict of validate().  The constructor leaves n, r and the colors
-    (type, range and surjectivity) to validate(), which reports each of
-    them as a violation.  An n that is not an int >= 0 has no pair count,
-    so neither the sequence length nor the pairs' upper end is checked
-    against it.
+    sequence of the C(n, 2) edge colors in lexicographic edge order.  n and
+    r are checked when the coloring is built: n must be an int >= 0 and r
+    an int, neither a bool, every mapping key a pair (u, v) of ints, not
+    bools, with 0 <= u < v < n, and a sequence must have exactly C(n, 2)
+    colors; anything else raises ValueError.  validate() reports the colors
+    (type, range and surjectivity) and r's range.  A coloring whose pairs
+    are exactly those of K_n stores one color sequence in that order, and
+    any other pair set is kept as a sorted tuple of pairs beside the colors
+    in that order.  The colors are stored as bytes when every one is a
+    plain int, not a bool, in 0..255, and as a tuple otherwise: a `bytes`
+    input is kept as it is, and any other input is copied and scanned once.
+    Every reader returns the same ints from either storage.  `colors` is a
+    read-only dict (a MappingProxyType) built from the stored data on first
+    access and cached, as is the verdict of validate().
     """
 
     __slots__ = ("n", "r", "_pairs", "_cols", "_colors", "_classes", "_verdict")
 
     def __init__(self, n: int, r: int, colors):
-        m = comb(n, 2) if isinstance(n, int) and n >= 0 else None  # a bool n counts as 0 or 1
+        _require_int("n", n, 0)
+        _require_int("r", r)
+        m = comb(n, 2)
         if not isinstance(colors, Mapping):
             # a bytes input as it is, a bytearray copied, any other sequence scanned
             cols = (bytes(colors) if isinstance(colors, (bytes, bytearray))
                     else _byte_colors(tuple(colors)))
-            if m is not None and len(cols) != m:
+            if len(cols) != m:
                 raise ValueError(f"a color sequence for K_{n} needs {m} colors, got {len(cols)}")
             pairs = None
         else:
             for key in colors:
                 if not (isinstance(key, tuple) and len(key) == 2 and _is_int(key[0])
-                        and _is_int(key[1]) and 0 <= key[0] < key[1]
-                        and (m is None or key[1] < n)):
+                        and _is_int(key[1]) and 0 <= key[0] < key[1] < n):
                     raise ValueError(f"edge {key!r} is not a pair (u, v) of ints with "
                                      f"0 <= u < v < {n}")
             if len(colors) == m:
@@ -170,11 +165,11 @@ class EdgeColoring:
 
     @classmethod
     def _stored(cls, n: int, r: int, pairs, cols) -> "EdgeColoring":
-        """A coloring that holds `pairs` (None for K_n) and `cols` as given,
-        unchecked: the path of a producer whose output is already in stored
-        form, with its pairs sorted and its colors from _as_stored()."""
+        """The coloring that a producer made, unchecked: `pairs` sorted (None
+        for K_n) and `cols` ints in 1..r, stored as bytes when r <= 255, else
+        as a tuple, so a producer pays for no scan of its colors."""
         c = object.__new__(cls)
-        c._hold(n, r, pairs, cols)
+        c._hold(n, r, pairs, bytes(cols) if r <= 255 else tuple(cols))
         return c
 
     def __setattr__(self, name, value):
@@ -184,7 +179,9 @@ class EdgeColoring:
         raise AttributeError(f"EdgeColoring is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
-        return EdgeColoring._stored, (self.n, self.r, self._pairs, self._cols)
+        if self._pairs is None:
+            return EdgeColoring, (self.n, self.r, self._cols)
+        return EdgeColoring, (self.n, self.r, dict(zip(self._pairs, self._cols)))
 
     def __eq__(self, other):
         if not isinstance(other, EdgeColoring):
@@ -197,11 +194,7 @@ class EdgeColoring:
     __hash__ = None
 
     def __repr__(self) -> str:
-        try:
-            colors = dict(self.colors)
-        except ValueError:  # an n that names no pairs: the stored colors, in order
-            colors = tuple(self._cols)
-        return f"EdgeColoring(n={self.n!r}, r={self.r!r}, colors={colors!r})"
+        return f"EdgeColoring(n={self.n!r}, r={self.r!r}, colors={dict(self.colors)!r})"
 
     @property
     def complete(self) -> bool:
@@ -218,22 +211,14 @@ class EdgeColoring:
         return self._colors
 
     def _pairs_in_order(self):
-        """The stored pairs in order; ValueError naming n when c is stored as
-        K_n with an n that is not an int >= 0, which names no pairs."""
-        if self._pairs is not None:
-            return self._pairs
-        _require_int("n", self.n, 0)
-        return combinations(range(self.n), 2)
+        """The stored pairs in order."""
+        return combinations(range(self.n), 2) if self._pairs is None else self._pairs
 
     def _position(self, u, v) -> int:
-        """Storage index of the edge joining u and v, in either order, or -1;
-        ValueError naming n, as the pair readers raise it, when c is stored
-        as K_n with an n that is not an int >= 0."""
+        """Storage index of the edge joining u and v, in either order, or -1."""
         if u > v:
             u, v = v, u
         if self._pairs is None:
-            if type(self.n) is not int or self.n < 0:  # no pair count, as in _pairs_in_order
-                _require_int("n", self.n, 0)
             return edge_index(self.n, u, v) if 0 <= u < v < self.n else -1
         i = bisect_left(self._pairs, (u, v))
         return i if i < len(self._pairs) and self._pairs[i] == (u, v) else -1
@@ -270,15 +255,21 @@ class EdgeColoring:
         can have, since the C(n, 2) colors of K_65537 do not fit in memory.
         """
         if self._classes is None:
-            pairs = self._pairs_in_order()
-            if self.n > 0x10000:
-                raise ValueError(f"color_classes packs vertices in 16 bits; n={self.n} > 65536")
-            cols = self._cols
-            classes = {c: array("I") for c in dict.fromkeys(cols)}
-            for (u, v), c in zip(pairs, cols):
-                classes[c].append(u << 16 | v)
+            n, cols = self.n, self._cols
+            if n > 0x10000:
+                raise ValueError(f"color_classes packs vertices in 16 bits; n={n} > 65536")
+            # row u of K_n packs to the codes u << 16 | v for v in u+1..n-1
+            codes = (chain.from_iterable(range(u << 16 | u + 1, u << 16 | n) for u in range(n))
+                     if self._pairs is None else (u << 16 | v for u, v in self._pairs))
+            # each class at its exact size, filled in edge order
+            classes = {c: array("I", [0]) * k for c, k in Counter(cols).items()}
+            filled = dict.fromkeys(classes, 0)
+            for code, c in zip(codes, cols):
+                i = filled[c]
+                classes[c][i] = code
+                filled[c] = i + 1
             frozen = MappingProxyType(
-                {c: memoryview(codes.tobytes()).cast("I") for c, codes in classes.items()})
+                {c: memoryview(packed).toreadonly() for c, packed in classes.items()})
             object.__setattr__(self, "_classes", frozen)
         return self._classes
 
@@ -312,7 +303,7 @@ def rainbow_complete(n: int) -> EdgeColoring:
     """K_n with every edge its own color, in lexicographic edge order; n is an int >= 1."""
     _require_int("n", n, 1)
     m = comb(n, 2)
-    return EdgeColoring(n, m, _as_stored(range(1, m + 1), m))
+    return EdgeColoring._stored(n, m, None, range(1, m + 1))
 
 
 def monochromatic_complete(n: int) -> EdgeColoring:
@@ -322,13 +313,13 @@ def monochromatic_complete(n: int) -> EdgeColoring:
 
 
 def validate(c: EdgeColoring) -> list[Violation]:
-    """Check n, r and the colors (the constructor already checked the
-    pairs), a bool counting as no int; return all violations (empty list =
-    valid).  Colors stored as bytes are plain ints already, so only their
-    range and surjectivity are checked.  An n that is not an int >= 1, or
-    an r that is not an int, is the only violation reported, since every
-    later check compares with it.  The verdict is computed once per
-    coloring and cached; each call returns a fresh list of it."""
+    """Check the colors, a bool counting as no int, and r's range against n
+    (the constructor already checked that n and r are ints and the pairs);
+    return all violations (empty list = valid).  Colors stored as bytes are
+    plain ints already, so only their range and surjectivity are checked.
+    An n of 0 is the only violation reported, since K_0 has no coloring.
+    The verdict is computed once per coloring and cached; each call returns
+    a fresh list of it."""
     if c._verdict is None:
         object.__setattr__(c, "_verdict", tuple(_violations(c)))
     return list(c._verdict)
@@ -336,10 +327,8 @@ def validate(c: EdgeColoring) -> list[Violation]:
 
 def _violations(c: EdgeColoring) -> list[Violation]:
     n, r = c.n, c.r
-    if not _is_int(n) or n < 1:
+    if n < 1:
         return [Violation("BadVertexCount", (n,))]
-    if not _is_int(r):
-        return [Violation("BadColorCount", (r,))]
     out: list[Violation] = []
     # more colors than edges: report r once, not one MissingColor per color
     too_many = r > len(c._cols)
@@ -453,18 +442,15 @@ def merge_colors(c: EdgeColoring, src: int, dst: int) -> EdgeColoring:
     edges, and no color index is left unused.  The result is stored as c
     is (a K_n coloring as its color sequence), its colors as bytes when
     r - 1 <= 255.  `src` and `dst` are distinct ints in 1..r, else
-    ValueError, as is an r that is not an int; an edge color outside 1..r
-    raises KeyError.
+    ValueError; an edge color outside 1..r raises KeyError.
     """
-    _require_int("r", c.r)
     _require_int("src", src, 1, c.r)
     _require_int("dst", dst, 1, c.r)
     if src == dst:
         raise ValueError("merge_colors requires two distinct colors")
     lut = {col: col - (col > src) for col in range(1, c.r + 1)}
     lut[src] = lut[dst]
-    merged = _as_stored(map(lut.__getitem__, c._cols), c.r - 1)
-    return EdgeColoring._stored(c.n, c.r - 1, c._pairs, merged)
+    return EdgeColoring._stored(c.n, c.r - 1, c._pairs, map(lut.__getitem__, c._cols))
 
 
 @dataclass(frozen=True)
@@ -518,7 +504,7 @@ def restrict(c: EdgeColoring, keep) -> tuple[EdgeColoring, RestrictionMaps]:
     pairs = (None if len(items) == comb(len(kept), 2)
              else tuple((vmap[u], vmap[v]) for u, v, _ in items))
     sub = EdgeColoring._stored(len(kept), len(surviving), pairs,
-                               _as_stored([cmap[col] for _, _, col in items], len(surviving)))
+                               (cmap[col] for _, _, col in items))
     return sub, RestrictionMaps(MappingProxyType(vmap), MappingProxyType(cmap))
 
 
@@ -540,9 +526,8 @@ def matching_trees(vertices) -> list[Tree]:
 
 def _coloring_lines(c: EdgeColoring):
     """The lines of c's file, newline included, read straight from its storage."""
-    pairs = c._pairs_in_order()  # an n with no pairs raises before the header
     yield f"{c.n} {c.r}\n"
-    for (u, v), col in zip(pairs, c._cols):
+    for (u, v), col in zip(c._pairs_in_order(), c._cols):
         yield f"{u} {v} {col}\n"
 
 

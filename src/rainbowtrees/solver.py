@@ -119,12 +119,6 @@ _MAX_BRUTE_N = 7  # solve_bruteforce's guard: rainbow's edge guard holds every b
 _MAX_N_CEILING = 24
 
 
-def _mirror(bits: int, n: int) -> int:
-    """bits with bit M moved to bit full ^ M, full = 2^n - 1, by reversing
-    its 2^n binary digits."""
-    return int(format(bits, f"0{1 << n}b")[::-1], 2)
-
-
 def _block_feasible(items, need: int, stats: dict) -> tuple | None:
     """The (u, v, color) edges of a rainbow spanning tree of a block with
     `need` + 1 vertices and induced edges `items`, or None if it has none:
@@ -337,10 +331,11 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
     # The block holding vertex 0 comes first, so the levels run on vertices
     # 1..n-1, mask M' = M >> 1: rests[M'] = feas[M' << 1], bit M' of
     # feasible is rests[M'], and bit (full >> 1) ^ M' of ends is feas[M' << 1 | 1]
+    # (feasible reverses its digits so that digit M' is bit M'; ends keeps them)
     feas, _ = _block_table(c, cap, stats)
     rests = feas[0::2]
     feasible = int(rests.translate(_BITS)[::-1], 2)
-    ends = _mirror(int(feas[1::2].translate(_BITS)[::-1], 2), n - 1)
+    ends = int(feas[1::2].translate(_BITS), 2)
 
     # levels[k] marks the masks that split into at most k feasible blocks;
     # the full set is in level k + 1 iff some feasible block B holding

@@ -20,7 +20,7 @@ from math import comb
 from .canonical import generate_canonical
 from .coloring import (
     EdgeColoring,
-    _as_stored,
+    _color_buffer,
     _is_int,
     _require_int,
     format_coloring,
@@ -177,19 +177,19 @@ def _failure(kind: str, c: EdgeColoring, **fields) -> dict:
 # instance generators
 
 
-def _uniform_colors(r: int, m: int, rng: random.Random) -> list[int]:
+def _uniform_colors(r: int, m: int, rng: random.Random) -> bytearray | list[int]:
     """m colors uniform on 1..r, the same ones m calls rng.randint(1, r)
-    return, leaving rng in the same state.  randint draws one 32-bit word
-    per try and keeps its top r.bit_length() bits when they are below r, so
-    each round draws one word per color still missing, at most 4096, and
-    applies that test to each.  (r <= m, and m above 2^32 colors would not
-    fit in memory.)"""
+    return, leaving rng in the same state, in a _color_buffer.  randint
+    draws one 32-bit word per try and keeps its top r.bit_length() bits when
+    they are below r, so each round draws one word per color still missing,
+    at most 4096, and applies that test to each.  (r <= m, and m above 2^32
+    colors would not fit in memory.)"""
     shift = 32 - r.bit_length()
-    out: list[int] = []
+    out = _color_buffer(0, r)
     while len(out) < m:
         need = min(m - len(out), 0x1000)
         words = struct.unpack(f"<{need}I", rng.getrandbits(32 * need).to_bytes(4 * need, "little"))
-        out += [x + 1 for w in words if (x := w >> shift) < r]
+        out.extend([x + 1 for w in words if (x := w >> shift) < r])
     return out
 
 
@@ -232,13 +232,13 @@ def random_surjective_coloring(n: int, r: int, rng: random.Random) -> EdgeColori
             for col in range(1, r + 1):
                 cand[order[col - 1]] = col
         assignment = cand
-    return EdgeColoring(n, r, _as_stored(assignment, r))
+    return EdgeColoring(n, r, assignment)
 
 
 def iter_surjective_colorings(n: int, r: int):
     """All r-edge-colorings of K_n (every color used); exhaustive, desk scale."""
     _require_kn_colors(n, r)  # as partition_number does, on the call, not at the first next()
-    return (EdgeColoring(n, r, _as_stored(a, r))
+    return (EdgeColoring(n, r, a)
             for a in product(range(1, r + 1), repeat=comb(n, 2)) if len(set(a)) == r)
 
 

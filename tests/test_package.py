@@ -98,11 +98,10 @@ _ENTRY_POINTS = [
      "an int", [1.0, True]),
     ("solve-max_n", lambda v: rainbowtrees.solve(_K3, max_n=v), "max_n", "an int in 1..24",
      [3.5, True, 0, 25]),
-    # the point lookups of a coloring stored as K_n, whose n names no pairs
-    ("color_of-n", lambda v: rainbowtrees.EdgeColoring(v, 0, []).color_of(0, 1), "n",
-     "an int >= 0", [2.0, True, -1]),
-    ("has_edge-n", lambda v: rainbowtrees.EdgeColoring(v, 0, []).has_edge(0, 1), "n",
-     "an int >= 0", [2.0, True, -1]),
+    ("EdgeColoring-n", lambda v: rainbowtrees.EdgeColoring(v, 0, []), "n", "an int >= 0",
+     [2.0, True, "3", -1]),
+    ("EdgeColoring-r", lambda v: rainbowtrees.EdgeColoring(3, v, [1, 2, 1]), "r", "an int",
+     [2.0, True, None, "a"]),
 ]
 
 

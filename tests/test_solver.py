@@ -229,11 +229,27 @@ def test_solve_rejects_a_witness_with_the_wrong_tree_count(monkeypatch):
     assert_replayable(info, monochromatic_complete(4))
 
 
+class _EndsAllSet(bytearray):
+    """A block table whose odd half, read as one slice into ends, marks every
+    block that holds vertex 0 feasible; each entry read alone is the true one."""
+
+    def __getitem__(self, key):
+        if key == slice(1, None, 2):
+            return bytearray(b"\x01") * (len(self) // 2)
+        return super().__getitem__(key)
+
+
 def test_solve_rejects_levels_that_stop_too_early(monkeypatch):
-    # a mirror with every bit set ends the level loop at its first level,
+    # ends with every bit set stops the level loop at its first level,
     # count 2, but a monochromatic K_6 needs 3 trees: no feasible block
     # (a vertex or an edge) leaves a feasible rest of 4 or 5 vertices
-    monkeypatch.setattr(solver, "_mirror", lambda bits, n: -1)
+    block_table = solver._block_table
+
+    def lying_table(c, cap, stats):
+        feas, colors = block_table(c, cap, stats)
+        return _EndsAllSet(feas), colors
+
+    monkeypatch.setattr(solver, "_block_table", lying_table)
     with pytest.raises(RuntimeError, match="^dp levels are inconsistent at mask 0x3f$") as info:
         solve(monochromatic_complete(6))
     assert_replayable(info, monochromatic_complete(6))
@@ -491,20 +507,6 @@ def test_pruned_level_walk_skips_blocks_on_a_canonical_coloring():
     c = generate_canonical(13, 5)[0]
     _, _, _, walked = unpruned_level_dp(c)
     assert solve(c).stats["blocks_walked"] < walked
-
-
-def test_mirror_moves_bit_m_to_bit_full_xor_m():
-    rng = random.Random(99)
-    for n in range(2, 15):
-        full = (1 << n) - 1
-        for _ in range(3):
-            bits = rng.getrandbits(full + 1)
-            mirrored = solver._mirror(bits, n)
-            assert mirrored >> (full + 1) == 0
-            for m in range(full + 1):
-                assert mirrored >> m & 1 == bits >> (full ^ m) & 1
-        assert solver._mirror(1, n) == 1 << full
-        assert solver._mirror(0, n) == 0
 
 
 def test_block_masks_are_the_combinations_in_order():

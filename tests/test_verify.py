@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 import re
+import tracemalloc
 import types
 
 import pytest
@@ -112,8 +113,19 @@ def test_random_surjective_draws_match_randint_and_leave_the_same_rng_state():
     # 9000 colors take three rounds of at most 4096 words, or more
     for r in (1, 2, 3, 7, 2**16 + 1, 2**31 + 5, 2**32 - 1):
         ours, ref = random.Random(r), random.Random(r)
-        assert verify._uniform_colors(r, 9000, ours) == [ref.randint(1, r) for _ in range(9000)]
+        assert list(verify._uniform_colors(r, 9000, ours)) == [ref.randint(1, r) for _ in range(9000)]
         assert ours.getstate() == ref.getstate(), r
+
+
+def test_random_surjective_peaks_near_its_stored_size():
+    # the draws fill one bytearray at r <= 255, not a list of m ints first
+    tracemalloc.start()
+    try:
+        c = random_surjective_coloring(800, 12, random.Random(800))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(c.color_sequence)
 
 
 def test_random_surjective_rejects_bad_parameters():
