@@ -224,10 +224,13 @@ class EdgeColoring:
         return i if i < len(self._pairs) and self._pairs[i] == (u, v) else -1
 
     def has_edge(self, u: int, v: int) -> bool:
-        return self._position(u, v) >= 0
+        """Whether u and v are joined; False for an end that is no vertex
+        (not an int in 0..n-1, a bool included)."""
+        return _is_int(u) and _is_int(v) and self._position(u, v) >= 0
 
     def color_of(self, u: int, v: int) -> int:
-        i = self._position(u, v)
+        """The color of the edge joining u and v; KeyError when has_edge is False."""
+        i = self._position(u, v) if _is_int(u) and _is_int(v) else -1
         if i < 0:
             raise KeyError((u, v))
         return self._cols[i]

@@ -133,8 +133,8 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
     lexicographic order.  The r representatives never span a component of
     more than r + 1 vertices, nor of more than the n' vertices in `alive`,
     so a largest component of that order returns None at once.  Past that,
-    a vertex of `alive` outside 0..n-1, or a representative endpoint not in
-    `alive`, raises ValueError.
+    a vertex of `alive` that is not an int (a bool included) in 0..n-1, or a
+    representative endpoint not in `alive`, raises ValueError.
 
     Dropping one representative only splits a component, so every component
     left has order at most n1 = s.largest_size: a replacement edge grows
@@ -178,7 +178,7 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
     if n1 == 0 or n1 >= min(len(s.rep_edges) + 1, n if alive is None else len(alive)):
         return None
     verts = range(n) if alive is None else sorted(alive)
-    if verts[0] < 0 or verts[-1] >= n:
+    if not set(map(type, verts)) <= {int} or verts[0] < 0 or verts[-1] >= n:
         raise ValueError(f"alive holds a vertex outside 0..{n - 1}")
     is_live = bytearray(n)
     for v in verts:

@@ -356,14 +356,16 @@ def test_config_echo(capsys):
 
 
 def test_module_entry_point_subprocess():
+    # __main__.py and cli.py's own sys.exit(main()) run only in a child interpreter
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "rainbowtrees", "formula", "6", "5"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert proc.returncode == 0
-    assert "t=3 value=2" in proc.stdout
+    for module in ("rainbowtrees", "rainbowtrees.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "formula", "6", "5"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "t=3 value=2"

@@ -1013,6 +1013,19 @@ def test_colors_that_do_not_fit_a_byte_keep_a_tuple(bad):
         assert c.color_of(*edge) is bad
 
 
+@pytest.mark.parametrize("end", [1.0, 2.0, True, -1, 4], ids=["float", "float-2", "bool", "negative", "n"])
+def test_an_end_that_is_no_vertex_has_no_edge_and_no_color(end):
+    # an int-valued float or a bool is treated as an out-of-range end, not as the vertex it equals
+    for c in (rainbow_complete(4), EdgeColoring(4, 2, {(0, 1): 1, (1, 2): 2})):
+        for held in (c, tuple_twin(c)):
+            assert held.has_edge(2, 1) and held.color_of(2, 1) == c.color_of(1, 2)
+            for u in range(4):
+                assert not held.has_edge(u, end) and not held.has_edge(end, u)
+                for ends in ((u, end), (end, u)):
+                    with pytest.raises(KeyError):
+                        held.color_of(*ends)
+
+
 def test_equal_colorings_are_equal_across_storages():
     c = EdgeColoring(4, 2, [1, 2, 1, 2, 1, 1])
     assert type(c._cols) is bytes and c == tuple_twin(c) and tuple_twin(c) == c

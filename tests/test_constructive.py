@@ -406,7 +406,9 @@ def test_find_swap_returns_at_once_when_the_representatives_span_every_alive_ver
     (range(1, 8), "representative edge (0, 1) of color 1 leaves alive"),
     ([-1, *range(7)], "alive holds a vertex outside 0..7"),
     ([*range(8), 9], "alive holds a vertex outside 0..7"),
-], ids=["dead-representative-end", "negative-vertex", "vertex-past-n"])
+    ([*range(7), 7.0], "alive holds a vertex outside 0..7"),
+    ([0, True, *range(2, 8)], "alive holds a vertex outside 0..7"),
+], ids=["dead-representative-end", "negative-vertex", "vertex-past-n", "float-vertex", "bool-vertex"])
 def test_find_swap_rejects_an_alive_that_misses_a_representative_or_leaves_the_range(alive, why):
     c, _ = generate_canonical(8, 5)
     s = initial_representatives(c)  # spans {0, 1, 2, 3}: the search runs
