@@ -286,6 +286,15 @@ class Tree:
     vertices: frozenset
     edges: tuple
 
+    def __init__(self, vertices: frozenset, edges: tuple):
+        # the dataclass's frozen __init__ sets each field through
+        # object.__setattr__, about 40% of the time it takes to build; the
+        # instance dict takes them directly, and setting a field afterwards
+        # still raises FrozenInstanceError
+        d = self.__dict__
+        d["vertices"] = vertices
+        d["edges"] = edges
+
     @classmethod
     def make(cls, vertices, edges=()) -> "Tree":
         return cls(frozenset(vertices), tuple(sorted(edges)))
@@ -371,6 +380,15 @@ def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | N
     Each tree edge is a (u, v) pair of c, and its color is read from c at
     that pair's position, so a tree that repeats a color is rejected.
     Returns (ok, first_violation_message).
+
+    The trees are checked in order, each one whole before the next: its
+    vertex set (no repeat, nonempty, disjoint from the trees before it, each
+    vertex an int in 0..n-1), its edge count, then each edge (a pair of ints
+    inside the tree, an edge of c, no color repeated, no cycle closed).  A
+    tree of one edge keeps no color set and joins nothing in the union-find
+    forest: one color cannot repeat, and an edge of c between two vertices
+    of that tree alone closes no cycle.  So a tree of at most one edge
+    costs O(1), and the coverage check at the end is a count.
     """
     if not p.trees:
         return False, "partition has no trees"
@@ -391,19 +409,19 @@ def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | N
                 return False, f"tree {i} lists vertex {repeated!r} more than once"
         if not vs:
             return False, f"tree {i} is empty"
-        overlap = covered & vs
-        if overlap:
-            return False, f"vertex {min(overlap)} appears in more than one tree"
+        if not covered.isdisjoint(vs):
+            return False, f"vertex {min(covered & vs)} appears in more than one tree"
         covered |= vs
         for v in vs:
             if type(v) is not int and not _is_int(v):  # a plain int skips the call
                 return False, f"tree {i} contains vertex {v!r}, which is not an int"
             if not 0 <= v < n:
                 return False, f"tree {i} contains out-of-range vertex {v}"
-        if len(t.edges) != len(vs) - 1:
-            return False, f"tree {i} has {len(t.edges)} edges for {len(vs)} vertices"
-        tree_colors: set = set()
-        for e in t.edges:
+        edges = t.edges
+        if len(edges) != len(vs) - 1:
+            return False, f"tree {i} has {len(edges)} edges for {len(vs)} vertices"
+        tree_colors = set() if len(edges) > 1 else None
+        for e in edges:
             try:
                 u, v = e
             except (TypeError, ValueError):
@@ -412,14 +430,15 @@ def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | N
                 return False, f"tree {i} edge ({u!r},{v!r}) has an end that is not an int"
             if u not in vs or v not in vs:
                 return False, f"tree {i} edge ({u},{v}) leaves its vertex set"
-            if complete:  # every pair but a loop is an edge; edge_index, inlined
-                a, b = (u, v) if u < v else (v, u)
-                pos = a * (2 * n - a - 3) // 2 + b - 1 if a != b else -1
-            else:
-                pos = c._position(u, v)
-            if pos < 0:
+            if u == v if complete else c._position(u, v) < 0:  # K_n lacks only loops
                 return False, f"tree {i} edge ({u},{v}) is not in the graph"
-            col = cols[pos]
+            if tree_colors is None:  # the tree's only edge
+                break
+            if complete:  # edge_index, inlined
+                col = cols[u * (2 * n - u - 3) // 2 + v - 1 if u < v else
+                           v * (2 * n - v - 3) // 2 + u - 1]
+            else:
+                col = cols[c._position(u, v)]
             if col in tree_colors:
                 return False, f"tree {i} repeats color {col}"
             tree_colors.add(col)
@@ -431,7 +450,8 @@ def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | N
             if a == b:
                 return False, f"tree {i} contains a cycle through ({u},{v})"
             parent[a] = b
-    if covered != set(range(n)):
+    # every vertex of covered is an int in 0..n-1, so a count of n covers them all
+    if len(covered) != n:
         missing = min(set(range(n)) - covered)
         return False, f"vertex {missing} is not covered"
     return True, None
@@ -516,8 +536,8 @@ def matching_trees(vertices) -> list[Tree]:
     tree for the last vertex when their number is odd.  Each edge is the
     pair (u, v), u < v, which K_n always has; its color is read from the
     coloring."""
-    trees = [Tree(frozenset((a, b)), ((a, b) if a < b else (b, a),))
-             for a, b in zip(vertices[::2], vertices[1::2])]
+    pairs = [(a, b) if a < b else (b, a) for a, b in zip(vertices[::2], vertices[1::2])]
+    trees = list(map(Tree, map(frozenset, pairs), zip(pairs)))  # zip(pairs): each edge in a 1-tuple
     if len(vertices) % 2 == 1:
         trees.append(Tree(frozenset((vertices[-1],)), ()))
     return trees

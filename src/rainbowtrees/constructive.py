@@ -24,13 +24,16 @@ the components).  The next level runs on the complete graph induced by the
 remaining vertices.
 
 All levels work in place on the input coloring: the split-off vertices are
-marked dead, and each color's representative at a new level is its first
-lexicographic edge with no dead end.  A cursor finds it, moving only forward
-through the color's packed class (one int u << 16 | v per edge, in
-lexicographic order, from EdgeColoring.color_classes).  The class edges of
-row u are contiguous, so a dead u lets the cursor jump by bisection to the
-row of the next live vertex, past every dead row between, or to the end of
-the class when no live vertex follows.  A level's n and r count the live
+marked dead and deleted, each by one bisection, from the sorted list of
+live vertices, and each color's representative at a new level is its first
+lexicographic edge with no dead end.  That edge is the color's edge of the
+level before unless one of its ends died; only then does a cursor move on,
+only forward, through the color's packed class (one int u << 16 | v per
+edge, in lexicographic order, from EdgeColoring.color_classes).  The class
+edges of row u are contiguous, so a dead u lets the cursor jump by
+bisection to the row of the next live vertex, past every dead row between,
+or to the end of the class when no live vertex follows, and a color whose
+cursor reaches the end is dropped.  A level's n and r count the live
 vertices and the colors that still have a live edge.
 
 Base case: with at most one color left (r = 0 means one live vertex) a
@@ -77,24 +80,41 @@ class RepresentativeSubgraph:
         """The components spanned by the given color -> edge choice, and the
         spanning forest Kruskal keeps when it reads the edges in
         lexicographic order.  One pass over the sorted edges keeps each
-        endpoint's component as a list, and an edge that joins two lists
-        enters the forest and moves the smaller list into the larger."""
+        endpoint's component as a list: an edge with a new end adds it to
+        the other end's list (or starts a list of both), and an edge that
+        joins two lists moves the smaller into the larger and empties it.
+        Every edge but a loop or one inside a list enters the forest."""
+        reps = dict(rep_edges)
         group: dict = {}  # endpoint -> the list of its component's vertices
+        lists = []        # every list started, the emptied ones included
         forest = []
-        for u, v in sorted((min(e), max(e)) for e in rep_edges.values()):
-            a = group.setdefault(u, [u])
-            b = group.setdefault(v, [v])
-            if a is b:
+        for u, v in sorted([e if e[0] < e[1] else (e[1], e[0]) for e in reps.values()]):
+            a, b = group.get(u), group.get(v)
+            if a is None:
+                if b is None:
+                    group[u] = group[v] = a = [u]
+                    lists.append(a)
+                    if u == v:  # a loop spans one vertex and joins nothing
+                        continue
+                    a.append(v)
+                else:
+                    b.append(u)
+                    group[u] = b
+            elif b is None:
+                a.append(v)
+                group[v] = a
+            elif a is b:
                 continue
+            else:
+                if len(a) < len(b):
+                    a, b = b, a
+                a += b
+                for x in b:
+                    group[x] = a
+                b.clear()
             forest.append((u, v))
-            if len(a) < len(b):
-                a, b = b, a
-            a += b
-            for x in b:
-                group[x] = a
-        comps = sorted({id(g): g for g in group.values()}.values(), key=lambda g: (-len(g), min(g)))
-        return cls(MappingProxyType(dict(rep_edges)), tuple(frozenset(g) for g in comps),
-                   tuple(forest))
+        comps = sorted(filter(None, lists), key=lambda g: (-len(g), min(g)))
+        return cls(MappingProxyType(reps), tuple(map(frozenset, comps)), tuple(forest))
 
     @property
     def largest_size(self) -> int:
@@ -177,15 +197,15 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
     n, n1 = c.n, s.largest_size
     if n1 == 0 or n1 >= min(len(s.rep_edges) + 1, n if alive is None else len(alive)):
         return None
-    verts = range(n) if alive is None else sorted(alive)
-    if not set(map(type, verts)) <= {int} or verts[0] < 0 or verts[-1] >= n:
+    # the types are checked first, as sorted() raises TypeError on a str
+    verts = (range(n) if alive is None else
+             sorted(alive) if set(map(type, alive)) <= {int} else None)
+    if verts is None or verts[0] < 0 or verts[-1] >= n:
         raise ValueError(f"alive holds a vertex outside 0..{n - 1}")
-    is_live = bytearray(n)
-    for v in verts:
-        is_live[v] = 1
+    is_live = set(verts)
     adj: dict = {}  # representative endpoint -> [(neighbour, color)]
     for color, (u, v) in s.rep_edges.items():
-        if not (0 <= u < n and 0 <= v < n and is_live[u] and is_live[v]):
+        if not (u in is_live and v in is_live):
             raise ValueError(f"representative edge ({u}, {v}) of color {color} leaves alive")
         adj.setdefault(u, []).append((v, color))
         adj.setdefault(v, []).append((u, color))
@@ -300,7 +320,7 @@ def find_swap(s: RepresentativeSubgraph, c: EdgeColoring, alive=None) -> SwapMov
                 j = bisect_right(big, b)
                 i = end if j == len(big) else bisect_left(codes, big[j] << 16, i + 1, end)
                 continue
-            if is_live[v] and (size := grown(b, v)):
+            if v in is_live and (size := grown(b, v)):
                 best = (b, v), size
                 break
             i += 1
@@ -317,14 +337,16 @@ def apply_swap(s: RepresentativeSubgraph, move: SwapMove) -> RepresentativeSubgr
 
 def _construct(c: EdgeColoring, trace: list) -> list[Tree]:
     classes = c.color_classes()
-    cursor = dict.fromkeys(sorted(classes), 0)  # first edge of each class not yet dead
+    # each color with a live edge: the index of its first live edge in its class, and that edge
+    cursor = dict.fromkeys(sorted(classes), 0)
+    reps = {color: edge_pair(classes[color][0]) for color in cursor}
     dead = bytearray(c.n)
     live = list(range(c.n))
     out: list[Tree] = []
     while live:
-        reps = {}
-        for color, i in cursor.items():
-            codes = classes[color]
+        # only a representative with a dead end moves on
+        for color in [col for col, (u, v) in reps.items() if dead[u] or dead[v]]:
+            codes, i = classes[color], cursor[color]
             end = len(codes)
             while i < end:
                 code = codes[i]
@@ -335,9 +357,11 @@ def _construct(c: EdgeColoring, trace: list) -> list[Tree]:
                 elif dead[v]:
                     i += 1
                 else:
-                    reps[color] = u, v
                     break
-            cursor[color] = i
+            if i < end:
+                cursor[color], reps[color] = i, (u, v)
+            else:
+                del cursor[color], reps[color]
         n, r = len(live), len(reps)
         if r <= 1:  # one live vertex (r = 0) or one color
             trace.append({"n": n, "r": r, "moves": 0, "largest": min(n, 2), "components": 0})
@@ -362,10 +386,10 @@ def _construct(c: EdgeColoring, trace: list) -> list[Tree]:
         trace.append({"n": n, "r": r, "moves": moves, "largest": n1, "components": k})
 
         largest = s.components[0]  # its forest edges, u < v, are in lexicographic order
-        out.append(Tree(largest, tuple(e for e in s.forest if e[0] in largest)))
+        out.append(Tree(largest, tuple([e for e in s.forest if e[0] in largest])))
         for v in largest:
             dead[v] = 1
-        live = [v for v in live if not dead[v]]
+            del live[bisect_left(live, v)]
     return out
 
 

@@ -54,6 +54,14 @@ def bench_ok(out, err):
         m["value"] is not None for m in result["metrics"].values())
 
 
+def construct_traced_ok(out, err):
+    """bench_ok, and the traced construct run called find_swap and is_partition_valid: a call site
+    moved off the module name bench/spans.py wraps would read 0 calls, not null."""
+    metrics = json.loads(out.splitlines()[-1])["metrics"]
+    return bench_ok(out, err) and all(metrics[name]["value"] > 0 for name in (
+        "constructive.find_swap_calls", "coloring.partition_check_calls"))
+
+
 def cli(cmd, limit=None, test=None, status=0):
     """The row that runs `python -m rainbowtrees CMD`, named CMD."""
     return cmd, ["-m", "rainbowtrees", *cmd.split()], status, limit, test
@@ -78,7 +86,8 @@ def rows():
         ("README python blocks", ["-c", readme_blocks("python")], 0, None, None),
         *readme,
         ("bench selftest", [os.path.join(ROOT, "bench", "selftest.py")], 0, None, None),
-        *[(f"bench {w} {opt}", [run, "--workload", w, *opt.split()], 0, None, bench_ok)
+        *[(f"bench {w} {opt}", [run, "--workload", w, *opt.split()], 0, None,
+           construct_traced_ok if (w, opt) == ("construct", "--trace 1") else bench_ok)
           for opt in ("--seconds 1", "--trace 1") for w in ("sweep", "exact", "construct")],
         # the smoke run stops at n = 300; r = 5000 puts many representatives in each swap search
         cli("canonical 1000 12 -o k1000.txt"), cli("construct k1000.txt", test=equal),

@@ -54,6 +54,12 @@ def test_representative_edges_are_read_only():
     assert s == RepresentativeSubgraph.from_edges({1: (0, 1), 2: (2, 3)})
 
 
+def test_a_loop_spans_its_one_vertex_and_enters_no_forest():
+    s = RepresentativeSubgraph.from_edges({1: (2, 2), 2: (0, 1), 3: (1, 1)})
+    assert s.components == (frozenset({0, 1}), frozenset({2}))
+    assert s.forest == ((0, 1),)
+
+
 def test_initial_representatives_rainbow_triangle():
     s = initial_representatives(rainbow_complete(3))
     assert s.component_count == 1
@@ -408,7 +414,10 @@ def test_find_swap_returns_at_once_when_the_representatives_span_every_alive_ver
     ([*range(8), 9], "alive holds a vertex outside 0..7"),
     ([*range(7), 7.0], "alive holds a vertex outside 0..7"),
     ([0, True, *range(2, 8)], "alive holds a vertex outside 0..7"),
-], ids=["dead-representative-end", "negative-vertex", "vertex-past-n", "float-vertex", "bool-vertex"])
+    ([*range(8), "x"], "alive holds a vertex outside 0..7"),
+    ([None, *range(8)], "alive holds a vertex outside 0..7"),
+], ids=["dead-representative-end", "negative-vertex", "vertex-past-n", "float-vertex", "bool-vertex",
+        "str-vertex", "none-vertex"])
 def test_find_swap_rejects_an_alive_that_misses_a_representative_or_leaves_the_range(alive, why):
     c, _ = generate_canonical(8, 5)
     s = initial_representatives(c)  # spans {0, 1, 2, 3}: the search runs
@@ -661,6 +670,24 @@ def test_trees_and_traces_at_r_near_n_match_their_golden_digest():
         digest.update(json.dumps(trace).encode())
     assert digest.hexdigest() == (
         "faaaa930a0747d6d13d58f5f721befc5aa26c455f7fb94dffb2656231668e286"
+    )
+
+
+def test_trees_and_traces_at_benchmark_scale_match_their_golden_digest():
+    # sha256 of format_partition and the trace records on the construct
+    # benchmark's shapes: canonical K_200..K_300 and seeded random K_150 and
+    # K_200 at r = 8, 12, 20; recorded before the level loop kept `live` by
+    # deletion and before from_edges was rewritten
+    rng = random.Random(1)
+    cases = [generate_canonical(n, r)[0] for n in (200, 260, 300) for r in (8, 12, 20)]
+    cases += [random_surjective_coloring(n, r, rng) for n in (150, 200) for r in (8, 12, 20)]
+    digest = hashlib.sha256()
+    for c in cases:
+        trace = []
+        digest.update(format_partition(partition_complete(c, trace)).encode())
+        digest.update(json.dumps(trace).encode())
+    assert digest.hexdigest() == (
+        "128ddfc0d4752f3b58f6f77e7710d1e59b7f0f0dd9f921c1199d4bb225c6fd4e"
     )
 
 
