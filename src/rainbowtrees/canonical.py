@@ -75,7 +75,7 @@ def generate_canonical(n: int, r: int, fill_color: int | None = None):
 
     extra = t + 1 if n >= t + 2 else None
     layout = CanonicalLayout(t, core, hub, extra, fill, MappingProxyType(hub_edges))
-    return EdgeColoring(n, r, cols), layout
+    return EdgeColoring._stored(n, r, None, cols), layout
 
 
 def extremal_partition(c: EdgeColoring, layout: CanonicalLayout) -> TreePartition:

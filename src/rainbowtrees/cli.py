@@ -22,8 +22,6 @@ from .coloring import (
     _write_lines,
     merge_colors,
     read_coloring,
-    require_valid,
-    validate,
     write_coloring,
     write_partition,
 )
@@ -112,12 +110,6 @@ def _echo_config(args: argparse.Namespace) -> None:
     print(f"# config {args.command} {fields}".rstrip())
 
 
-def _load(path: str):
-    c = read_coloring(path)
-    require_valid(validate(c), path)
-    return c
-
-
 def _cmd_formula(args) -> int:
     value = partition_number(args.n, args.r)
     t = f_of_r(args.r) if args.r >= 2 else 0
@@ -138,7 +130,7 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    c = _load(args.file)
+    c = read_coloring(args.file)
     result = solve(c, **({} if args.max_n is None else {"max_n": args.max_n}))
     print(f"count={result.count}")
     if args.partition:
@@ -147,7 +139,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    c = _load(args.file)
+    c = read_coloring(args.file)
     partition = partition_complete(c)
     print(f"count={partition.count} bound={partition_number(c.n, c.r)}")
     if args.partition:
@@ -156,7 +148,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    c = _load(args.file)
+    c = read_coloring(args.file)
     merged = merge_colors(c, args.src, args.dst)
     if args.output:
         write_coloring(merged, args.output)

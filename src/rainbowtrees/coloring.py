@@ -7,16 +7,17 @@ whose edge set is all C(n, 2) pairs.  The one degenerate case is the
 single-vertex graph, which has r = 0.
 
 Values are immutable and all operations here are pure functions, so they
-are safe to share across concurrent workers.  A coloring checks its n and
-r when it is built, and validate() reports its colors and r's range.  A
-coloring of K_n stores its edge colors as one sequence in lexicographic
-edge order, and any other coloring stores its pairs in order beside one.
-That sequence is `bytes`, one byte per edge, whenever every color is a
-plain int in 0..255, which every coloring this package makes with r <= 255
-satisfies; any other colors are kept in a tuple.  This module alone
-applies that rule.  Readers see the same ints either way.  The `colors`
-dict and the packed color classes are derived from that storage on first
-use and cached.
+are safe to share across concurrent workers.  Every built coloring is
+valid: the constructor checks n, r, the pairs and the colors, and raises
+ValueError for any violation that validate() reports.  The producers of
+this package, whose colors are valid by construction, build through the
+unchecked EdgeColoring._stored instead.  A coloring of K_n stores its edge
+colors as one sequence in lexicographic edge order, and any other coloring
+stores its pairs in order beside one.  That sequence is `bytes`, one byte
+per edge, exactly when r <= 255, and a tuple of ints otherwise.  This
+module alone applies that rule.  Readers see the same ints either way.
+The `colors` dict and the packed color classes are derived from that
+storage on first use and cached.
 
 File formats
 ------------
@@ -75,20 +76,9 @@ def _require_int(name: str, value, lo: int | None = None, hi: int | None = None)
         raise ValueError(f"{name} must be an int{wanted}, got {value!r}")
 
 
-def _byte_colors(cols: tuple):
-    """cols as bytes when every color is a plain int (not a bool, which
-    bytes() would take as 0 or 1) in 0..255, else cols itself."""
-    if set(map(type, cols)) <= {int}:
-        try:
-            return bytes(cols)
-        except ValueError:  # a color outside 0..255
-            pass
-    return cols
-
-
 def _color_buffer(m: int, r: int, fill: int = 0):
     """m slots for colors in 1..r, each set to `fill`: a bytearray when r <=
-    255, else a list.  The constructor copies either into its stored form."""
+    255, else a list.  A coloring built from either copies it into its stored form."""
     return bytearray((fill,)) * m if r <= 255 else [fill] * m
 
 
@@ -110,66 +100,49 @@ def row_offset(n: int, u: int) -> int:
 
 
 class EdgeColoring:
-    """An immutable edge-colored simple graph.
+    """An immutable, valid edge-colored simple graph.
 
     `colors` is either a mapping from vertex pairs to colors or, for K_n, a
-    sequence of the C(n, 2) edge colors in lexicographic edge order.  n and
-    r are checked when the coloring is built: n must be an int >= 0 and r
-    an int, neither a bool, every mapping key a pair (u, v) of ints, not
-    bools, with 0 <= u < v < n, and a sequence must have exactly C(n, 2)
-    colors; anything else raises ValueError.  validate() reports the colors
-    (type, range and surjectivity) and r's range.  A coloring whose pairs
-    are exactly those of K_n stores one color sequence in that order, and
-    any other pair set is kept as a sorted tuple of pairs beside the colors
-    in that order.  The colors are stored as bytes when every one is a
-    plain int, not a bool, in 0..255, and as a tuple otherwise: a `bytes`
-    input is kept as it is, and any other input is copied and scanned once.
-    Every reader returns the same ints from either storage.  `colors` is a
-    read-only dict (a MappingProxyType) built from the stored data on first
-    access and cached, as is the verdict of validate().
+    sequence of the C(n, 2) edge colors in lexicographic edge order.  Every
+    built coloring is valid, since the constructor checks its input and
+    raises ValueError on any fault: n must be an int >= 0 and r an int,
+    neither a bool, every mapping key a pair (u, v) of ints, not bools,
+    with 0 <= u < v < n, and a sequence must have exactly C(n, 2) colors;
+    then every violation that validate() finds (a color that is no int in
+    1..r, a bool included, an unused color, r out of range, n = 0) is named
+    in one error that reads "invalid coloring: " and the violations.  The
+    producers of this package, whose colors are valid by construction,
+    skip that check through the unchecked _stored().  A coloring whose
+    pairs are exactly those of K_n stores one color sequence in that order,
+    and any other pair set is kept as a sorted tuple of pairs beside the
+    colors in that order.  The colors are stored as bytes when r <= 255, a
+    `bytes` input kept as it is, and as a tuple of ints otherwise.
+    `colors` is a read-only dict (a MappingProxyType) built from the stored
+    data on first access and cached.
     """
 
-    __slots__ = ("n", "r", "_pairs", "_cols", "_colors", "_classes", "_verdict")
+    __slots__ = ("n", "r", "_pairs", "_cols", "_colors", "_classes")
 
     def __init__(self, n: int, r: int, colors):
-        _require_int("n", n, 0)
-        _require_int("r", r)
-        m = comb(n, 2)
-        if not isinstance(colors, Mapping):
-            # a bytes input as it is, a bytearray copied, any other sequence scanned
-            cols = (bytes(colors) if isinstance(colors, (bytes, bytearray))
-                    else _byte_colors(tuple(colors)))
-            if len(cols) != m:
-                raise ValueError(f"a color sequence for K_{n} needs {m} colors, got {len(cols)}")
-            pairs = None
-        else:
-            for key in colors:
-                if not (isinstance(key, tuple) and len(key) == 2 and _is_int(key[0])
-                        and _is_int(key[1]) and 0 <= key[0] < key[1] < n):
-                    raise ValueError(f"edge {key!r} is not a pair (u, v) of ints with "
-                                     f"0 <= u < v < {n}")
-            if len(colors) == m:
-                placed = [None] * m
-                for (u, v), col in colors.items():
-                    placed[edge_index(n, u, v)] = col
-                cols, pairs = _byte_colors(tuple(placed)), None
-            else:
-                items = sorted(colors.items())
-                pairs = tuple(e for e, _ in items)
-                cols = _byte_colors(tuple(col for _, col in items))
+        pairs, cols = _layout(n, r, colors)
+        violations = _violations(n, r, pairs, cols)
+        if violations:
+            raise ValueError("invalid coloring: " + ", ".join(map(str, violations)))
         self._hold(n, r, pairs, cols)
 
     def _hold(self, n, r, pairs, cols) -> None:
-        for name, value in zip(self.__slots__, (n, r, pairs, cols, None, None, None)):
+        """Set every slot, with cols stored as bytes when r <= 255, else as a tuple."""
+        cols = bytes(cols) if r <= 255 else tuple(cols)
+        for name, value in zip(self.__slots__, (n, r, pairs, cols, None, None)):
             object.__setattr__(self, name, value)
 
     @classmethod
     def _stored(cls, n: int, r: int, pairs, cols) -> "EdgeColoring":
         """The coloring that a producer made, unchecked: `pairs` sorted (None
-        for K_n) and `cols` ints in 1..r, stored as bytes when r <= 255, else
-        as a tuple, so a producer pays for no scan of its colors."""
+        for K_n) and `cols` every color of 1..r, each an int, so a producer
+        pays for no scan of its colors."""
         c = object.__new__(cls)
-        c._hold(n, r, pairs, bytes(cols) if r <= 255 else tuple(cols))
+        c._hold(n, r, pairs, cols)
         return c
 
     def __setattr__(self, name, value):
@@ -186,10 +159,8 @@ class EdgeColoring:
     def __eq__(self, other):
         if not isinstance(other, EdgeColoring):
             return NotImplemented
-        mine, theirs = self._cols, other._cols
-        if type(mine) is not type(theirs):  # bytes and a tuple: compare the color values
-            mine, theirs = tuple(mine), tuple(theirs)
-        return (self.n, self.r, self._pairs, mine) == (other.n, other.r, other._pairs, theirs)
+        return ((self.n, self.r, self._pairs, self._cols)
+                == (other.n, other.r, other._pairs, other._cols))
 
     __hash__ = None
 
@@ -239,7 +210,7 @@ class EdgeColoring:
     def color_sequence(self) -> Sequence[int]:
         """The C(n, 2) edge colors in lexicographic edge order, as the
         constructor takes them for K_n: the stored sequence itself, read-only,
-        whose items are ints (bytes or a tuple, see EdgeColoring).
+        whose items are ints (bytes when r <= 255, else a tuple).
         ValueError for any other storage."""
         if self._pairs is not None:
             raise ValueError("color_sequence requires a coloring stored as K_n")
@@ -321,57 +292,67 @@ def rainbow_complete(n: int) -> EdgeColoring:
 def monochromatic_complete(n: int) -> EdgeColoring:
     """K_n with every edge colored 1 (r = 0 for n = 1); n is an int >= 1."""
     _require_int("n", n, 1)
-    return EdgeColoring(n, 1 if n >= 2 else 0, b"\x01" * comb(n, 2))
+    return EdgeColoring._stored(n, 1 if n >= 2 else 0, None, b"\x01" * comb(n, 2))
 
 
-def validate(c: EdgeColoring) -> list[Violation]:
-    """Check the colors, a bool counting as no int, and r's range against n
-    (the constructor already checked that n and r are ints and the pairs);
-    return all violations (empty list = valid).  Colors stored as bytes are
-    plain ints already, so only their range and surjectivity are checked.
-    An n of 0 is the only violation reported, since K_0 has no coloring.
-    The verdict is computed once per coloring and cached; each call returns
-    a fresh list of it."""
-    if c._verdict is None:
-        object.__setattr__(c, "_verdict", tuple(_violations(c)))
-    return list(c._verdict)
+def _layout(n, r, colors) -> tuple:
+    """(pairs, cols) of the raw input as EdgeColoring stores them, before
+    the storage rule: pairs None for K_n, else sorted.  ValueError unless n
+    is an int >= 0 and r an int, every key of a mapping a pair (u, v) of
+    ints with 0 <= u < v < n, and a sequence C(n, 2) colors long."""
+    _require_int("n", n, 0)
+    _require_int("r", r)
+    m = comb(n, 2)
+    if not isinstance(colors, Mapping):
+        cols = bytes(colors) if isinstance(colors, (bytes, bytearray)) else tuple(colors)
+        if len(cols) != m:
+            raise ValueError(f"a color sequence for K_{n} needs {m} colors, got {len(cols)}")
+        return None, cols
+    for key in colors:
+        if not (isinstance(key, tuple) and len(key) == 2 and _is_int(key[0])
+                and _is_int(key[1]) and 0 <= key[0] < key[1] < n):
+            raise ValueError(f"edge {key!r} is not a pair (u, v) of ints with 0 <= u < v < {n}")
+    if len(colors) == m:
+        placed = [None] * m
+        for (u, v), col in colors.items():
+            placed[edge_index(n, u, v)] = col
+        return None, placed
+    items = sorted(colors.items())
+    return tuple(e for e, _ in items), [col for _, col in items]
 
 
-def _violations(c: EdgeColoring) -> list[Violation]:
-    n, r = c.n, c.r
+def validate(n: int, r: int, colors) -> list[Violation]:
+    """Every violation for which EdgeColoring(n, r, colors) raises "invalid
+    coloring", in the order it names them (empty list = valid): n = 0 alone,
+    since K_0 has no coloring, else r out of range, then each edge whose
+    color is not an int (a bool counts as none) in 1..r, then each unused
+    color.  The input takes the constructor's forms, and a malformed n, r,
+    pair or sequence length raises the constructor's ValueError."""
+    return _violations(n, r, *_layout(n, r, colors))
+
+
+def _violations(n, r, pairs, cols) -> list[Violation]:
     if n < 1:
         return [Violation("BadVertexCount", (n,))]
     out: list[Violation] = []
     # more colors than edges: report r once, not one MissingColor per color
-    too_many = r > len(c._cols)
+    too_many = r > len(cols)
     if too_many or (r != 0 if n == 1 else r < 1):
         out.append(Violation("BadColorCount", (r,)))
 
     # a set folds True into 1 and 2.0 into 2, so unless every edge's color
     # is a plain int and every color in range, each edge's color is checked
-    used = set(c._cols)
-    plain = type(c._cols) is bytes or set(map(type, c._cols)) <= {int}
+    plain = type(cols) is bytes or set(map(type, cols)) <= {int}
+    used = set(cols) if plain else None
     if not (plain and all(1 <= col <= r for col in used)):
         out += [Violation("BadColor", (u, v, col))
-                for (u, v), col in zip(c._pairs_in_order(), c._cols)
+                for (u, v), col in zip(combinations(range(n), 2) if pairs is None else pairs,
+                                       cols)
                 if not (_is_int(col) and 1 <= col <= r)]
-        used = {col for col in c._cols if _is_int(col) and 1 <= col <= r}
+        used = {col for col in cols if _is_int(col) and 1 <= col <= r}
     if not too_many:
         out += [Violation("MissingColor", (col,)) for col in range(1, r + 1) if col not in used]
     return out
-
-
-def require_valid(violations: list[Violation], path=None) -> None:
-    """Raise unless `violations`, the result of validate(), is empty.
-
-    The error is a FileFormatError naming `path` when the coloring was read
-    from that file, else a ValueError.
-    """
-    if violations:
-        message = "invalid coloring: " + ", ".join(str(v) for v in violations)
-        if path is None:
-            raise ValueError(message)
-        raise FileFormatError(f"{path}: {message}")
 
 
 def is_partition_valid(c: EdgeColoring, p: TreePartition) -> tuple[bool, str | None]:
@@ -465,7 +446,7 @@ def merge_colors(c: EdgeColoring, src: int, dst: int) -> EdgeColoring:
     edges, and no color index is left unused.  The result is stored as c
     is (a K_n coloring as its color sequence), its colors as bytes when
     r - 1 <= 255.  `src` and `dst` are distinct ints in 1..r, else
-    ValueError; an edge color outside 1..r raises KeyError.
+    ValueError.
     """
     _require_int("src", src, 1, c.r)
     _require_int("dst", dst, 1, c.r)
@@ -516,10 +497,13 @@ def restrict(c: EdgeColoring, keep) -> tuple[EdgeColoring, RestrictionMaps]:
 
     Vertices are renumbered 0..|keep|-1 in increasing order; surviving colors
     are renumbered 1..r0 preserving their relative order.  Only the pairs
-    inside `keep` are read; ValueError for an empty or out-of-range set or a
-    vertex that is not an int.
+    inside `keep` are read; ValueError for an empty or out-of-range set, a
+    vertex that is not an int, or two or more vertices that share no edge,
+    since no coloring of an edgeless graph on them is valid.
     """
     kept, items = _induced_edges(c, keep)
+    if not items and len(kept) > 1:
+        raise ValueError(f"the {len(kept)} kept vertices share no edge")
     vmap = {old: new for new, old in enumerate(kept)}
     surviving = sorted({col for _, _, col in items})
     cmap = {old: new for new, old in enumerate(surviving, start=1)}
@@ -642,7 +626,15 @@ def parse_coloring(text: str) -> EdgeColoring:
 
 
 def read_coloring(path) -> EdgeColoring:
-    return parse_coloring(Path(path).read_text())
+    """parse_coloring on the file at path; a parsed coloring that is not
+    valid raises FileFormatError naming path and the violations."""
+    text = Path(path).read_text()
+    try:
+        return parse_coloring(text)
+    except FileFormatError:
+        raise
+    except ValueError as exc:  # the constructor's "invalid coloring: ..."
+        raise FileFormatError(f"{path}: {exc}") from None
 
 
 def write_coloring(c: EdgeColoring, path) -> None:

@@ -59,10 +59,9 @@ from .coloring import (
     edge_pair,
     is_partition_valid,
     matching_trees,
-    require_valid,
     restrict,  # not called here; bench/spans.py traces it under this module name
     row_offset,
-    validate,
+    validate,  # not called here; bench/spans.py traces it under this module name
 )
 from .formula import f_of_r, partition_number
 
@@ -400,7 +399,6 @@ def partition_complete(c: EdgeColoring, trace: list | None = None) -> TreePartit
     pass a list as `trace` to collect one record per level
     (n, r, accepted swap moves, largest component, component count).
     """
-    require_valid(validate(c))
     if not c.complete:
         raise ValueError("partition_complete requires a complete graph")
     result = TreePartition(tuple(_construct(c, [] if trace is None else trace)))

@@ -71,8 +71,7 @@ from .coloring import (
     _defect,
     _require_int,
     is_partition_valid,
-    require_valid,
-    validate,
+    validate,  # not called here; bench/spans.py traces it under this module name
 )
 from .errors import SizeGuardError
 from .rainbow import _max_common_set, max_rainbow_forest, max_rainbow_forest_bruteforce
@@ -298,7 +297,6 @@ def solve(c: EdgeColoring, max_n: int = 14) -> SolveResult:
     before any table is built; n > max_n raises SizeGuardError.
     """
     _require_int("max_n", max_n, 1, _MAX_N_CEILING)
-    require_valid(validate(c))
     n, r = c.n, c.r
     if n > max_n:
         raise SizeGuardError(f"n={n} exceeds solver guard {max_n}")
@@ -389,7 +387,6 @@ def _set_partitions(elems: tuple):
 
 def solve_bruteforce(c: EdgeColoring) -> int:
     """Minimum over all set partitions, blocks checked by the brute oracle."""
-    require_valid(validate(c))
     n = c.n
     if n > _MAX_BRUTE_N:
         raise SizeGuardError(f"n={n} exceeds brute-force guard {_MAX_BRUTE_N}")

@@ -26,10 +26,9 @@ from .coloring import (
     format_coloring,
     merge_colors,
     parse_coloring,
-    validate,
 )
 from .constructive import partition_complete
-from .errors import ConstructionDefect, FileFormatError, SizeGuardError
+from .errors import ConstructionDefect, SizeGuardError
 from .formula import _require_kn_colors, partition_number
 from .solver import solve
 from .unionfind import mask_component
@@ -140,9 +139,9 @@ def revalidate_witness(w: dict) -> bool:
             return False
         try:
             c = parse_coloring(w["coloring"])
-        except FileFormatError:
+        except ValueError:  # a FileFormatError, or a coloring that is not valid
             return False
-        if validate(c) or not c.complete or (w.get("n"), w.get("r")) != (c.n, c.r):
+        if not c.complete or (w.get("n"), w.get("r")) != (c.n, c.r):
             return False
         return value == partition_number(c.n, c.r) and partition(c).count == value
     if kind == "cutedge-tight":
@@ -232,13 +231,13 @@ def random_surjective_coloring(n: int, r: int, rng: random.Random) -> EdgeColori
             for col in range(1, r + 1):
                 cand[order[col - 1]] = col
         assignment = cand
-    return EdgeColoring(n, r, assignment)
+    return EdgeColoring._stored(n, r, None, assignment)
 
 
 def iter_surjective_colorings(n: int, r: int):
     """All r-edge-colorings of K_n (every color used); exhaustive, desk scale."""
     _require_kn_colors(n, r)  # as partition_number does, on the call, not at the first next()
-    return (EdgeColoring(n, r, a)
+    return (EdgeColoring._stored(n, r, None, a)
             for a in product(range(1, r + 1), repeat=comb(n, 2)) if len(set(a)) == r)
 
 

@@ -13,9 +13,9 @@ from rainbowtrees import (
     is_partition_valid,
     partition_number,
     solve,
-    validate,
 )
 from rainbowtrees import canonical
+from test_coloring import reference_violations
 
 
 def test_canonical_4_3_layout():
@@ -68,7 +68,7 @@ def test_canonical_always_validates():
     for n in range(3, 9):
         for r in range(2, comb(n, 2) + 1):
             c, layout = generate_canonical(n, r)
-            assert validate(c) == [], (n, r)
+            assert reference_violations(n, r, c.colors) == [], (n, r)
             assert len(layout.core) == f_of_r(r)
 
 
@@ -90,7 +90,7 @@ def test_canonical_rejects_bad_parameters():
 def test_fill_override_rules():
     c, layout = generate_canonical(6, 3, fill_color=2)
     assert layout.fill_color == 2
-    assert validate(c) == []
+    assert reference_violations(c.n, c.r, c.colors) == []
     with pytest.raises(ValueError):
         generate_canonical(6, 3, fill_color=9)
     with pytest.raises(ValueError):

@@ -12,11 +12,11 @@ from rainbowtrees import (
     read_partition,
     is_partition_valid,
     solve,
-    validate,
     write_coloring,
 )
 from rainbowtrees import solver
 from rainbowtrees.cli import main
+from test_coloring import reference_violations
 
 
 def run_cli(capsys, *argv):
@@ -67,7 +67,7 @@ def test_canonical_stdout_is_a_valid_coloring_file(capsys):
     code, out, _ = run_cli(capsys, "canonical", 5, 4)
     assert code == 0
     c = parse_coloring(out)  # config lines are comments in the format
-    assert validate(c) == []
+    assert reference_violations(c.n, c.r, c.colors) == []
     assert c.n == 5 and c.r == 4
 
 
@@ -119,7 +119,7 @@ def test_merge_command(tmp_path, capsys):
     assert code == 0
     merged = read_coloring(ofile)
     assert merged.r == 3
-    assert validate(merged) == []
+    assert reference_violations(merged.n, merged.r, merged.colors) == []
 
 
 def test_coloring_stdout_over_several_write_batches_is_the_formatted_text(tmp_path, capsys):

@@ -3,6 +3,8 @@ import pickle
 import random
 import re
 import tracemalloc
+from collections import Counter
+from collections.abc import Mapping
 from math import comb
 
 import pytest
@@ -47,23 +49,105 @@ def rainbow_k3():
 # ---------------------------------------------------------------- validate
 
 
+def reference_violations(n, r, colors):
+    """The check validate() ran on a built coloring before the constructor
+    ran it, on raw input (a mapping of pairs, or the C(n, 2) colors of K_n
+    in lexicographic edge order): n = 0 alone, else r out of range, then
+    each edge whose color is not an int (a bool counts as none) in 1..r, in
+    edge order, then each unused color unless r exceeds the edge count."""
+    if n < 1:
+        return [Violation("BadVertexCount", (n,))]
+    items = (sorted(colors.items()) if isinstance(colors, Mapping)
+             else list(zip(itertools.combinations(range(n), 2), colors)))
+    out = []
+    too_many = r > len(items)
+    if too_many or (r != 0 if n == 1 else r < 1):
+        out.append(Violation("BadColorCount", (r,)))
+    in_range = [isinstance(col, int) and not isinstance(col, bool) and 1 <= col <= r
+                for _, col in items]
+    out += [Violation("BadColor", (u, v, col)) for ((u, v), col), ok in zip(items, in_range)
+            if not ok]
+    used = {col for (_, col), ok in zip(items, in_range) if ok}
+    if not too_many:
+        out += [Violation("MissingColor", (col,)) for col in range(1, r + 1) if col not in used]
+    return out
+
+
+def invalid(*violations):
+    """The constructor's error for these violations, as a full-match pattern."""
+    return "^" + re.escape("invalid coloring: " + ", ".join(map(str, violations))) + "$"
+
+
+@st.composite
+def raw_colorings(draw):
+    """(n, r, colors) in every form the constructor takes: a list, a tuple,
+    bytes or a bytearray of the C(n, 2) colors of K_n, or a mapping of all
+    or some pairs in any order.  Colors are ints in and out of 1..r, bools
+    and floats, or, about half the time, every color of 1..r at least once;
+    r runs past the edge count, and n takes 0 and 1."""
+    n = draw(st.integers(0, 5))
+    pairs = list(itertools.combinations(range(n), 2))
+    mapping = draw(st.booleans())
+    if mapping:
+        pairs = draw(st.permutations(pairs))[:draw(st.integers(0, len(pairs)))]
+    m = len(pairs)
+    r = draw(st.integers(0, m + 2))
+    if 1 <= r <= m and draw(st.booleans()):
+        extra = draw(st.lists(st.integers(1, r), min_size=m - r, max_size=m - r))
+        cols = draw(st.permutations([*range(1, r + 1), *extra]))
+    else:
+        loose = st.one_of(st.integers(-1, r + 1), st.booleans(), st.sampled_from([1.0, 2.0, 0.5]))
+        cols = draw(st.lists(loose, min_size=m, max_size=m))
+    if mapping:
+        return n, r, dict(zip(pairs, cols))
+    kinds = [list, tuple]
+    if all(type(col) is int and 0 <= col <= 255 for col in cols):
+        kinds += [bytes, bytearray]
+    return n, r, draw(st.sampled_from(kinds))(cols)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(raw_colorings())
+@example((3, 2, [1, True, 2]))
+@example((3, 2, [1, 2, 2.0]))
+@example((24, 276, range(1, 277)))
+@example((24, 276, [1] * 276))
+def test_the_constructor_raises_exactly_the_violations_of_the_reference(case):
+    n, r, colors = case
+    expected = reference_violations(n, r, colors)
+    assert validate(n, r, colors) == expected
+    if expected:
+        with pytest.raises(ValueError) as exc:
+            EdgeColoring(n, r, colors)
+        assert str(exc.value) == "invalid coloring: " + ", ".join(map(str, expected))
+        return
+    c = EdgeColoring(n, r, colors)
+    items = (sorted(colors.items()) if isinstance(colors, Mapping)
+             else zip(itertools.combinations(range(n), 2), colors))
+    assert c.edges() == [(u, v, col) for (u, v), col in items]
+    assert type(c._cols) is (bytes if r <= 255 else tuple)
+    assert parse_coloring(format_coloring(c)) == c
+
+
 def test_validate_rainbow_triangle_is_clean():
-    assert validate(rainbow_k3()) == []
+    assert validate(3, 3, {(0, 1): 1, (0, 2): 2, (1, 2): 3}) == []
+    assert validate(3, 3, [1, 2, 3]) == [] and rainbow_k3().r == 3
 
 
 def test_validate_missing_color():
-    c = EdgeColoring(3, 3, {(0, 1): 1, (0, 2): 1, (1, 2): 2})
-    codes = [v.code for v in validate(c)]
-    assert codes == ["MissingColor"]
-    assert validate(c)[0].info == (3,)
+    colors = {(0, 1): 1, (0, 2): 1, (1, 2): 2}
+    assert validate(3, 3, colors) == [Violation("MissingColor", (3,))]
+    with pytest.raises(ValueError, match=invalid(Violation("MissingColor", (3,)))):
+        EdgeColoring(3, 3, colors)
 
 
 def test_validate_reports_a_color_count_above_the_edge_count_once():
     # r > C(3, 2): one BadColorCount, not one MissingColor per absent color
-    assert validate(EdgeColoring(3, 10**6, (1, 1, 1))) == [
-        Violation("BadColorCount", (10**6,))]
-    assert validate(EdgeColoring(3, 4, (1, 2, 5))) == [
-        Violation("BadColorCount", (4,)), Violation("BadColor", (1, 2, 5))]
+    with pytest.raises(ValueError, match=invalid(Violation("BadColorCount", (10**6,)))):
+        EdgeColoring(3, 10**6, (1, 1, 1))
+    with pytest.raises(ValueError, match=invalid(Violation("BadColorCount", (4,)),
+                                                 Violation("BadColor", (1, 2, 5)))):
+        EdgeColoring(3, 4, (1, 2, 5))
 
 
 @pytest.mark.parametrize("key", [(1, 0), (0, 5), (1, 1), ("a", 1), (0, 1, 2), (False, True)],
@@ -73,17 +157,19 @@ def test_constructor_rejects_malformed_pairs(key):
         EdgeColoring(3, 1, {key: 1, (0, 2): 1})
 
 
-@pytest.mark.parametrize("c, found", [
-    (EdgeColoring(3, 2, [1, True, 2]), ["BadColor(0, 2, True)"]),
-    (EdgeColoring(3, 2, [True, 1, 2]), ["BadColor(0, 1, True)"]),
-    (EdgeColoring(3, 2, [True, True, 2]), ["BadColor(0, 1, True)", "BadColor(0, 2, True)",
-                                           "MissingColor(1,)"]),
-    (EdgeColoring(3, 2, [1, 2, False]), ["BadColor(1, 2, False)"]),
-    (EdgeColoring(3, 2, [1, 2, 2.0]), ["BadColor(1, 2, 2.0)"]),
+@pytest.mark.parametrize("colors, found", [
+    ([1, True, 2], ["BadColor(0, 2, True)"]),
+    ([True, 1, 2], ["BadColor(0, 1, True)"]),
+    ([True, True, 2], ["BadColor(0, 1, True)", "BadColor(0, 2, True)", "MissingColor(1,)"]),
+    ([1, 2, False], ["BadColor(1, 2, False)"]),
+    ([1, 2, 2.0], ["BadColor(1, 2, 2.0)"]),
 ], ids=["true-after-1", "true-before-1", "only-true", "false", "float"])
-def test_validate_reports_each_color_that_is_not_an_int(c, found):
+def test_validate_reports_each_color_that_is_not_an_int(colors, found):
     # a set folds True into 1 and 2.0 into 2; every edge's color is checked
-    assert [str(v) for v in validate(c)] == found
+    assert [str(v) for v in validate(3, 2, colors)] == found
+    message = "invalid coloring: " + ", ".join(found)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        EdgeColoring(3, 2, colors)
 
 
 @pytest.mark.parametrize("n, r, message", [
@@ -95,42 +181,29 @@ def test_validate_reports_each_color_that_is_not_an_int(c, found):
 @pytest.mark.parametrize("colors", [[1], {(1, 0): 1}], ids=["short-sequence", "reversed-pair"])
 def test_constructor_checks_n_and_r_before_the_colors(n, r, message, colors):
     # colors the constructor would reject for any n: n and r are named first
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        EdgeColoring(n, r, colors)
-
-
-@pytest.mark.parametrize("c, found", [
-    (rainbow_k3(), []),
-    (EdgeColoring(3, 2, [1, True, 2]), [Violation("BadColor", (0, 2, True))]),
-    (EdgeColoring(3, 3, {(0, 1): 1, (0, 2): 1, (1, 2): 2}), [Violation("MissingColor", (3,))]),
-], ids=["valid", "bool-color", "missing-color"])
-def test_validate_caches_its_verdict_and_returns_a_fresh_list(c, found):
-    first = validate(c)
-    assert first == found
-    first.append(Violation("BadColorCount", (-1,)))
-    second = validate(c)
-    assert second == found and second is not first
-    assert validate(c) == found and validate(c) is not second
-    restored = pickle.loads(pickle.dumps(c))
-    assert restored == c and validate(restored) == found
+    for check in (EdgeColoring, validate):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check(n, r, colors)
 
 
 def test_validate_color_out_of_range():
-    c = EdgeColoring(3, 2, {(0, 1): 1, (0, 2): 2, (1, 2): 7})
-    assert "BadColor" in {v.code for v in validate(c)}
+    with pytest.raises(ValueError, match=invalid(Violation("BadColor", (1, 2, 7)))):
+        EdgeColoring(3, 2, {(0, 1): 1, (0, 2): 2, (1, 2): 7})
 
 
 def test_validate_degenerate_single_vertex():
-    assert validate(EdgeColoring(1, 0, {})) == []
-    assert validate(EdgeColoring(0, 0, [])) == [Violation("BadVertexCount", (0,))]
-    assert "BadColorCount" in {v.code for v in validate(EdgeColoring(1, 1, {}))}
-    assert "BadColorCount" in {v.code for v in validate(EdgeColoring(2, 0, {}))}
+    assert EdgeColoring(1, 0, {}).edges() == [] and validate(1, 0, {}) == []
+    for n, r, colors, found in ((0, 0, [], Violation("BadVertexCount", (0,))),
+                                (1, 1, {}, Violation("BadColorCount", (1,))),
+                                (2, 0, {}, Violation("BadColorCount", (0,)))):
+        with pytest.raises(ValueError, match=invalid(found)):
+            EdgeColoring(n, r, colors)
 
 
 def test_completeness_is_inferred():
     assert rainbow_k3().complete
     c = EdgeColoring(3, 1, {(0, 1): 1})
-    assert not c.complete and validate(c) == []
+    assert not c.complete
     assert pickle.loads(pickle.dumps(c)) == c
     assert eval(repr(c)) == c and "complete" not in repr(c)
 
@@ -417,7 +490,7 @@ def test_merge_renumbers_colors_above_src():
     merged = merge_colors(c, 1, 2)
     # color 1 became 2, then 2 -> 1 and 3 -> 2 after renumbering
     assert merged.colors == {(0, 1): 1, (0, 2): 1, (1, 2): 2}
-    assert validate(merged) == []
+    assert reference_violations(merged.n, merged.r, merged.colors) == []
 
 
 def test_merge_rejects_bad_arguments():
@@ -428,8 +501,6 @@ def test_merge_rejects_bad_arguments():
         merge_colors(c, 0, 1)
     with pytest.raises(ValueError):
         merge_colors(c, 1, 4)
-    with pytest.raises(KeyError):  # an edge color above r
-        merge_colors(EdgeColoring(3, 2, [1, 2, 3]), 1, 2)
 
 
 def test_merge_rejects_a_bool_color():
@@ -450,7 +521,7 @@ def test_merge_always_yields_valid_coloring(n, data):
         dst += 1
     merged = merge_colors(c, src, dst)
     assert merged.r == c.r - 1
-    assert validate(merged) == []
+    assert reference_violations(merged.n, merged.r, merged.colors) == []
 
 
 # ---------------------------------------------------------------- restrict
@@ -477,7 +548,7 @@ def test_restriction_maps_are_read_only():
 def test_restrict_rainbow_k4_to_triangle():
     sub, maps = restrict(rainbow_complete(4), {0, 1, 2})
     assert sub.n == 3 and sub.r == 3
-    assert validate(sub) == []
+    assert reference_violations(sub.n, sub.r, sub.colors) == []
     assert maps.color_map == {1: 1, 2: 2, 4: 3}
 
 
@@ -505,20 +576,39 @@ def test_restrict_rejects_a_bool_vertex():
         restrict(rainbow_k3(), [True, 0])
 
 
+@pytest.mark.parametrize("keep", [[1, 2], [0, 2, 3]], ids=["two", "three"])
+def test_restrict_rejects_vertices_that_share_no_edge(keep):
+    # r = 0 colors no graph on two or more vertices, and a built coloring is valid
+    c = EdgeColoring(4, 1, {(0, 1): 1})
+    with pytest.raises(ValueError, match=f"^the {len(keep)} kept vertices share no edge$"):
+        restrict(c, keep)
+    assert restrict(c, [2])[0] == EdgeColoring(1, 0, {})
+
+
 def induced_edges_reference(c, within):
     """The induced edges as a filter over every edge of c."""
     inside = set(within)
     return sorted(inside), [e for e in c.edges() if e[0] in inside and e[1] in inside]
 
 
+def dense(colors):
+    """(r, colors) with the colors used renumbered in order onto 1..r, so
+    that every one of them is used; `colors` is a list or a dict."""
+    used = sorted(set(colors.values() if isinstance(colors, dict) else colors))
+    rank = {col: i for i, col in enumerate(used, 1)}
+    if isinstance(colors, dict):
+        return len(rank), {e: rank[col] for e, col in colors.items()}
+    return len(rank), [rank[col] for col in colors]
+
+
 def random_sparse_coloring(rng, n):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
-    return EdgeColoring(n, 3, {e: rng.randint(1, 3) for e in pairs})
+    return EdgeColoring(n, *dense({e: rng.randint(1, 3) for e in pairs or [(0, 1)]}))
 
 
 def test_induced_edges_match_a_filter_over_every_edge():
     rng = random.Random(24)
-    colorings = [EdgeColoring(n, 3, [rng.randint(1, 3) for _ in range(n * (n - 1) // 2)])
+    colorings = [EdgeColoring(n, *dense([rng.randint(1, 3) for _ in range(n * (n - 1) // 2)]))
                  for n in range(1, 10)]
     colorings += [random_sparse_coloring(rng, n) for n in range(3, 10) for _ in range(3)]
     assert sum(not c.complete for c in colorings) >= 15
@@ -570,6 +660,18 @@ def test_color_sequence_rows():
 # ------------------------------------------------------------------ file I/O
 
 
+def test_read_coloring_names_the_file_of_a_coloring_that_is_not_valid(tmp_path):
+    path = tmp_path / "c.txt"
+    path.write_text("3 2\n0 1 1\n0 2 1\n1 2 1\n")  # color 2 is never used
+    with pytest.raises(ValueError, match=invalid(Violation("MissingColor", (2,)))) as exc:
+        parse_coloring(path.read_text())
+    assert type(exc.value) is ValueError
+    with pytest.raises(FileFormatError) as exc:
+        read_coloring(path)
+    assert str(exc.value) == f"{path}: invalid coloring: MissingColor(2,)"
+    assert exc.value.line is None
+
+
 def test_coloring_round_trip(tmp_path):
     c = rainbow_complete(5)
     assert parse_coloring(format_coloring(c)) == c
@@ -584,34 +686,18 @@ def test_coloring_format_is_deterministic():
     assert format_coloring(a) == format_coloring(b)
 
 
-@st.composite
-def loosely_typed_colorings(draw):
-    """Colorings whose colors may be bools or floats equal to an int."""
-    n = draw(st.integers(1, 4))
-    m = n * (n - 1) // 2
-    r = draw(st.integers(0, m + 1))
-    value = st.one_of(st.integers(0, m + 1), st.booleans(), st.sampled_from([1.0, 2.0]))
-    return EdgeColoring(n, r, draw(st.lists(value, min_size=m, max_size=m)))
-
-
-@settings(max_examples=300, derandomize=True)
-@given(loosely_typed_colorings())
-@example(EdgeColoring(3, 2, [1, True, 2]))
-@example(EdgeColoring(3, 2, [1, 2, 2.0]))
-def test_every_coloring_validate_accepts_survives_a_file_round_trip(c):
-    if validate(c) == []:
-        assert parse_coloring(format_coloring(c)) == c
-
-
 def test_a_k_n_file_missing_one_edge_parses_like_its_mapping():
-    # long enough to list K_5, so its colors go to a list, which has a gap
-    lines = format_coloring(rainbow_complete(5)).splitlines(keepends=True)
+    # long enough to list K_5, so its colors go to a list, which has a gap;
+    # color 4 is on (0, 4) and on (1, 2), so the sparse coloring uses it still
+    full = merge_colors(rainbow_complete(5), 5, 4)
+    lines = format_coloring(full).splitlines(keepends=True)
+    assert lines[4] == "0 4 4\n" and full.color_of(1, 2) == 4
     text = "".join(lines[:4] + lines[5:])  # drops "0 4 4"
     assert len(text) >= 5 * 10
-    colors = dict(rainbow_complete(5).colors)
+    colors = dict(full.colors)
     del colors[(0, 4)]
     c = parse_coloring(text)
-    assert not c.complete and c == EdgeColoring(5, 10, colors)
+    assert not c.complete and c == EdgeColoring(5, 9, colors)
 
 
 def test_parse_coloring_comments_and_blanks():
@@ -767,6 +853,8 @@ def test_parse_coloring_fuzz_returns_or_names_a_line(text):
         c = parse_coloring(text)
     except FileFormatError as exc:
         assert exc.line is not None or str(exc) == "empty coloring file", exc
+    except ValueError as exc:  # a well-formed file whose coloring is not valid
+        assert str(exc).startswith("invalid coloring: "), exc
     else:
         assert parse_coloring(format_coloring(c)) == c
 
@@ -813,14 +901,16 @@ def dict_restrict(colors, keep):
 
 @st.composite
 def colorings(draw):
-    """(n, colors dict, complete?) with colors 1..4 on all pairs or a subset."""
+    """(n, colors dict, complete?) with colors 1..4 on all pairs or on a
+    subset, at least one pair when n >= 2, renumbered so that every color
+    of 1..r is used."""
     n = draw(st.integers(1, 8))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     complete = draw(st.booleans())
     if not complete:
-        pairs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        pairs = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1)) if pairs else []
     cols = draw(st.lists(st.integers(1, 4), min_size=len(pairs), max_size=len(pairs)))
-    return n, dict(zip(pairs, cols)), complete
+    return n, dense(dict(zip(pairs, cols)))[1], complete
 
 
 @settings(max_examples=200, derandomize=True)
@@ -844,8 +934,12 @@ def test_storage_matches_sort_based_reference(case, data):
             if known:
                 assert c.color_of(u, v) == colors.get((u, v), colors.get((v, u)))
     keep = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
-    sub, maps = restrict(c, keep)
     ref_colors, vmap, cmap = dict_restrict(colors, keep)
+    if not ref_colors and len(keep) > 1:  # no coloring of an edgeless graph is valid
+        with pytest.raises(ValueError, match=f"^the {len(keep)} kept vertices share no edge$"):
+            restrict(c, keep)
+        return
+    sub, maps = restrict(c, keep)
     assert (sub.n, sub.r) == (len(keep), len(cmap))
     assert sub.colors == ref_colors
     assert (maps.vertex_map, maps.color_map) == (vmap, cmap)
@@ -869,7 +963,7 @@ def test_coloring_is_immutable_and_copies_its_input():
     given_colors[(0, 1)] = 3
     del given_colors[(1, 2)]
     assert c.colors == {(0, 1): 1, (0, 2): 2, (1, 2): 3}
-    assert c == rainbow_k3() and validate(c) == []
+    assert c == rainbow_k3()
     assert pickle.loads(pickle.dumps(c)) == c
 
 
@@ -890,7 +984,7 @@ def test_color_classes_are_packed_and_cached():
 @pytest.mark.parametrize("make", [
     lambda: random_surjective_coloring(300, 12, random.Random(3)),
     lambda: random_surjective_coloring(300, 300, random.Random(3)),
-    lambda: EdgeColoring(300, 12, {(u, v): u * v % 12 + 1
+    lambda: EdgeColoring(300, 12, {(u, v): (u + v) % 12 + 1
                                    for u in range(0, 300, 2) for v in range(u + 1, 300)}),
 ], ids=["bytes", "tuple", "sparse"])
 def test_color_classes_peak_near_their_own_size(make):
@@ -908,7 +1002,6 @@ def test_color_classes_peak_near_their_own_size(make):
 
 def test_color_classes_reject_vertices_above_16_bits():
     c = EdgeColoring(70000, 1, {(0, 69999): 1})
-    assert validate(c) == []
     with pytest.raises(ValueError, match="65536"):
         c.color_classes()
 
@@ -948,13 +1041,6 @@ def test_color_sequence_must_cover_every_pair():
 
 
 # ------------------------------------------------------------- byte storage
-
-
-def tuple_twin(c):
-    """c with its colors held in a tuple, as every coloring was before byte storage."""
-    twin = object.__new__(EdgeColoring)
-    twin._hold(c.n, c.r, c._pairs, tuple(c._cols))
-    return twin
 
 
 def _file(n, r, lines):
@@ -997,42 +1083,61 @@ def test_every_producer_stores_bytes_up_to_r_255_and_a_tuple_above(small, large)
         c = make()
         assert (c.r <= 255) == (kind is bytes)
         assert type(c._cols) is kind
-        assert validate(c) == []
-        assert c == tuple_twin(c) and tuple_twin(c) == c
+        assert reference_violations(c.n, c.r, c.colors) == []
+        assert c == EdgeColoring(c.n, c.r, dict(c.colors))  # the constructor stores it alike
         assert format_coloring(c) == reference_text(c)
         assert all(type(col) is int for col in c._cols)
 
 
+@pytest.mark.parametrize("small, large", [p[1:] for p in _producers if p[0] != "parse"],
+                         ids=[p[0] for p in _producers if p[0] != "parse"])
+def test_every_producer_but_the_parser_skips_the_check(small, large, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a producer ran the constructor's check")
+
+    monkeypatch.setattr(coloring, "_violations", refuse)
+    for make in (small, large):
+        if make is not None:
+            make()
+    with pytest.raises(AssertionError, match="the constructor's check"):
+        EdgeColoring(3, 3, [1, 2, 3])
+
+
 @pytest.mark.parametrize("bad", [True, 2.0, -1, 256], ids=["bool", "float", "negative", "256"])
-def test_colors_that_do_not_fit_a_byte_keep_a_tuple(bad):
+def test_colors_that_do_not_fit_a_byte_are_refused(bad):
     # bytes([True]) is b"\x01": a bool must not pass as the color 1
-    for c, edge in ((EdgeColoring(3, 2, [1, 2, bad]), (1, 2)),
-                    (EdgeColoring(4, 2, {(0, 1): 1, (1, 2): 2, (2, 3): bad}), (2, 3))):
-        assert type(c._cols) is tuple
-        assert Violation("BadColor", (*edge, bad)) in validate(c)
-        assert c.color_of(*edge) is bad
+    for n, colors, edge in ((3, [1, 2, bad], (1, 2)),
+                            (4, {(0, 1): 1, (1, 2): 2, (2, 3): bad}, (2, 3))):
+        with pytest.raises(ValueError, match=invalid(Violation("BadColor", (*edge, bad)))):
+            EdgeColoring(n, 2, colors)
 
 
-@pytest.mark.parametrize("end", [1.0, 2.0, True, -1, 4], ids=["float", "float-2", "bool", "negative", "n"])
+@pytest.mark.parametrize("end", [1.0, 2.0, True, -1, "n"], ids=["float", "float-2", "bool", "negative", "n"])
 def test_an_end_that_is_no_vertex_has_no_edge_and_no_color(end):
-    # an int-valued float or a bool is treated as an out-of-range end, not as the vertex it equals
-    for c in (rainbow_complete(4), EdgeColoring(4, 2, {(0, 1): 1, (1, 2): 2})):
-        for held in (c, tuple_twin(c)):
-            assert held.has_edge(2, 1) and held.color_of(2, 1) == c.color_of(1, 2)
-            for u in range(4):
-                assert not held.has_edge(u, end) and not held.has_edge(end, u)
-                for ends in ((u, end), (end, u)):
-                    with pytest.raises(KeyError):
-                        held.color_of(*ends)
+    # an int-valued float or a bool is treated as an out-of-range end, not as
+    # the vertex it equals, in byte and in tuple storage (r = 276 > 255)
+    for c in (rainbow_complete(4), EdgeColoring(4, 2, {(0, 1): 1, (1, 2): 2}),
+              rainbow_complete(24)):
+        no_vertex = c.n if end == "n" else end
+        assert c.has_edge(2, 1) and c.color_of(2, 1) == c.color_of(1, 2)
+        for u in range(4):
+            assert not c.has_edge(u, no_vertex) and not c.has_edge(no_vertex, u)
+            for ends in ((u, no_vertex), (no_vertex, u)):
+                with pytest.raises(KeyError):
+                    c.color_of(*ends)
 
 
-def test_equal_colorings_are_equal_across_storages():
+def test_every_input_form_builds_an_equal_coloring():
     c = EdgeColoring(4, 2, [1, 2, 1, 2, 1, 1])
-    assert type(c._cols) is bytes and c == tuple_twin(c) and tuple_twin(c) == c
-    other = tuple_twin(EdgeColoring(4, 2, [1, 2, 1, 2, 1, 2]))
+    assert type(c._cols) is bytes
+    for colors in (b"\x01\x02\x01\x02\x01\x01", bytearray(b"\x01\x02\x01\x02\x01\x01"),
+                   (1, 2, 1, 2, 1, 1), dict(reversed(c.colors.items()))):
+        assert EdgeColoring(4, 2, colors) == c
+    other = EdgeColoring(4, 2, [1, 2, 1, 2, 1, 2])
     assert c != other and other != c
-    assert _sparse == tuple_twin(_sparse) and type(_sparse._cols) is bytes
-    assert EdgeColoring(3, 2, b"\x01\x02\x02") == EdgeColoring(3, 2, (1, 2, 2))
+    big = rainbow_complete(24)
+    assert type(big._cols) is tuple
+    assert EdgeColoring(24, 276, dict(big.colors)) == big == EdgeColoring(24, 276, range(1, 277))
 
 
 def test_pickling_keeps_byte_storage_and_builds_no_colors_dict():
@@ -1043,14 +1148,16 @@ def test_pickling_keeps_byte_storage_and_builds_no_colors_dict():
 
 
 def test_pickling_rebuilds_through_the_constructor_and_keeps_tuple_colors():
-    # a tuple holding True and 2.0 stays a tuple of the same objects, for K_n and sparse
-    for c in (EdgeColoring(3, 2, [1, True, 2.0]),
-              EdgeColoring(5, 2, {(0, 4): True, (1, 2): 2.0, (3, 4): 1})):
-        assert c.__reduce__()[0] is EdgeColoring
+    # r > 255 keeps the colors in a tuple, for K_n and sparse
+    pairs = list(itertools.combinations(range(30), 2))[:300]
+    for c in (rainbow_complete(24), EdgeColoring(30, 300, dict(zip(pairs, range(1, 301))))):
+        build, args = c.__reduce__()
+        assert build is EdgeColoring
+        with pytest.raises(ValueError, match=invalid(Violation("BadColorCount", (c.r + 1,)))):
+            build(args[0], args[1] + 1, args[2])  # the arguments are checked on the way back
         restored = pickle.loads(pickle.dumps(c))
         assert type(restored._cols) is tuple and restored == c
-        assert [(type(col), col) for col in restored._cols] == [(type(col), col) for col in c._cols]
-        assert restored._pairs == c._pairs and validate(restored) == validate(c)
+        assert restored._pairs == c._pairs
 
 
 def test_a_bytes_input_is_kept_and_a_bytearray_copied():
@@ -1060,7 +1167,6 @@ def test_a_bytes_input_is_kept_and_a_bytearray_copied():
     c = EdgeColoring(3, 2, buffer)
     buffer[0] = 2
     assert type(c._cols) is bytes and tuple(c.color_sequence) == (1, 2, 2)
-    assert validate(c) == []
 
 
 @settings(max_examples=150, derandomize=True)
@@ -1068,17 +1174,25 @@ def test_a_bytes_input_is_kept_and_a_bytearray_copied():
        st.randoms(use_true_random=False))
 def test_dense_and_dict_parses_agree(n, case, rnd):
     # a file long enough to list K_n is read into one bytearray (r <= 255)
-    # or list (r = 300); a shorter one, and a file that misses an edge, is
-    # read into a dict, whose coloring the constructor builds
+    # or list (r = 300 on K_25, every edge its own color); a shorter one, and
+    # a file that misses an edge, is read into a dict, whose coloring the
+    # constructor builds
+    if case == "r300":
+        n = 25
     m = comb(n, 2)
-    r = 300 if case == "r300" else rnd.randint(1, m)
-    lines = [(u, v, rnd.randint(1, r)) for u, v in itertools.combinations(range(n), 2)]
-    if case == "r300":  # one color above a byte keeps the whole sequence in a tuple
-        i = rnd.randrange(m)
-        lines[i] = lines[i][:2] + (300,)
+    r = 300 if case == "r300" else rnd.randint(1, max(1, m - (case == "missing")))
+    cols = [*range(1, r + 1), *(rnd.randint(1, r) for _ in range(m - r))]  # every color used
+    rnd.shuffle(cols)
+    lines = [(u, v, col) for (u, v), col in zip(itertools.combinations(range(n), 2), cols)]
     rnd.shuffle(lines)
-    if case == "missing":
-        del lines[rnd.randrange(m)]
+    if case == "missing":  # an edge whose color another edge has, when there is one
+        counts = Counter(col for _, _, col in lines)
+        shared = [i for i, (_, _, col) in enumerate(lines) if counts[col] > 1]
+        del lines[rnd.choice(shared) if shared else 0]
+        if not shared:  # K_2 without its only edge: no edge carries color 1
+            with pytest.raises(ValueError, match=invalid(Violation("BadColorCount", (1,)))):
+                parse_coloring(_file(n, r, lines))
+            return
     if case == "duplicate":
         at = rnd.randrange(m)
         again = rnd.randrange(at + 1, m + 1)
@@ -1091,7 +1205,7 @@ def test_dense_and_dict_parses_agree(n, case, rnd):
             assert exc.value.line == again + 2
         return
     text = _file(n, r, lines)
-    assert 5 * m <= len(text) or m == 1 and case == "missing"  # the dense path
+    assert 5 * m <= len(text)  # the dense path
     c = parse_coloring(text)
     assert c == EdgeColoring(n, r, {(u, v): col for u, v, col in lines})
     assert c.complete == (case != "missing")

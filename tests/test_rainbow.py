@@ -18,13 +18,15 @@ from rainbowtrees.unionfind import UnionFind
 
 
 def random_coloring(rng, n, edge_prob=0.8):
-    """Random subgraph with random (not necessarily surjective) colors."""
+    """Random subgraph with random colors, renumbered in order onto 1..r so
+    that every color is used; renaming colors changes no forest's size."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     kept = [p for p in pairs if rng.random() < edge_prob]
     if not kept:
         kept = [pairs[0]]
     colors = {p: rng.randint(1, len(kept)) for p in kept}
-    return EdgeColoring(n, max(colors.values()), colors)
+    dense = {col: i for i, col in enumerate(sorted(set(colors.values())), 1)}
+    return EdgeColoring(n, len(dense), {p: dense[col] for p, col in colors.items()})
 
 
 def test_monochromatic_k4_max_forest_is_one_edge():

@@ -69,9 +69,9 @@ def test_solver_guard_and_validation():
         solve(monochromatic_complete(6), max_n=5)
     with pytest.raises(SizeGuardError):
         solve_bruteforce(monochromatic_complete(8))
-    bad = EdgeColoring(3, 3, {(0, 1): 1, (0, 2): 1, (1, 2): 2})
-    with pytest.raises(ValueError):
-        solve(bad)
+    # a coloring that misses a color is refused when it is built, so solve never sees one
+    with pytest.raises(ValueError, match=r"^invalid coloring: MissingColor\(3,\)$"):
+        EdgeColoring(3, 3, {(0, 1): 1, (0, 2): 1, (1, 2): 2})
 
 
 def test_solve_agrees_with_bruteforce():

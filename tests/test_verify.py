@@ -27,10 +27,10 @@ from rainbowtrees import (
     partition_number,
     random_surjective_coloring,
     solve,
-    validate,
 )
 from rainbowtrees import verify
 from rainbowtrees.verify import _connected_bitadj, _has_bridge, revalidate_witness
+from test_coloring import reference_violations
 
 
 # ------------------------------------------------------- instance generators
@@ -42,7 +42,7 @@ def test_random_surjective_coloring_is_valid():
         n = rng.randint(2, 8)
         r = rng.randint(1, comb(n, 2))
         c = random_surjective_coloring(n, r, rng)
-        assert validate(c) == []
+        assert reference_violations(n, r, c.colors) == []
         assert c.complete
 
 
@@ -51,7 +51,7 @@ def test_random_surjective_extreme_r_uses_the_repair_path():
     for n in (5, 6, 7):
         m = comb(n, 2)
         c = random_surjective_coloring(n, m, rng)  # needs a permutation
-        assert validate(c) == []
+        assert reference_violations(n, m, c.colors) == []
         assert sorted(c.colors.values()) == list(range(1, m + 1))
 
 
@@ -148,7 +148,7 @@ def test_exhaustive_enumerations_have_known_sizes():
     pinned = [c for c in iter_surjective_colorings(4, 2) if c.color_sequence[0] == 1]
     assert len(pinned) == 2 ** 5 - 1
     for c in iter_surjective_colorings(3, 2):
-        assert validate(c) == []
+        assert reference_violations(c.n, c.r, c.colors) == []
 
 
 # ----------------------------------------------------------- bridge finding
@@ -260,7 +260,7 @@ def test_campaign_worstcase_cells_count_their_own_failures(monkeypatch):
     # that reaches it
     for f in report.failures:
         c = parse_coloring(f["coloring"])
-        assert validate(c) == [] and (c.n, c.r) == (f["n"], f["r"])
+        assert reference_violations(c.n, c.r, c.colors) == [] and (c.n, c.r) == (f["n"], f["r"])
     (record,) = [f for f in report.failures if f["kind"] == "exhaustive-max"]
     assert parse_coloring(record["coloring"]) == next(iter_surjective_colorings(4, 3))
 
@@ -521,6 +521,12 @@ def test_extremal_witness_must_match_its_coloring():
         assert not revalidate_witness(dict(w, n=w["n"] + 1))
         assert not revalidate_witness(dict(w, r=w["r"] - 1))
         assert not revalidate_witness(dict(w, coloring=w["coloring"].replace("\n", "\nx", 1)))
+        # a well-formed file whose coloring is not valid: color r + 1 is unused
+        body = w["coloring"].split("\n", 1)[1]
+        unused = f"{w['n']} {w['r'] + 1}\n{body}"
+        with pytest.raises(ValueError, match="^invalid coloring: "):
+            parse_coloring(unused)
+        assert not revalidate_witness(dict(w, r=w["r"] + 1, coloring=unused))
         assert not revalidate_witness({k: v for k, v in w.items() if k != "coloring"})
 
 
